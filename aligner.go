@@ -10,7 +10,7 @@ import (
 
 // AlignerOptions tunes a reusable Aligner. The zero value (or a nil
 // pointer) gives the defaults: one worker per CPU, no fallback
-// crosswalk, estimated crosswalks retained on every Result.
+// crosswalk.
 type AlignerOptions struct {
 	// Workers bounds the AlignAll worker pool. 0 ⇒ runtime.NumCPU().
 	Workers int
@@ -18,15 +18,27 @@ type AlignerOptions struct {
 	// where every reference is zero according to this crosswalk instead
 	// of dropping them — see AlignWithFallback.
 	Fallback *Crosswalk
-	// DiscardCrosswalks skips retaining the estimated disaggregation
-	// matrix on each Result (EstimatedCrosswalk returns nil). Saves one
-	// matrix copy per attribute in large batches.
+	// Deprecated: DiscardCrosswalks is ignored. Aligner results never
+	// carry an estimated crosswalk; the package functions Align and
+	// AlignWithFallback build one.
 	DiscardCrosswalks bool
-	// DenseSolver forces weight learning through the original dense
-	// solvers instead of the cached normal-equations fast path. The two
-	// agree to ~1e-9 relative; this is a numerical cross-check and
-	// escape hatch, not a performance option.
-	DenseSolver bool
+}
+
+// engineOptions resolves opts (nil for defaults) into the engine
+// options and the AlignAll worker count.
+func engineOptions(opts *AlignerOptions) (core.Options, int) {
+	if opts == nil {
+		opts = &AlignerOptions{}
+	}
+	var coreOpts core.Options
+	if opts.Fallback != nil {
+		coreOpts.FallbackDM = opts.Fallback.matrix()
+	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.NumCPU()
+	}
+	return coreOpts, workers
 }
 
 // Aligner is a reusable GeoAlign engine for crosswalking many
@@ -34,12 +46,12 @@ type AlignerOptions struct {
 // Figure 8 workload, where dozens of attributes move between the same
 // pair of unit systems. NewAligner precomputes and caches everything
 // attribute-independent (validated shapes, compressed crosswalk forms,
-// reference row sums, the normalised disaggregation structure of
-// Eq. 14 and its zero-row degenerate mask, and the normal equations of
-// the Eq. 15 design matrix), so each Align call runs only the
-// per-attribute work: one O(ns·k) reduction c = Aᵀb, a weight-learning
-// solve entirely in k-dimensional space, and the redistribution
-// (Eq. 14/17). AlignAll additionally batches the reductions into one
+// the reference row sums that give every Eq. 14 denominator, and the
+// normal equations of the Eq. 15 design matrix), so each Align call
+// runs only the per-attribute work: one O(ns·k) reduction c = Aᵀb, a
+// weight-learning solve entirely in k-dimensional space, and the
+// redistribution (Eq. 14/17) in one transpose-form pass over the
+// crosswalks. AlignAll additionally batches the reductions into one
 // blocked AᵀB product and warm-starts each solver from the previous
 // attribute's weights.
 //
@@ -55,9 +67,6 @@ type Aligner struct {
 // NewAligner validates the references and builds the cached engine.
 // opts may be nil for defaults.
 func NewAligner(refs []Reference, opts *AlignerOptions) (*Aligner, error) {
-	if opts == nil {
-		opts = &AlignerOptions{}
-	}
 	if len(refs) == 0 {
 		return nil, ErrNoReferences
 	}
@@ -68,17 +77,10 @@ func NewAligner(refs []Reference, opts *AlignerOptions) (*Aligner, error) {
 		}
 		coreRefs[k] = core.Reference{Name: r.Name, Source: r.Source, DM: r.Crosswalk.matrix()}
 	}
-	coreOpts := core.Options{KeepDM: !opts.DiscardCrosswalks, DenseSolver: opts.DenseSolver}
-	if opts.Fallback != nil {
-		coreOpts.FallbackDM = opts.Fallback.matrix()
-	}
+	coreOpts, workers := engineOptions(opts)
 	engine, err := core.NewEngine(coreRefs, coreOpts)
 	if err != nil {
 		return nil, mapErr(err)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	return &Aligner{engine: engine, workers: workers}, nil
 }
@@ -109,7 +111,7 @@ func (a *Aligner) AlignContext(ctx context.Context, objective []float64) (*Resul
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return &Result{Target: res.Target, Weights: res.Weights, dm: res.DM}, nil
+	return &Result{Target: res.Target, Weights: res.Weights}, nil
 }
 
 // Weights runs only the weight-learning step for one objective.
@@ -137,8 +139,9 @@ func (a *Aligner) WeightsResidual(objective []float64) ([]float64, float64, erro
 }
 
 // PatternNNZ returns the number of nonzero entries in the union
-// sparsity pattern of the reference crosswalks — the exact density of
-// the estimated crosswalks this Aligner produces.
+// sparsity pattern of the reference crosswalks — the density of the
+// estimated crosswalks over these references. It is counted on first
+// use and cached.
 func (a *Aligner) PatternNNZ() int { return a.engine.PatternNNZ() }
 
 // AlignAll crosswalks a batch of objective attributes, fanning the
@@ -160,7 +163,7 @@ func (a *Aligner) AlignAllContext(ctx context.Context, objectives [][]float64) (
 	results := make([]*Result, len(coreResults))
 	for i, r := range coreResults {
 		if r != nil {
-			results[i] = &Result{Target: r.Target, Weights: r.Weights, dm: r.DM}
+			results[i] = &Result{Target: r.Target, Weights: r.Weights}
 		}
 	}
 	if err != nil {

@@ -56,21 +56,18 @@ func randomAlignerProblem(t *testing.T, rng *rand.Rand) (objectives [][]float64,
 	return objectives, refs
 }
 
-// alignSerialOracle loops the one-shot core.Align per objective with
-// the parallel kernels disabled — the pre-Aligner behaviour.
+// alignSerialOracle loops the one-shot package Align per objective with
+// the parallel kernels disabled — the pre-Aligner behaviour. Its
+// results carry the estimated crosswalk.
 func alignSerialOracle(t *testing.T, objectives [][]float64, refs []Reference) []*Result {
 	t.Helper()
 	out := make([]*Result, len(objectives))
 	for a, obj := range objectives {
-		p, err := toProblem(obj, refs)
+		res, err := Align(obj, refs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := core.Align(p, core.Options{KeepDM: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[a] = &Result{Target: res.Target, Weights: res.Weights, dm: res.DM}
+		out[a] = res
 	}
 	return out
 }
@@ -94,13 +91,29 @@ func checkResultPair(t *testing.T, tag string, got, want *Result, objective []fl
 			t.Fatalf("%s: target[%d] = %v, want %v", tag, j, got.Target[j], want.Target[j])
 		}
 	}
-	// Volume preservation (Eq. 16): every supported source unit's row of
-	// the estimated crosswalk sums back to its objective aggregate.
-	if got.dm == nil {
+	// Aligner results never carry a crosswalk; the package Align's does.
+	if got.dm != nil {
+		t.Fatalf("%s: Aligner result carries an estimated crosswalk", tag)
+	}
+	checkEstimatedCrosswalk(t, tag, want, objective)
+}
+
+// checkEstimatedCrosswalk checks a package Align result's estimated
+// crosswalk: every supported source unit's row sums back to its
+// objective aggregate (Eq. 16), and its column sums are the target
+// (Eq. 17) within 1e-9 relative.
+func checkEstimatedCrosswalk(t *testing.T, tag string, res *Result, objective []float64) {
+	t.Helper()
+	if res.dm == nil {
 		t.Fatalf("%s: no estimated crosswalk", tag)
 	}
-	if i := core.CheckVolumePreserving(got.dm, objective, 1e-7*(1+maxAbs(objective))); i >= 0 {
+	if i := core.CheckVolumePreserving(res.dm, objective, 1e-7*(1+maxAbs(objective))); i >= 0 {
 		t.Fatalf("%s: volume not preserved at row %d", tag, i)
+	}
+	for j, v := range res.dm.ColSums() {
+		if math.Abs(v-res.Target[j]) > 1e-9*(1+math.Abs(res.Target[j])) {
+			t.Fatalf("%s: crosswalk column %d sums to %v, target %v", tag, j, v, res.Target[j])
+		}
 	}
 }
 
@@ -274,7 +287,7 @@ func sameResult(a, b *Result) bool {
 }
 
 // TestAlignerOptions covers validation, fallback parity with
-// AlignWithFallback, and DiscardCrosswalks.
+// AlignWithFallback, and the crosswalk-free Aligner results.
 func TestAlignerOptions(t *testing.T) {
 	if _, err := NewAligner(nil, nil); err != ErrNoReferences {
 		t.Errorf("err = %v, want ErrNoReferences", err)
@@ -314,9 +327,10 @@ func TestAlignerOptions(t *testing.T) {
 	if !sameResult(got, want) {
 		t.Errorf("fallback Aligner = %v, want %v", got.Target, want.Target)
 	}
+	checkEstimatedCrosswalk(t, "AlignWithFallback", want, objective)
 
-	// DiscardCrosswalks drops the estimated DM.
-	al2, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
+	// Aligner results carry no estimated crosswalk.
+	al2, err := NewAligner(refs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,8 +338,8 @@ func TestAlignerOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.EstimatedCrosswalk() != nil {
-		t.Error("DiscardCrosswalks retained a crosswalk")
+	if got.EstimatedCrosswalk() != nil || res.EstimatedCrosswalk() != nil {
+		t.Error("Aligner result carries a crosswalk")
 	}
 
 	// Objective validation at call time.
@@ -334,6 +348,19 @@ func TestAlignerOptions(t *testing.T) {
 	}
 	if _, err := al.Align([]float64{1, 2, 3}); err == nil {
 		t.Error("objective length mismatch accepted")
+	}
+	nan := []float64{10, math.NaN()}
+	if _, err := al.Align(nan); err != ErrNonFiniteObjective {
+		t.Errorf("err = %v, want ErrNonFiniteObjective", err)
+	}
+	if _, err := al.AlignAll([][]float64{objective, nan}); err != ErrNonFiniteObjective {
+		t.Errorf("AlignAll err = %v, want ErrNonFiniteObjective", err)
+	}
+	if _, err := Align(nan, refs); err != ErrNonFiniteObjective {
+		t.Errorf("package Align err = %v, want ErrNonFiniteObjective", err)
+	}
+	if _, err := Weights(nan, refs); err != ErrNonFiniteObjective {
+		t.Errorf("package Weights err = %v, want ErrNonFiniteObjective", err)
 	}
 
 	// Weights on the Aligner match the package-level Weights.

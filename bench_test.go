@@ -24,6 +24,7 @@ import (
 	"geoalign/internal/core"
 	"geoalign/internal/eval"
 	"geoalign/internal/geom"
+	"geoalign/internal/linalg"
 	"geoalign/internal/partition"
 	"geoalign/internal/sparse"
 	"geoalign/internal/synth"
@@ -239,18 +240,44 @@ func BenchmarkWeightLearning(b *testing.B) {
 	})
 	b.Run("cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LearnWeights(p, core.Options{}); err != nil {
+			if _, err := core.LearnWeights(p); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("dense", func(b *testing.B) {
+		// The cold solve through the dense oracle instead of the Gram
+		// form: the gap to cold is the solver win alone.
 		for i := 0; i < b.N; i++ {
-			if _, err := core.LearnWeights(p, core.Options{DenseSolver: true}); err != nil {
+			cols := make([][]float64, len(p.References))
+			for k, r := range p.References {
+				src := r.Source
+				if src == nil {
+					src = r.DM.RowSums()
+				}
+				cols[k] = maxNormalised(src)
+			}
+			a, err := linalg.MatrixFromColumns(cols)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := linalg.SimplexLeastSquares(a, maxNormalised(p.Objective)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// maxNormalised returns v / max(v), the Eq. 15 normalisation.
+func maxNormalised(v []float64) []float64 {
+	mx := linalg.MaxAbs(v)
+	out := make([]float64, len(v))
+	for i, x := range v {
+		if mx > 0 {
+			out[i] = x / mx
+		}
+	}
+	return out
 }
 
 // BenchmarkDasymetric times the single-reference baseline at US scale.
@@ -323,7 +350,7 @@ func BenchmarkAlignerBatch(b *testing.B) {
 	})
 	b.Run("batch-cold-parallel", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
+			al, err := NewAligner(refs, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -333,7 +360,7 @@ func BenchmarkAlignerBatch(b *testing.B) {
 		}
 	})
 	b.Run("batch-warm-parallel", func(b *testing.B) {
-		al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
+		al, err := NewAligner(refs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -349,21 +376,7 @@ func BenchmarkAlignerBatch(b *testing.B) {
 		// blocked AᵀB product for all 32 attributes, warm-started
 		// k-space solves. Identical setup to batch-warm-parallel; the
 		// separate name tracks the fast path in the benchdiff snapshots.
-		al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := al.AlignAll(objectives); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("dense-warm", func(b *testing.B) {
-		// The same workload forced through the dense weight-learning
-		// solvers: the gap to gram-warm is the solver win alone.
-		al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true, DenseSolver: true})
+		al, err := NewAligner(refs, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -377,7 +390,7 @@ func BenchmarkAlignerBatch(b *testing.B) {
 	b.Run("batch-warm-serial", func(b *testing.B) {
 		sparse.SetParallelThreshold(1 << 62)
 		defer sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
-		al, err := NewAligner(refs, &AlignerOptions{Workers: 1, DiscardCrosswalks: true})
+		al, err := NewAligner(refs, &AlignerOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -520,10 +533,10 @@ func BenchmarkPublicAlign(b *testing.B) {
 // tiers plus the rebuild baseline:
 //
 //   - value-row: one crosswalk row re-valued on its existing column
-//     set — shares the union pattern, patches one value array, and
-//     rank-one-updates the Gram system;
-//   - structural-row: the row's column set changes, so the union
-//     pattern splices around the affected row;
+//     set — shares the row pointers and column indices, patches one
+//     value array, and rank-one-updates the Gram system;
+//   - structural-row: the row's column set changes, so the patched
+//     reference's CSR is rebuilt around the affected row;
 //   - source-revision: one entry of a reference's source aggregate
 //     moves, rescaling nothing structural but touching the design
 //     matrix and its normal equations;
@@ -544,7 +557,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 		}
 		refs[k] = Reference{Name: r.Name, Crosswalk: xw}
 	}
-	al, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
+	al, err := NewAligner(refs, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -589,7 +602,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 	}
 	b.Run("full-rebuild", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			next, err := NewAligner(refs, &AlignerOptions{DiscardCrosswalks: true})
+			next, err := NewAligner(refs, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -610,7 +623,7 @@ func BenchmarkDeltaApply(b *testing.B) {
 // including solver caches. The CI regression gate holds the ratio via
 // the recorded ns/op of the two sub-benchmarks.
 func BenchmarkEngineColdStart(b *testing.B) {
-	opts := &AlignerOptions{DiscardCrosswalks: true, Workers: 4}
+	opts := &AlignerOptions{Workers: 4}
 
 	// Render each reference as crosswalk CSV bytes, the serving
 	// daemon's input format.

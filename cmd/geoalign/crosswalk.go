@@ -200,9 +200,7 @@ func runCrosswalkBuild(args []string, stderr io.Writer) error {
 			}
 		}
 	}
-	al, err := geoalign.NewAligner(
-		[]geoalign.Reference{{Name: *attr, Crosswalk: xw}},
-		&geoalign.AlignerOptions{DiscardCrosswalks: true})
+	al, err := geoalign.NewAligner([]geoalign.Reference{{Name: *attr, Crosswalk: xw}}, nil)
 	if err != nil {
 		return err
 	}

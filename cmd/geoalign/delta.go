@@ -137,7 +137,7 @@ func applyDeltaHTTP(server, engine string, raw []byte, stdout io.Writer) error {
 }
 
 func applyDeltaOffline(snapPath, outPath string, d geoalign.Delta, stdout io.Writer) error {
-	al, meta, err := geoalign.OpenSnapshot(snapPath, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+	al, meta, err := geoalign.OpenSnapshot(snapPath, nil)
 	if err != nil {
 		return err
 	}

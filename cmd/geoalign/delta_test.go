@@ -45,7 +45,7 @@ func TestDeltaApplyOffline(t *testing.T) {
 
 	// The revised snapshot must answer exactly like ApplyDelta on the
 	// original engine.
-	orig, _, err := geoalign.OpenSnapshot(snap, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+	orig, _, err := geoalign.OpenSnapshot(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestDeltaApplyOffline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	revised, _, err := geoalign.OpenSnapshot(outPath, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+	revised, _, err := geoalign.OpenSnapshot(outPath, nil)
 	if err != nil {
 		t.Fatalf("reopening revised snapshot: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestDeltaApplyOffline(t *testing.T) {
 
 func TestDeltaApplyHTTP(t *testing.T) {
 	snap := buildTestSnapshot(t)
-	al, _, err := geoalign.OpenSnapshot(snap, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+	al, _, err := geoalign.OpenSnapshot(snap, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

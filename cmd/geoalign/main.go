@@ -301,7 +301,7 @@ func runSnapshotBuild(args []string, stderr io.Writer) error {
 		}
 		refs[k] = geoalign.Reference{Name: cw.Attribute, Crosswalk: xw}
 	}
-	al, err := geoalign.NewAligner(refs, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+	al, err := geoalign.NewAligner(refs, nil)
 	if err != nil {
 		return err
 	}
@@ -331,7 +331,7 @@ func runSnapshotInfo(args []string, stdout, stderr io.Writer) error {
 		return fmt.Errorf("usage: geoalign snapshot info engine.snap")
 	}
 	path := fs.Arg(0)
-	al, meta, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{DiscardCrosswalks: true, Workers: 1})
+	al, meta, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{Workers: 1})
 	if err != nil {
 		return err
 	}

@@ -305,7 +305,7 @@ func registerEngine(reg *serve.Registry, name, snapDir string, workers int, blob
 	start := time.Now()
 	if snapDir != "" {
 		path := filepath.Join(snapDir, name+".snap")
-		al, meta, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{Workers: workers, DiscardCrosswalks: true})
+		al, meta, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{Workers: workers})
 		switch {
 		case err == nil:
 			took := time.Since(start)
@@ -482,9 +482,7 @@ func demoEngine(workers int) func() (*geoalign.Aligner, *geoalign.SnapshotMeta, 
 }
 
 func newServingAligner(refs []geoalign.Reference, workers int) (*geoalign.Aligner, error) {
-	// DiscardCrosswalks keeps serving engines on the fused batch path
-	// (the server never reads per-result estimated crosswalks).
-	return geoalign.NewAligner(refs, &geoalign.AlignerOptions{Workers: workers, DiscardCrosswalks: true})
+	return geoalign.NewAligner(refs, &geoalign.AlignerOptions{Workers: workers})
 }
 
 func publicCrosswalk(dm *sparse.CSR) (*geoalign.Crosswalk, error) {

@@ -330,11 +330,7 @@ func TestRunDeltaRepersistsSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Same serving options as the daemon: the fused no-crosswalk
-	// redistribution path, whose summation order the bitwise comparison
-	// below depends on.
-	al, _, err := geoalign.OpenSnapshot(filepath.Join(snapDir, "demo.snap"),
-		&geoalign.AlignerOptions{DiscardCrosswalks: true})
+	al, _, err := geoalign.OpenSnapshot(filepath.Join(snapDir, "demo.snap"), nil)
 	if err != nil {
 		t.Fatalf("reloading re-persisted snapshot: %v", err)
 	}

@@ -173,7 +173,9 @@ type Result struct {
 
 // EstimatedCrosswalk returns the estimated disaggregation of the
 // objective attribute across source×target intersections — the
-// volume-preserving matrix whose column sums are Result.Target.
+// volume-preserving matrix whose column sums are Result.Target. Only
+// the package functions Align and AlignWithFallback build it; Aligner
+// results never carry one, and this returns nil for them.
 func (r *Result) EstimatedCrosswalk() *Crosswalk {
 	if r.dm == nil {
 		return nil
@@ -188,6 +190,9 @@ var (
 	ErrNoReferences = errors.New("geoalign: at least one reference is required")
 	// ErrNoSourceUnits is returned when the objective vector is empty.
 	ErrNoSourceUnits = errors.New("geoalign: objective has no source units")
+	// ErrNonFiniteObjective is returned when the objective holds NaN or
+	// ±Inf.
+	ErrNonFiniteObjective = errors.New("geoalign: objective is not finite")
 )
 
 // Align runs the GeoAlign algorithm: it learns simplex weights β making
@@ -202,15 +207,7 @@ var (
 // reference is zero contribute nothing to the estimate (the paper's
 // degenerate case).
 func Align(objective []float64, refs []Reference) (*Result, error) {
-	p, err := toProblem(objective, refs)
-	if err != nil {
-		return nil, err
-	}
-	res, err := core.Align(p, core.Options{KeepDM: true})
-	if err != nil {
-		return nil, mapErr(err)
-	}
-	return &Result{Target: res.Target, Weights: res.Weights, dm: res.DM}, nil
+	return align(objective, refs, nil)
 }
 
 // AlignWithFallback is Align with one extra input: source units in
@@ -219,19 +216,29 @@ func Align(objective []float64, refs []Reference) (*Result, error) {
 // typically the intersection-area matrix, so the degenerate units
 // degrade gracefully to areal weighting.
 func AlignWithFallback(objective []float64, refs []Reference, fallback *Crosswalk) (*Result, error) {
+	var fb *sparse.CSR
+	if fallback != nil {
+		fb = fallback.matrix()
+	}
+	return align(objective, refs, fb)
+}
+
+// align runs the engine's redistribution for the target, then builds
+// the estimated crosswalk from the learned weights.
+func align(objective []float64, refs []Reference, fallback *sparse.CSR) (*Result, error) {
 	p, err := toProblem(objective, refs)
 	if err != nil {
 		return nil, err
 	}
-	opts := core.Options{KeepDM: true}
-	if fallback != nil {
-		opts.FallbackDM = fallback.matrix()
-	}
-	res, err := core.Align(p, opts)
+	res, err := core.Align(p, core.Options{FallbackDM: fallback})
 	if err != nil {
 		return nil, mapErr(err)
 	}
-	return &Result{Target: res.Target, Weights: res.Weights, dm: res.DM}, nil
+	dm, err := core.EstimatedDM(p, res.Weights, fallback)
+	if err != nil {
+		return nil, mapErr(err)
+	}
+	return &Result{Target: res.Target, Weights: res.Weights, dm: dm}, nil
 }
 
 // Weights runs only GeoAlign's weight-learning step, returning β
@@ -242,7 +249,7 @@ func Weights(objective []float64, refs []Reference) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	w, err := core.LearnWeights(p, core.Options{})
+	w, err := core.LearnWeights(p)
 	if err != nil {
 		return nil, mapErr(err)
 	}
@@ -313,6 +320,8 @@ func mapErr(err error) error {
 		return ErrNoReferences
 	case errors.Is(err, core.ErrNoSourceUnits):
 		return ErrNoSourceUnits
+	case errors.Is(err, core.ErrNonFiniteObjective):
+		return ErrNonFiniteObjective
 	default:
 		return err
 	}

@@ -1,7 +1,9 @@
 package geoalign
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -270,6 +272,66 @@ func TestAlignWithFallback(t *testing.T) {
 	}
 	if nilFB.Target[0] != plain.Target[0] {
 		t.Error("nil fallback differs from Align")
+	}
+	checkEstimatedCrosswalk(t, "AlignWithFallback", res, []float64{10, 20})
+	checkEstimatedCrosswalk(t, "Align", plain, []float64{10, 20})
+
+	// Randomized problems with unsupported source units, and a fallback
+	// that covers only every other one of them: the estimated crosswalk
+	// preserves volume, the target mass is the objective's minus the
+	// units neither supports, and an Aligner with the same fallback
+	// agrees, fused batch path included.
+	rng := rand.New(rand.NewSource(1618))
+	for trial := 0; trial < 20; trial++ {
+		objectives, refs := randomAlignerProblem(t, rng)
+		ns, nt := refs[0].Crosswalk.SourceUnits(), refs[0].Crosswalk.TargetUnits()
+		fb := NewCrosswalk(ns, nt)
+		for i := 0; i < ns; i += 2 {
+			if err := fb.Add(i, rng.Intn(nt), 1+rng.Float64()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		al, err := NewAligner(refs, &AlignerOptions{Fallback: fb, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		batch, err := al.AlignAll(objectives)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, obj := range objectives {
+			tag := fmt.Sprintf("trial %d attr %d", trial, a)
+			want, err := AlignWithFallback(obj, refs, fb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkEstimatedCrosswalk(t, tag, want, obj)
+			var in, dropped, out float64
+			for i, v := range obj {
+				in += v
+				supported := i%2 == 0
+				for _, r := range refs {
+					supported = supported || r.Crosswalk.SourceTotals()[i] != 0
+				}
+				if !supported {
+					dropped += v
+				}
+			}
+			for _, v := range want.Target {
+				out += v
+			}
+			if math.Abs(out-(in-dropped)) > 1e-9*in {
+				t.Fatalf("%s: target mass %v, want %v - %v dropped", tag, out, in, dropped)
+			}
+			single, err := al.Align(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !sameResult(batch[a], single) {
+				t.Fatalf("%s: fused AlignAll differs from Align", tag)
+			}
+			checkResultPair(t, tag, single, want, obj)
+		}
 	}
 }
 

@@ -249,7 +249,7 @@ func BenchmarkClusterWarmup(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		mapped, _, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+		mapped, _, err := geoalign.OpenSnapshot(path, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -11,8 +11,9 @@
 // path: the denominator combines references in index order, each
 // reference's transpose product accumulates rows in ascending order
 // (the chunk dimension is independent — it widens the inner loop
-// without reordering any one attribute's sums), and the per-reference
-// products fold into the target in reference order.
+// without reordering any one attribute's sums), the per-reference
+// products fold into the target in reference order, and the fallback
+// rows, if any, are added last by the same addFallbackRows call.
 package core
 
 import (
@@ -39,9 +40,10 @@ const batchChunk = 32
 // accumulators are laid out attribute-minor ([row*B+t], [col*B+t]) so
 // the fused inner loops touch consecutive memory.
 type batchScratch struct {
-	w     []float64 // redistChunk × k scaled weights, attribute-major
-	scale []float64 // ns × redistChunk per-row disaggregation factors
-	y     []float64 // nt × redistChunk transpose-product accumulators
+	w      []float64 // redistChunk × k scaled weights, attribute-major
+	scale  []float64 // ns × redistChunk per-row disaggregation factors
+	y      []float64 // nt × redistChunk transpose-product accumulators
+	fbRows []int     // one attribute's degenerate rows for the fallback
 }
 
 func newBatchScratch(e *Engine) *batchScratch {
@@ -79,11 +81,10 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 		valid = append(valid, i)
 	}
 
-	// The shared AᵀB prep only pays off on the cached Gram path with a
-	// genuine mixture to learn; k == 1 and the dense escape hatch run
-	// the plain per-objective solve.
+	// The shared AᵀB prep only pays off with a genuine mixture to
+	// learn; k == 1 runs the plain per-objective solve.
 	k := len(e.refs)
-	useGram := !e.opts.DenseSolver && k > 1
+	useGram := k > 1
 	var cs []float64
 	var bnorms []float64
 	if useGram {
@@ -123,7 +124,10 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 			betas[t] = beta
 			warm = beta
 		}
-		e.redistributeBatch(objectives, idxs, betas, results, errs, s, bs)
+		live := e.redistributeBatch(objectives, idxs, betas, results, bs)
+		if e.opts.FallbackDM != nil {
+			e.batchFallback(objectives, live, results, errs, bs)
+		}
 		return warm
 	}
 
@@ -180,9 +184,6 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 // pre-reduced as c = Aᵀb and ‖b‖₂; warm optionally seeds the active-set
 // solver with the previous objective's β.
 func (e *Engine) solvePrepared(c []float64, bnorm float64, warm []float64) ([]float64, error) {
-	if e.opts.SolverIterations > 0 {
-		return linalg.SimplexLeastSquaresPGGram(e.gram.G, c, e.gram.Lipschitz(), e.opts.SolverIterations, 0)
-	}
 	return linalg.SimplexLeastSquaresGramWarm(e.gram.G, c, e.gram.AInf, bnorm, warm)
 }
 
@@ -220,23 +221,10 @@ func (e *Engine) batchGramPrep(ctx context.Context, objectives [][]float64, vali
 }
 
 // redistributeBatch runs the disaggregation and re-aggregation steps
-// (Eq. 14/17) for every solved attribute of one chunk. Attributes whose
-// solve failed (betas[t] == nil) are skipped. Retained crosswalks and
-// fallback redistribution need the full estimated matrix per attribute,
-// so those configurations take the per-attribute full-matrix path; the
-// common serving configuration (no retained DM, no fallback) runs the
-// fused transpose form.
-func (e *Engine) redistributeBatch(objectives [][]float64, idxs []int, betas [][]float64, results []*Result, errs []error, s *engineScratch, bs *batchScratch) {
-	if e.opts.KeepDM || e.opts.FallbackDM != nil {
-		for t, i := range idxs {
-			if betas[t] == nil {
-				continue
-			}
-			results[i], errs[i] = e.redistribute(objectives[i], betas[t], s)
-		}
-		return
-	}
-
+// (Eq. 14/17) for every solved attribute of one chunk in the fused
+// transpose form, and returns the chunk's solved attributes: those
+// whose solve failed (betas[t] == nil) are skipped.
+func (e *Engine) redistributeBatch(objectives [][]float64, idxs []int, betas [][]float64, results []*Result, bs *batchScratch) []int {
 	// Compact the chunk to the solved attributes. idxs is this chunk's
 	// private sub-slice of the valid list, so the in-place filter is
 	// safe under concurrent chunk workers.
@@ -253,7 +241,7 @@ func (e *Engine) redistributeBatch(objectives [][]float64, idxs []int, betas [][
 	}
 	B := len(live)
 	if B == 0 {
-		return
+		return live
 	}
 	for t, i := range live {
 		results[i] = &Result{Weights: liveBetas[t], Target: make([]float64, e.nt)}
@@ -329,6 +317,41 @@ func (e *Engine) redistributeBatch(objectives [][]float64, idxs []int, betas [][
 			for c := range tgt {
 				tgt[c] += wk * y[c*redistChunk+t]
 			}
+		}
+	}
+	return live
+}
+
+// batchFallback adds the fallback rows to every solved attribute of a
+// fused chunk, after the reference pass as in redistribute. A row is
+// degenerate when its scale is zero, its objective nonzero and its
+// denominator — recomputed in rowScales' order — zero; rows go in
+// ascending order. It runs apart from redistributeBatch because any
+// fallback work inside that function, even untaken, slows its fused
+// loops measurably.
+func (e *Engine) batchFallback(objectives [][]float64, live []int, results []*Result, errs []error, bs *batchScratch) {
+	k := len(e.refs)
+	for t, i := range live {
+		w := bs.w[t*k : (t+1)*k]
+		rows := bs.fbRows[:0]
+		for row, obj := range objectives[i] {
+			if obj == 0 || bs.scale[row*redistChunk+t] != 0 {
+				continue
+			}
+			var den float64
+			for kk, wk := range w {
+				if wk == 0 {
+					continue
+				}
+				den += wk * e.rowSums[kk][row]
+			}
+			if den == 0 {
+				rows = append(rows, row)
+			}
+		}
+		bs.fbRows = rows
+		if err := e.addFallbackRows(results[i].Target, objectives[i], rows); err != nil {
+			results[i], errs[i] = nil, err
 		}
 	}
 }

@@ -5,12 +5,16 @@
 //
 // All three are "extensive" two-step approximators (§3.1): they
 // disaggregate the objective attribute's source-unit aggregates into
-// the source×target intersection units (here represented directly as a
-// disaggregation matrix) and then re-aggregate by target unit. All
-// three preserve volume (Eq. 10/16): each row of the estimated
-// disaggregation matrix sums to the corresponding source aggregate,
-// except for rows where every reference is zero, which the paper
-// defines to be zero (Eq. 14, second case).
+// the source×target intersection units and then re-aggregate by target
+// unit. All three preserve volume (Eq. 10/16): each row of the
+// estimated disaggregation matrix sums to the corresponding source
+// aggregate, except for rows where every reference is zero, which the
+// paper defines to be zero (Eq. 14, second case).
+//
+// GeoAlign fuses the two steps: an Engine accumulates the re-aggregated
+// target in transpose form and never builds the estimated matrix.
+// EstimatedDM builds it on demand from the learned weights for callers
+// that want the crosswalk itself.
 package core
 
 import (
@@ -43,31 +47,26 @@ type Problem struct {
 	References []Reference
 }
 
-// Result carries the estimate and the model internals useful for
-// diagnostics and the paper's robustness analyses.
+// Result carries the estimate and the learned weights, which the
+// paper's robustness analyses inspect.
 type Result struct {
-	Target  []float64   // â_o^t, length |U^t|
-	Weights []float64   // β, length |references|; sums to 1
-	DM      *sparse.CSR // estimated disaggregation matrix of the objective
+	Target  []float64 // â_o^t, length |U^t|
+	Weights []float64 // β, length |references|; sums to 1
 }
 
 // Errors returned by validation.
 var (
 	ErrNoReferences  = errors.New("core: no reference attributes")
 	ErrNoSourceUnits = errors.New("core: objective has no source units")
+	// ErrNonFiniteObjective rejects an objective holding NaN or ±Inf:
+	// the max-normalisation of Eq. 15 would turn it into a silent
+	// wrong answer.
+	ErrNonFiniteObjective = errors.New("core: objective is not finite")
 )
 
 // Options tunes GeoAlign behaviour. The zero value reproduces the
 // paper's algorithm.
 type Options struct {
-	// KeepDM retains the estimated disaggregation matrix in the Result.
-	// It is cheap (the matrix is built anyway) but callers crosswalking
-	// many attributes may prefer to drop it.
-	KeepDM bool
-	// SolverIterations, if positive, switches weight learning to the
-	// projected-gradient solver with the given iteration budget instead
-	// of the active-set solver. Mainly useful for experimentation.
-	SolverIterations int
 	// FallbackDM, if set, redistributes the aggregates of source units
 	// where every reference is zero (the Eq. 14 degenerate case, which
 	// the paper drops) according to this crosswalk instead — typically
@@ -75,12 +74,6 @@ type Options struct {
 	// areal weighting rather than losing the mass. It must be
 	// |U^s|×|U^t| shaped.
 	FallbackDM *sparse.CSR
-	// DenseSolver forces weight learning through the original dense
-	// solvers (tall augmented system, QR-based NNLS inner solves)
-	// instead of the cached normal-equations fast path. The two agree
-	// to ~1e-9 relative; the dense path is kept as a numerical
-	// cross-check and escape hatch.
-	DenseSolver bool
 }
 
 // Align runs GeoAlign (Algorithm 1): weight learning (Eq. 15),
@@ -116,7 +109,7 @@ func Align(p Problem, opts Options) (*Result, error) {
 // LearnWeights performs only GeoAlign's weight-learning step and
 // returns β. Exposed separately for the robustness experiments that
 // inspect the learned weights.
-func LearnWeights(p Problem, opts Options) ([]float64, error) {
+func LearnWeights(p Problem) ([]float64, error) {
 	if _, _, err := validate(p); err != nil {
 		return nil, err
 	}
@@ -128,20 +121,9 @@ func LearnWeights(p Problem, opts Options) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := maxNormalise(p.Objective)
-	if opts.DenseSolver {
-		if opts.SolverIterations > 0 {
-			return linalg.SimplexLeastSquaresPG(a, b, opts.SolverIterations, 0)
-		}
-		return linalg.SimplexLeastSquares(a, b)
-	}
 	// Route the one-shot solve through the same Gram-form code path the
 	// Engine uses, so the two produce bit-identical weights.
-	gs := linalg.NewGramSystem(a)
-	if opts.SolverIterations > 0 {
-		return gs.SimplexLSPG(b, opts.SolverIterations, 0)
-	}
-	return gs.SimplexLS(b, nil)
+	return linalg.NewGramSystem(a).SimplexLS(maxNormalise(p.Objective), nil)
 }
 
 // referenceSource returns the reference's source aggregate vector,
@@ -209,38 +191,72 @@ func validate(p Problem) (ns, nt int, err error) {
 				k, r.Name, len(r.Source), ns)
 		}
 	}
-	return ns, nt, nil
+	return ns, nt, checkFinite(p.Objective)
 }
 
-// patchRows rebuilds dm with the listed rows replaced by the fallback
-// crosswalk's rows, rescaled to the objective (dasymetric
-// redistribution per degenerate unit). fbSums must be the fallback's
-// row sums — engines cache them across calls (see fallbackSums); nil
-// computes them fresh.
-func patchRows(dm, fallback *sparse.CSR, fbSums []float64, rows []int, objective []float64) (*sparse.CSR, error) {
-	replace := make(map[int]bool, len(rows))
-	for _, i := range rows {
-		replace[i] = true
+// EstimatedDM builds the estimated disaggregation matrix of Eq. 14 for
+// already-learned weights: the β-weighted combination of the
+// max-normalised reference crosswalks, each row rescaled to the
+// objective's aggregate. With a fallback, every degenerate row (no
+// reference support, nonzero objective) takes the fallback's row
+// rescaled the same way, unless the fallback has no support there
+// either. Its column sums are Align's target (Eq. 17) up to summation
+// order. Engines never build this matrix; it serves callers that want
+// the crosswalk itself.
+func EstimatedDM(p Problem, weights []float64, fallback *sparse.CSR) (*sparse.CSR, error) {
+	ns, nt, err := validate(p)
+	if err != nil {
+		return nil, err
 	}
-	if fbSums == nil {
-		fbSums = fallback.RowSums()
+	if len(weights) != len(p.References) {
+		return nil, fmt.Errorf("core: %d weights for %d references", len(weights), len(p.References))
 	}
-	coo := sparse.NewCOO(dm.Rows, dm.Cols)
-	for i := 0; i < dm.Rows; i++ {
-		if !replace[i] {
-			cols, vals := dm.Row(i)
-			for k, j := range cols {
-				coo.Add(i, j, vals[k])
-			}
+	dms := make([]*sparse.CSR, len(p.References))
+	w := make([]float64, len(p.References))
+	for k, r := range p.References {
+		dms[k] = r.DM
+		w[k] = weights[k]
+		if mx := linalg.MaxAbs(r.DM.RowSums()); mx > 0 {
+			w[k] /= mx
+		}
+	}
+	num, err := sparse.WeightedSum(dms, w)
+	if err != nil {
+		return nil, err
+	}
+	den := num.RowSums()
+	scale := make([]float64, ns)
+	var degenerate []int
+	for i, d := range den {
+		if d != 0 {
+			scale[i] = p.Objective[i] / d
+		} else if p.Objective[i] != 0 {
+			degenerate = append(degenerate, i)
+		}
+	}
+	dm := num.ScaleRows(scale)
+	if fallback == nil || len(degenerate) == 0 {
+		return dm, nil
+	}
+	if fallback.Rows != ns || fallback.Cols != nt {
+		return nil, fmt.Errorf("core: fallback DM is %dx%d, want %dx%d", fallback.Rows, fallback.Cols, ns, nt)
+	}
+	fbSums := fallback.RowSums()
+	coo := sparse.NewCOOWithCapacity(ns, nt, dm.NNZ())
+	for i := 0; i < ns; i++ {
+		cols, vals := dm.Row(i)
+		for t, j := range cols {
+			coo.Add(i, j, vals[t])
+		}
+	}
+	for _, i := range degenerate {
+		if fbSums[i] == 0 {
 			continue
 		}
-		if fbSums[i] == 0 {
-			continue // even the fallback has no support: stay zero
-		}
-		f := objective[i] / fbSums[i]
+		f := p.Objective[i] / fbSums[i]
 		cols, vals := fallback.Row(i)
-		for k, j := range cols {
-			coo.Add(i, j, f*vals[k])
+		for t, j := range cols {
+			coo.Add(i, j, f*vals[t])
 		}
 	}
 	return coo.ToCSR(), nil

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"geoalign/internal/linalg"
 	"geoalign/internal/sparse"
 )
 
@@ -16,6 +17,17 @@ func mustCSR(t testing.TB, d [][]float64) *sparse.CSR {
 		t.Fatal(err)
 	}
 	return m
+}
+
+// estimatedDM builds the estimated crosswalk of an Align result, failing
+// the test on error.
+func estimatedDM(t testing.TB, p Problem, res *Result, fallback *sparse.CSR) *sparse.CSR {
+	t.Helper()
+	dm, err := EstimatedDM(p, res.Weights, fallback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dm
 }
 
 func vecEq(a, b []float64, tol float64) bool {
@@ -163,12 +175,12 @@ func TestAlignWeightsOnSimplex(t *testing.T) {
 func TestAlignVolumePreserving(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	p := randomProblem(rng, 40, 10, 3)
-	res, err := Align(p, Options{KeepDM: true})
+	res, err := Align(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tol := 1e-7 * (1 + floatMax(p.Objective))
-	if i := CheckVolumePreserving(res.DM, p.Objective, tol); i >= 0 {
+	if i := CheckVolumePreserving(estimatedDM(t, p, res, nil), p.Objective, tol); i >= 0 {
 		t.Errorf("volume not preserved at row %d", i)
 	}
 	// Total mass is conserved (every source unit had reference support
@@ -189,14 +201,15 @@ func TestAlignZeroReferenceRowGivesZero(t *testing.T) {
 	// Source unit 1 has zero in every reference: Eq. 14 second case.
 	dm0 := mustCSR(t, [][]float64{{1, 1}, {0, 0}})
 	dm1 := mustCSR(t, [][]float64{{2, 0}, {0, 0}})
-	res, err := Align(Problem{
+	p := Problem{
 		Objective:  []float64{10, 99},
 		References: []Reference{{DM: dm0}, {DM: dm1}},
-	}, Options{KeepDM: true})
+	}
+	res, err := Align(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, vals := res.DM.Row(1)
+	cols, vals := estimatedDM(t, p, res, nil).Row(1)
 	for k := range cols {
 		if vals[k] != 0 {
 			t.Errorf("row 1 entry %d = %v, want 0", cols[k], vals[k])
@@ -216,17 +229,18 @@ func TestAlignInconsistentSourceStillPreservesVolume(t *testing.T) {
 	// the explicit vector feeds weight learning only, and Eq. 14 scales
 	// against the crosswalk's own row sums, so volume is preserved.
 	dm := mustCSR(t, [][]float64{{1, 1}})
-	res, err := Align(Problem{
+	p := Problem{
 		Objective:  []float64{10},
 		References: []Reference{{DM: dm, Source: []float64{4}}},
-	}, Options{KeepDM: true})
+	}
+	res, err := Align(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !vecEq(res.Target, []float64{5, 5}, 1e-9) {
 		t.Errorf("target = %v, want [5 5]", res.Target)
 	}
-	if i := CheckVolumePreserving(res.DM, []float64{10}, 1e-9); i >= 0 {
+	if i := CheckVolumePreserving(estimatedDM(t, p, res, nil), []float64{10}, 1e-9); i >= 0 {
 		t.Errorf("volume not preserved at row %d", i)
 	}
 }
@@ -266,6 +280,8 @@ func TestAlignValidation(t *testing.T) {
 	}
 }
 
+// TestAlignProjectedGradientSolverAgrees compares Align's active-set
+// weights against the dense projected-gradient oracle in linalg.
 func TestAlignProjectedGradientSolverAgrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	p := randomProblem(rng, 50, 12, 4)
@@ -273,10 +289,12 @@ func TestAlignProjectedGradientSolverAgrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Align(p, Options{SolverIterations: 30000})
+	a, b := denseSystem(t, p)
+	pg, err := linalg.SimplexLeastSquaresPG(a, b, 30000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	r2 := &Result{Weights: pg, Target: estimatedDM(t, p, &Result{Weights: pg}, nil).ColSums()}
 	// Targets must be close (weights may differ slightly when the
 	// optimum is flat, but the induced estimate should agree).
 	scale := 1 + floatMax(r1.Target)
@@ -291,12 +309,16 @@ func TestAlignConservationQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := randomProblem(rng, 5+rng.Intn(40), 2+rng.Intn(8), 1+rng.Intn(5))
-		res, err := Align(p, Options{KeepDM: true})
+		res, err := Align(p, Options{})
+		if err != nil {
+			return false
+		}
+		dm, err := EstimatedDM(p, res.Weights, nil)
 		if err != nil {
 			return false
 		}
 		tol := 1e-6 * (1 + floatMax(p.Objective))
-		if CheckVolumePreserving(res.DM, p.Objective, tol) >= 0 {
+		if CheckVolumePreserving(dm, p.Objective, tol) >= 0 {
 			return false
 		}
 		var in, out float64
@@ -329,7 +351,7 @@ func TestLearnWeightsPrefersCorrelatedReference(t *testing.T) {
 	beta, err := LearnWeights(Problem{
 		Objective:  obj,
 		References: []Reference{{DM: good}, {DM: bad}},
-	}, Options{})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,12 @@ import (
 // Three maintenance tiers, in increasing cost:
 //
 //   - value-only crosswalk patches (the row's column set is unchanged)
-//     share the union pattern, slot maps and zero-row mask outright and
-//     replace only the patched reference's value array;
+//     share the reference's row pointers and column indices and
+//     replace only its value array;
 //   - structural patches (columns added or removed, rows deleted)
-//     splice the union pattern: only the affected rows re-merge, the
-//     unaffected spans of the pattern and every slot map shift-copy by
-//     the running offset;
+//     rebuild the patched reference's arrays with unaffected row spans
+//     block-copied, and adjust a counted PatternNNZ by re-counting only
+//     the affected rows;
 //   - a revision that moves a design column's max-normaliser rescales
 //     the whole column, so that column's Gram row/column is recomputed
 //     by exact dot products and the Cholesky factor refactorised —
@@ -280,31 +280,19 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 	// 3. Maintain the design matrix and Gram system.
 	e.applyColumnPlans(ne, plans, deep)
 
-	// 4. Maintain the union pattern.
-	if len(structRows) == 0 {
-		if deep {
-			ne.pat = &sparse.CSR{
-				Rows: e.ns, Cols: e.nt,
-				IndPtr: append([]int(nil), e.pat.IndPtr...),
-				ColIdx: append([]int(nil), e.pat.ColIdx...),
-			}
-			ne.slots = make([][]int, k)
-			for i := range e.slots {
-				ne.slots[i] = append([]int(nil), e.slots[i]...)
-			}
-		} else {
-			ne.pat = e.pat
-			ne.slots = e.slots
-		}
-		ne.zeroRow = e.zeroRow
-	} else {
-		affected := make([]int, 0, len(structRows))
+	// 4. Hand on the union-pattern count if the parent has taken it (0
+	// means not yet counted): only rows whose column sets changed can
+	// move it.
+	nnz := e.patNNZ.Load()
+	if nnz > 0 && len(structRows) > 0 {
+		mark := make([]int, e.nt)
+		stamp := 0
 		for i := range structRows {
-			affected = append(affected, i)
+			stamp += 2
+			nnz += int64(unionRowNNZ(ne.refs, i, mark, stamp) - unionRowNNZ(e.refs, i, mark, stamp-1))
 		}
-		sort.Ints(affected)
-		e.splicePattern(ne, affected)
 	}
+	ne.patNNZ.Store(nnz)
 
 	ne.initPools()
 	return ne, nil
@@ -323,12 +311,7 @@ func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
 			return
 		}
 		wm := e.weightMat.Clone()
-		gs := e.gram.MutableClone(wm)
-		// G is unchanged, so the parent's Lipschitz constant still holds.
-		if lip, ok := e.gram.CachedLipschitz(); ok {
-			gs.PrimeLipschitz(lip)
-		}
-		ne.weightMat, ne.gram = wm, gs
+		ne.weightMat, ne.gram = wm, e.gram.MutableClone(wm)
 		return
 	}
 
@@ -457,95 +440,6 @@ func spliceCSR(old *sparse.CSR, patches []RowPatch, deep bool) (*sparse.CSR, boo
 	}
 	indptr[old.Rows] = pos
 	return &sparse.CSR{Rows: old.Rows, Cols: old.Cols, IndPtr: indptr, ColIdx: colIdx, Val: val}, true
-}
-
-// splicePattern rebuilds the union sparsity pattern incrementally: only
-// the affected rows (sorted, deduplicated) re-merge their references'
-// column sets; every other row's pattern span and slot entries
-// shift-copy by the running offset. ne must already carry the patched
-// references; e supplies the old pattern and slots.
-func (e *Engine) splicePattern(ne *Engine, affected []int) {
-	seen := make([]bool, e.nt)
-	merged := make(map[int][]int, len(affected))
-	sizeDelta := 0
-	for _, i := range affected {
-		var cols []int
-		for _, r := range ne.refs {
-			rcols, _ := r.DM.Row(i)
-			for _, c := range rcols {
-				if !seen[c] {
-					seen[c] = true
-					cols = append(cols, c)
-				}
-			}
-		}
-		insertionSortInts(cols)
-		for _, c := range cols {
-			seen[c] = false
-		}
-		merged[i] = cols
-		sizeDelta += len(cols) - (e.pat.IndPtr[i+1] - e.pat.IndPtr[i])
-	}
-
-	isAff := make([]bool, e.ns)
-	for _, i := range affected {
-		isAff[i] = true
-	}
-	newIndPtr := make([]int, e.ns+1)
-	newColIdx := make([]int, len(e.pat.ColIdx)+sizeDelta)
-	pos := 0
-	for i := 0; i < e.ns; i++ {
-		newIndPtr[i] = pos
-		if isAff[i] {
-			pos += copy(newColIdx[pos:], merged[i])
-			continue
-		}
-		lo, hi := e.pat.IndPtr[i], e.pat.IndPtr[i+1]
-		pos += copy(newColIdx[pos:], e.pat.ColIdx[lo:hi])
-	}
-	newIndPtr[e.ns] = pos
-	ne.pat = &sparse.CSR{Rows: e.ns, Cols: e.nt, IndPtr: newIndPtr, ColIdx: newColIdx}
-
-	zr := append([]bool(nil), e.zeroRow...)
-	for _, i := range affected {
-		zr[i] = len(merged[i]) == 0
-	}
-	ne.zeroRow = zr
-
-	// Slot maps: unaffected rows shift by the pattern offset; affected
-	// rows rebind through the re-merged union row.
-	ne.slots = make([][]int, len(ne.refs))
-	for kk := range ne.refs {
-		oldDM, newDM := e.refs[kk].DM, ne.refs[kk].DM
-		oldSlots := e.slots[kk]
-		out := make([]int, newDM.NNZ())
-		for i := 0; i < e.ns; i++ {
-			if isAff[i] {
-				continue
-			}
-			shift := newIndPtr[i] - e.pat.IndPtr[i]
-			lo, hi := oldDM.IndPtr[i], oldDM.IndPtr[i+1]
-			nlo := newDM.IndPtr[i]
-			for t := lo; t < hi; t++ {
-				out[nlo+(t-lo)] = oldSlots[t] + shift
-			}
-		}
-		ne.slots[kk] = out
-	}
-	posOf := make([]int, e.nt)
-	for _, i := range affected {
-		base := newIndPtr[i]
-		for idx, c := range merged[i] {
-			posOf[c] = base + idx
-		}
-		for kk, r := range ne.refs {
-			cols, _ := r.DM.Row(i)
-			start := r.DM.IndPtr[i]
-			for t, c := range cols {
-				ne.slots[kk][start+t] = posOf[c]
-			}
-		}
-	}
 }
 
 // maxOf mirrors maxNormalise's normaliser: the maximum entry (the

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"sort"
 	"sync"
 	"testing"
 
@@ -78,7 +79,7 @@ func randDelta(rng *rand.Rand, refs []Reference, ns, nt int) Delta {
 				used[j] = true
 				p.Cols = append(p.Cols, j)
 			}
-			insertionSortInts(p.Cols)
+			sort.Ints(p.Cols)
 			p.Vals = make([]float64, len(p.Cols))
 			for t := range p.Vals {
 				p.Vals[t] = rng.Float64() * 200
@@ -164,19 +165,17 @@ func vecsClose(t *testing.T, what string, got, want []float64, tol float64) {
 
 // checkEquivalence asserts the incremental engine matches one rebuilt
 // from scratch on the same (patched) references: shared precompute
-// bit-identical, weights and estimates within 1e-9.
+// bit-identical, union-pattern count equal, weights and estimates
+// within 1e-9.
 func checkEquivalence(t *testing.T, trial int, inc, rebuilt *Engine, objective []float64) {
 	t.Helper()
 	if !bitEqual(inc.weightMat.Data, rebuilt.weightMat.Data) {
 		t.Fatalf("trial %d: design matrices differ bitwise", trial)
 	}
-	if !intsEqual(inc.pat.IndPtr, rebuilt.pat.IndPtr) || !intsEqual(inc.pat.ColIdx, rebuilt.pat.ColIdx) {
-		t.Fatalf("trial %d: union patterns differ", trial)
+	if got, want := inc.PatternNNZ(), rebuilt.PatternNNZ(); got != want {
+		t.Fatalf("trial %d: PatternNNZ %d (incremental) vs %d (rebuild)", trial, got, want)
 	}
 	for kk := range inc.refs {
-		if !intsEqual(inc.slots[kk], rebuilt.slots[kk]) {
-			t.Fatalf("trial %d: slot map %d differs", trial, kk)
-		}
 		if !bitEqual(inc.rowSums[kk], rebuilt.rowSums[kk]) {
 			t.Fatalf("trial %d: row sums %d differ bitwise", trial, kk)
 		}
@@ -187,11 +186,6 @@ func checkEquivalence(t *testing.T, trial int, inc, rebuilt *Engine, objective [
 			!intsEqual(inc.refs[kk].DM.ColIdx, rebuilt.refs[kk].DM.ColIdx) ||
 			!bitEqual(inc.refs[kk].DM.Val, rebuilt.refs[kk].DM.Val) {
 			t.Fatalf("trial %d: reference %d crosswalk differs", trial, kk)
-		}
-	}
-	for i := range inc.zeroRow {
-		if inc.zeroRow[i] != rebuilt.zeroRow[i] {
-			t.Fatalf("trial %d: zero-row mask differs at %d", trial, i)
 		}
 	}
 	gi, gr := inc.gram.Gram(), rebuilt.gram.Gram()
@@ -219,8 +213,11 @@ func checkEquivalence(t *testing.T, trial int, inc, rebuilt *Engine, objective [
 // TestApplyDeltaRebuildEquivalence is the headline harness: randomized
 // delta sequences applied incrementally must match a from-scratch
 // rebuild on the patched references within 1e-9 — weights, estimates,
-// and the shared precompute (pattern, slots, design matrix, row sums)
-// bit-identically. Trials run in parallel so `go test -race` also
+// the shared precompute (design matrix, row sums) bit-identically and
+// the union-pattern count exactly. Half the trials count the pattern
+// before the first delta, so every step hands the count on through the
+// value-only or structural adjustment; the other half leave it to be
+// counted lazily. Trials run in parallel so `go test -race` also
 // exercises concurrent construction, and each chain step aligns on the
 // parent while ApplyDelta derives the child (live traffic during
 // maintenance).
@@ -236,12 +233,13 @@ func TestApplyDeltaRebuildEquivalence(t *testing.T) {
 			k := 2 + rng.Intn(5)
 			refs := randDeltaRefs(rng, ns, nt, k)
 			opts := Options{}
-			if trial%4 == 0 {
-				opts.KeepDM = true
-			}
 			eng, err := NewEngine(refs, opts)
 			if err != nil {
 				t.Fatal(err)
+			}
+			counted := trial%2 == 0
+			if counted {
+				eng.PatternNNZ()
 			}
 			objective := make([]float64, ns)
 			for i := range objective {
@@ -268,6 +266,9 @@ func TestApplyDeltaRebuildEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: ApplyDelta: %v", s, err)
 				}
+				if counted != (next.patNNZ.Load() > 0) {
+					t.Fatalf("step %d: pattern count handed on = %v, want %v", s, !counted, counted)
+				}
 				cur = next
 				curRefs = applyToRefs(curRefs, d)
 			}
@@ -287,7 +288,7 @@ func TestApplyDeltaRebuildEquivalence(t *testing.T) {
 func TestApplyDeltaParentUnchanged(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	refs := randDeltaRefs(rng, 60, 15, 4)
-	eng, err := NewEngine(refs, Options{KeepDM: true})
+	eng, err := NewEngine(refs, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,14 +312,11 @@ func TestApplyDeltaParentUnchanged(t *testing.T) {
 	if !bitEqual(before.Weights, after.Weights) || !bitEqual(before.Target, after.Target) {
 		t.Fatal("parent results changed after deriving deltas")
 	}
-	if !sparse.Equal(before.DM, after.DM, 0) {
-		t.Fatal("parent estimated crosswalk changed after deriving deltas")
-	}
 }
 
 // TestApplyDeltaZeroSupport drives a source unit out of every
-// reference's support and back, checking the Eq. 14 degenerate mask
-// follows.
+// reference's support and back, checking the Eq. 14 degenerate case
+// follows: the unit's mass is dropped, then redistributed again.
 func TestApplyDeltaZeroSupport(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	ns, nt := 40, 10
@@ -327,7 +325,36 @@ func TestApplyDeltaZeroSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	eng.PatternNNZ()
 	row := 7
+	objective := make([]float64, ns)
+	for i := range objective {
+		objective[i] = 1
+	}
+	objective[row] = 1000
+	// targetMass aligns the objective and returns the target total,
+	// net of units no reference supports other than row.
+	targetMass := func(e *Engine) float64 {
+		t.Helper()
+		res, err := e.Align(objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var m float64
+		for _, v := range res.Target {
+			m += v
+		}
+		for i := range objective {
+			if i != row && e.rowSupport(i) == 0 {
+				m += objective[i]
+			}
+		}
+		return m
+	}
+	if eng.rowSupport(row) == 0 {
+		t.Fatalf("row %d unsupported before the delta", row)
+	}
+
 	var del Delta
 	for r := range refs {
 		del.RowPatches = append(del.RowPatches, RowPatch{Ref: r, Row: row, Delete: true})
@@ -336,19 +363,18 @@ func TestApplyDeltaZeroSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !dropped.ZeroSupportRows()[row] {
-		t.Fatal("row deleted from every reference should be zero-support")
+	if m := targetMass(dropped); math.Abs(m-float64(ns-1)) > 1e-9*float64(ns) {
+		t.Fatalf("row deleted from every reference: target mass %v, want %d", m, ns-1)
 	}
 	restore := Delta{RowPatches: []RowPatch{{Ref: 0, Row: row, Cols: []int{2, 5}, Vals: []float64{3, 4}}}}
 	back, err := dropped.ApplyDelta(restore)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.ZeroSupportRows()[row] {
-		t.Fatal("row restored to a reference should regain support")
+	if m := targetMass(back); math.Abs(m-float64(ns-1+1000)) > 1e-9*float64(ns+1000) {
+		t.Fatalf("row restored to a reference: target mass %v, want %d", m, ns-1+1000)
 	}
-	// And the full rebuild agrees end to end.
-	objective := make([]float64, ns)
+	// And the full rebuild agrees end to end, pattern count included.
 	for i := range objective {
 		objective[i] = rng.Float64() * 10
 	}

@@ -9,7 +9,6 @@ import (
 
 	"geoalign/internal/linalg"
 	"geoalign/internal/snapshot"
-	"geoalign/internal/sparse"
 )
 
 // Engine is a reusable GeoAlign aligner for crosswalking many
@@ -20,17 +19,18 @@ import (
 //   - validated shapes (every reference |U^s|×|U^t|),
 //   - the Eq. 15 design matrix of max-normalised reference source
 //     aggregates, together with its normal-equations form (the k×k
-//     Gram matrix AᵀA, ‖A‖∞ and — lazily — the projected-gradient
-//     Lipschitz constant), so each per-attribute solve only computes
-//     c = Aᵀb in O(ns·k) and then works in k-dimensional space,
+//     Gram matrix AᵀA, ‖A‖∞ and — lazily — its Cholesky factor), so
+//     each per-attribute solve only computes c = Aᵀb in O(ns·k) and
+//     then runs the active-set solver in k-dimensional space,
 //   - each reference crosswalk's row sums and their maximum (the
-//     per-reference normaliser of the Eq. 14 numerator),
-//   - the union sparsity pattern of the reference crosswalks plus a
-//     per-reference map from stored entries into that pattern, so the
-//     β-weighted combination fills a flat value buffer with no
-//     allocation, sorting or merging per call,
-//   - the zero-row mask of source units with no stored entry in any
-//     reference (the Eq. 14 degenerate case for every objective).
+//     per-reference normaliser of the Eq. 14 numerator), which give
+//     every source unit's Eq. 14 denominator without touching the
+//     crosswalks.
+//
+// Redistribution never forms the estimated disaggregation matrix: the
+// target is accumulated in transpose form (see redistributeTargets),
+// with degenerate source units optionally redistributed by
+// Options.FallbackDM (see addFallbackRows).
 //
 // After construction an Engine is immutable and safe for concurrent
 // use: Align may be called from many goroutines, and AlignAll fans a
@@ -48,9 +48,7 @@ type Engine struct {
 	nsReady   atomic.Bool        // normSrc published; the only safe gate for readers outside nsOnce
 	rowSums   [][]float64        // row sums per reference crosswalk (the Eq. 14 denominator basis)
 	maxRow    []float64          // max |row sum| per reference crosswalk
-	pat       *sparse.CSR        // union sparsity pattern (Val is nil)
-	slots     [][]int            // slots[k][t]: union position of ref k's t-th entry
-	zeroRow   []bool             // no reference has support in this source unit
+	patNNZ    atomic.Int64       // PatternNNZ()+1 once counted; 0 until then
 
 	// snap owns the mapped snapshot file for snapshot-loaded engines
 	// (nil for freshly built ones): the hot arrays above alias the
@@ -58,7 +56,7 @@ type Engine struct {
 	snap *snapshot.File
 
 	fbOnce sync.Once
-	fbSums []float64 // cached FallbackDM.RowSums(), computed on first degenerate patch
+	fbSums []float64 // cached FallbackDM.RowSums(), computed on first degenerate row
 
 	scratch sync.Pool
 	batch   sync.Pool // *batchScratch for the fused AlignAll chunks
@@ -66,12 +64,12 @@ type Engine struct {
 
 // engineScratch is the per-call mutable state of one Align solve.
 type engineScratch struct {
-	val   []float64 // union-pattern value buffer (the Eq. 14 numerator)
-	den   []float64 // its row sums
-	scale []float64 // per-row disaggregation factor
-	w     []float64 // β scaled by the per-reference normaliser
-	b     []float64 // max-normalised objective
-	y     []float64 // one reference's re-aggregated column (DMᵀ·scale)
+	den    []float64 // Eq. 14 denominator per source unit
+	scale  []float64 // per-row disaggregation factor
+	w      []float64 // β scaled by the per-reference normaliser
+	b      []float64 // max-normalised objective
+	y      []float64 // one reference's re-aggregated column (DMᵀ·scale)
+	fbRows []int     // degenerate rows handed to the fallback
 }
 
 // NewEngine validates the references and precomputes the shared
@@ -121,26 +119,16 @@ func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 	}
 	e.nsReady.Store(true)
 	e.gram = linalg.NewGramSystem(e.weightMat)
-	if opts.SolverIterations > 0 {
-		// The projected-gradient solver is selected: every solve needs
-		// the Lipschitz constant, so pay the power iteration now.
-		e.gram.Lipschitz()
-	}
-
-	e.buildPattern()
 	e.initPools()
 	return e, nil
 }
 
 // initPools installs the scratch-buffer pool factories; called once the
-// pattern and dimensions are final (from NewEngine and the snapshot
+// dimensions are final (from NewEngine, ApplyDelta and the snapshot
 // loader).
 func (e *Engine) initPools() {
 	e.scratch.New = func() any {
 		return &engineScratch{
-			// The pattern CSR carries no values; its entry count is the
-			// length of ColIdx.
-			val:   make([]float64, len(e.pat.ColIdx)),
 			den:   make([]float64, e.ns),
 			scale: make([]float64, e.ns),
 			w:     make([]float64, len(e.refs)),
@@ -176,7 +164,7 @@ func (e *Engine) MappedBytes() int64 {
 
 // PrecomputeBytes estimates the resident size of the engine's
 // attribute-independent precompute: crosswalks, design matrix, Gram
-// system, union pattern, slot maps and normalisers. For snapshot-loaded
+// system and normalisers. For snapshot-loaded
 // engines most of it aliases the mapping and is shared page cache
 // rather than private heap.
 func (e *Engine) PrecomputeBytes() int64 {
@@ -187,18 +175,16 @@ func (e *Engine) PrecomputeBytes() int64 {
 	// publication gate — e.normSrc itself must not be read without it.
 	nsReady := e.nsReady.Load()
 	for i, r := range e.refs {
-		n += int64(len(r.DM.IndPtr)+len(r.DM.ColIdx)+len(e.slots[i])) * wordSize
+		n += int64(len(r.DM.IndPtr)+len(r.DM.ColIdx)) * wordSize
 		n += int64(len(r.DM.Val)+len(r.Source)+len(e.rowSums[i])) * wordSize
 		if nsReady {
 			n += int64(len(e.normSrc[i])) * wordSize
 		}
 	}
-	n += int64(len(e.pat.IndPtr)+len(e.pat.ColIdx)) * wordSize
 	n += int64(len(e.weightMat.Data)+len(e.gram.Gram().Data)+len(e.maxRow)) * wordSize
 	if chol, _ := e.gram.CachedCholesky(); chol != nil {
 		n += int64(len(chol.Data)) * wordSize
 	}
-	n += int64(len(e.zeroRow))
 	return n
 }
 
@@ -232,63 +218,6 @@ func (e *Engine) normSrcCols() [][]float64 {
 	return e.normSrc
 }
 
-// buildPattern merges the references' sparsity patterns row by row into
-// one union CSR pattern and records, for every stored entry of every
-// reference, its position in that pattern.
-func (e *Engine) buildPattern() {
-	k := len(e.refs)
-	indptr := make([]int, e.ns+1)
-	seen := make([]bool, e.nt)
-	posOf := make([]int, e.nt)
-	touched := make([]int, 0, 16)
-	var colIdx []int
-	e.slots = make([][]int, k)
-	for kk, r := range e.refs {
-		e.slots[kk] = make([]int, r.DM.NNZ())
-	}
-	e.zeroRow = make([]bool, e.ns)
-	for i := 0; i < e.ns; i++ {
-		indptr[i] = len(colIdx)
-		touched = touched[:0]
-		for _, r := range e.refs {
-			cols, _ := r.DM.Row(i)
-			for _, c := range cols {
-				if !seen[c] {
-					seen[c] = true
-					touched = append(touched, c)
-				}
-			}
-		}
-		insertionSortInts(touched)
-		base := len(colIdx)
-		for idx, c := range touched {
-			posOf[c] = base + idx
-			colIdx = append(colIdx, c)
-			seen[c] = false
-		}
-		for kk, r := range e.refs {
-			start := r.DM.IndPtr[i]
-			cols, _ := r.DM.Row(i)
-			for t, c := range cols {
-				e.slots[kk][start+t] = posOf[c]
-			}
-		}
-		e.zeroRow[i] = len(colIdx) == base && base == indptr[i]
-	}
-	indptr[e.ns] = len(colIdx)
-	e.pat = &sparse.CSR{Rows: e.ns, Cols: e.nt, IndPtr: indptr, ColIdx: colIdx}
-}
-
-// insertionSortInts sorts a small slice in place; union rows hold only
-// the handful of target units a source unit overlaps.
-func insertionSortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
-}
-
 // SourceUnits returns |U^s|.
 func (e *Engine) SourceUnits() int { return e.ns }
 
@@ -297,11 +226,6 @@ func (e *Engine) TargetUnits() int { return e.nt }
 
 // References returns the number of references.
 func (e *Engine) References() int { return len(e.refs) }
-
-// ZeroSupportRows reports the precomputed Eq. 14 degenerate mask:
-// true for source units in which every reference is zero. The returned
-// slice is shared and must not be mutated.
-func (e *Engine) ZeroSupportRows() []bool { return e.zeroRow }
 
 // LearnWeights runs only the weight-learning step (Eq. 15) against the
 // precomputed design matrix.
@@ -360,8 +284,38 @@ func (e *Engine) LearnWeightsResidual(objective []float64) ([]float64, float64, 
 
 // PatternNNZ reports the nonzero count of the references' union
 // sparsity pattern — the crosswalk density numerator the alignment
-// catalog records per engine edge.
-func (e *Engine) PatternNNZ() int { return len(e.pat.ColIdx) }
+// catalog records per engine edge. The count is taken on first use and
+// cached; ApplyDelta hands it on to derived engines, re-counting only
+// the rows a structural patch touched.
+func (e *Engine) PatternNNZ() int {
+	if v := e.patNNZ.Load(); v > 0 {
+		return int(v - 1)
+	}
+	mark := make([]int, e.nt)
+	n := 0
+	for i := 0; i < e.ns; i++ {
+		n += unionRowNNZ(e.refs, i, mark, i+1)
+	}
+	e.patNNZ.Store(int64(n) + 1)
+	return n
+}
+
+// unionRowNNZ counts the distinct target units source unit i stores
+// across the references. mark is scratch of length nt; stamp must
+// differ from every value already in it.
+func unionRowNNZ(refs []Reference, i int, mark []int, stamp int) int {
+	n := 0
+	for _, r := range refs {
+		cols, _ := r.DM.Row(i)
+		for _, c := range cols {
+			if mark[c] != stamp {
+				mark[c] = stamp
+				n++
+			}
+		}
+	}
+	return n
+}
 
 // Align crosswalks one objective attribute. Safe for concurrent use.
 func (e *Engine) Align(objective []float64) (*Result, error) {
@@ -407,20 +361,26 @@ func (e *Engine) alignWithSourcesContext(ctx context.Context, objective []float6
 
 // redistribute runs the disaggregation (Eq. 14) and re-aggregation
 // (Eq. 17) steps for an already-learned β, using the caller's scratch.
-// When the caller needs the estimated crosswalk (KeepDM) or a fallback
-// patch for degenerate rows, the full matrix is built in the union
-// pattern; otherwise the target is computed directly in transpose form
-// (see redistributeTargets), which never materialises the per-entry
-// values.
+// The target is computed directly in transpose form (see
+// redistributeTargets), which never materialises the per-entry values;
+// degenerate rows then go to the fallback crosswalk, if one is set.
 func (e *Engine) redistribute(objective, beta []float64, s *engineScratch) (*Result, error) {
-	if !e.opts.KeepDM && e.opts.FallbackDM == nil {
-		res := &Result{Weights: beta, Target: make([]float64, e.nt)}
-		e.scaledWeights(s.w, beta)
-		e.rowScales(s.scale, s.den, objective, s.w)
-		e.redistributeTargets(s.w, s.scale, s.y, res.Target)
-		return res, nil
+	res := &Result{Weights: beta, Target: make([]float64, e.nt)}
+	e.scaledWeights(s.w, beta)
+	e.rowScales(s.scale, s.den, objective, s.w)
+	e.redistributeTargets(s.w, s.scale, s.y, res.Target)
+	if e.opts.FallbackDM != nil {
+		s.fbRows = s.fbRows[:0]
+		for i, d := range s.den {
+			if d == 0 && objective[i] != 0 {
+				s.fbRows = append(s.fbRows, i)
+			}
+		}
+		if err := e.addFallbackRows(res.Target, objective, s.fbRows); err != nil {
+			return nil, err
+		}
 	}
-	return e.redistributeDM(objective, beta, s)
+	return res, nil
 }
 
 // scaledWeights fills w with the Eq. 14 numerator weights: β_k
@@ -436,12 +396,11 @@ func (e *Engine) scaledWeights(w, beta []float64) {
 
 // rowScales fills scale with the per-row disaggregation factor
 // objective_i / den_i, where den_i = Σ_k w_k·rowsum_k(i) uses the
-// cached reference row sums — the same value the union-matrix row sum
-// would give, without touching the matrices. Rows with zero support
-// (den_i == 0; the crosswalks are non-negative, so association cannot
-// manufacture or cancel a denominator) get scale 0: the degenerate
-// Eq. 14 case, which drops the row's mass exactly as the full-matrix
-// path does when no fallback is configured.
+// cached reference row sums — the row sum of the Eq. 14 numerator,
+// without touching the matrices. Rows with zero support (den_i == 0;
+// the crosswalks are non-negative, so association cannot manufacture
+// or cancel a denominator) get scale 0: the degenerate Eq. 14 case,
+// which drops the row's mass unless a fallback takes it.
 func (e *Engine) rowScales(scale, den, objective, w []float64) {
 	for i := range den {
 		den[i] = 0
@@ -496,81 +455,40 @@ func (e *Engine) redistributeTargets(w, scale, y, target []float64) {
 	}
 }
 
-// redistributeDM is the full-matrix redistribution path: the Eq. 14
-// estimate is materialised in the union sparsity pattern, serving the
-// KeepDM and fallback-patch configurations.
-func (e *Engine) redistributeDM(objective, beta []float64, s *engineScratch) (*Result, error) {
-	e.scaledWeights(s.w, beta)
-
-	// Numerator Σ_k w_k·DM_rk scattered into the union pattern. Row
-	// blocks touch disjoint slot ranges, so the parallel path is exact.
-	vm := e.valued(s.val)
-	vm.ForEachRowBlock(func(lo, hi int) {
-		for p := e.pat.IndPtr[lo]; p < e.pat.IndPtr[hi]; p++ {
-			s.val[p] = 0
+// addFallbackRows redistributes the degenerate rows (den_i == 0 with a
+// nonzero objective, ascending) by the fallback crosswalk:
+//
+//	target += Σ_i (objective_i / fbRowSum_i) · FallbackDM row i
+//
+// Rows the fallback does not support either stay dropped. The shape
+// check is lazy: a mis-shaped fallback is an error only when some row
+// needs it. Align and the fused batch path both call this after the
+// reference pass, so their targets stay bitwise identical.
+func (e *Engine) addFallbackRows(target, objective []float64, rows []int) error {
+	if len(rows) == 0 {
+		return nil
+	}
+	fb := e.opts.FallbackDM
+	if fb.Rows != e.ns || fb.Cols != e.nt {
+		return fmt.Errorf("core: fallback DM is %dx%d, want %dx%d", fb.Rows, fb.Cols, e.ns, e.nt)
+	}
+	sums := e.fallbackSums()
+	for _, i := range rows {
+		if sums[i] == 0 {
+			continue
 		}
-		for k, r := range e.refs {
-			wk := s.w[k]
-			if wk == 0 {
-				continue
-			}
-			slot := e.slots[k]
-			for i := lo; i < hi; i++ {
-				start := r.DM.IndPtr[i]
-				_, vals := r.DM.Row(i)
-				for t, v := range vals {
-					s.val[slot[start+t]] += wk * v
-				}
-			}
-		}
-	})
-
-	// Denominator and per-row scale (Eq. 14), degenerate rows zeroed.
-	vm.RowSumsInto(s.den)
-	var degenerate []int
-	for i := 0; i < e.ns; i++ {
-		s.scale[i] = 0
-		if s.den[i] != 0 {
-			s.scale[i] = objective[i] / s.den[i]
-		} else if objective[i] != 0 {
-			degenerate = append(degenerate, i)
+		f := objective[i] / sums[i]
+		cols, vals := fb.Row(i)
+		for t, v := range vals {
+			target[cols[t]] += f * v
 		}
 	}
-	vm.ScaleRows(s.scale)
-
-	res := &Result{Weights: beta}
-	if e.opts.FallbackDM != nil && len(degenerate) > 0 {
-		// The fallback's shape is checked only when it is actually
-		// needed: a mis-shaped fallback on a problem with no degenerate
-		// rows is ignored, matching Align's historical behaviour.
-		if fb := e.opts.FallbackDM; fb.Rows != e.ns || fb.Cols != e.nt {
-			return nil, fmt.Errorf("core: fallback DM is %dx%d, want %dx%d", fb.Rows, fb.Cols, e.ns, e.nt)
-		}
-		dmo, err := patchRows(e.materialize(s.val), e.opts.FallbackDM, e.fallbackSums(), degenerate, objective)
-		if err != nil {
-			return nil, err
-		}
-		res.Target = dmo.ColSums()
-		if e.opts.KeepDM {
-			res.DM = dmo
-		}
-		return res, nil
-	}
-
-	// Re-aggregation (Eq. 17).
-	res.Target = make([]float64, e.nt)
-	vm.ColSumsInto(res.Target)
-	if e.opts.KeepDM {
-		res.DM = e.materialize(s.val)
-	}
-	return res, nil
+	return nil
 }
 
 // fallbackSums returns the cached row sums of the fallback crosswalk,
-// computing them once on first use. Before the cache, every degenerate
-// patch re-summed the whole fallback matrix per aligned attribute —
-// O(nnz) allocation and work that batch workloads hit once per
-// objective.
+// computing them once on first use, so degenerate rows do not re-sum
+// the whole fallback matrix per aligned attribute.
 func (e *Engine) fallbackSums() []float64 {
 	e.fbOnce.Do(func() {
 		if e.opts.FallbackDM != nil {
@@ -603,6 +521,16 @@ func (e *Engine) checkObjective(objective []float64) error {
 	if len(objective) != e.ns {
 		return fmt.Errorf("core: objective has %d source units, references have %d", len(objective), e.ns)
 	}
+	return checkFinite(objective)
+}
+
+// checkFinite rejects an objective holding NaN or ±Inf.
+func checkFinite(objective []float64) error {
+	for i, v := range objective {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("%w: source unit %d is %v", ErrNonFiniteObjective, i, v)
+		}
+	}
 	return nil
 }
 
@@ -611,7 +539,6 @@ func (e *Engine) checkObjective(objective []float64) error {
 // are given. The objective is max-normalised into the scratch buffer,
 // and warm (optional) seeds the active-set solver from a previous β.
 func (e *Engine) learnWeights(objective []float64, sources [][]float64, s *engineScratch, warm []float64) ([]float64, error) {
-	mat := e.weightMat
 	gs := e.gram
 	if sources != nil {
 		if len(sources) != len(e.refs) {
@@ -629,47 +556,16 @@ func (e *Engine) learnWeights(objective []float64, sources [][]float64, s *engin
 			}
 			cols[k] = maxNormalise(sources[k])
 		}
-		var err error
-		mat, err = linalg.MatrixFromColumns(cols)
+		mat, err := linalg.MatrixFromColumns(cols)
 		if err != nil {
 			return nil, err
 		}
-		gs = nil
-	}
-	maxNormaliseInto(s.b, objective)
-	if e.opts.DenseSolver {
-		if e.opts.SolverIterations > 0 {
-			return linalg.SimplexLeastSquaresPG(mat, s.b, e.opts.SolverIterations, 0)
-		}
-		return linalg.SimplexLeastSquares(mat, s.b)
-	}
-	if gs == nil {
 		// Source overrides change the design matrix, so the cached Gram
 		// system does not apply; a single-use one keeps the solve in
 		// k-space and bit-identical to an engine with those sources
 		// baked in.
 		gs = linalg.NewGramSystem(mat)
 	}
-	if e.opts.SolverIterations > 0 {
-		return gs.SimplexLSPG(s.b, e.opts.SolverIterations, 0)
-	}
+	maxNormaliseInto(s.b, objective)
 	return gs.SimplexLS(s.b, warm)
-}
-
-// valued wraps the union pattern around a value buffer. The returned
-// matrix shares IndPtr/ColIdx with the engine and must not escape the
-// call that owns buf.
-func (e *Engine) valued(buf []float64) *sparse.CSR {
-	return &sparse.CSR{Rows: e.ns, Cols: e.nt, IndPtr: e.pat.IndPtr, ColIdx: e.pat.ColIdx, Val: buf}
-}
-
-// materialize deep-copies the union pattern with the given values into
-// a standalone CSR the caller may keep or mutate.
-func (e *Engine) materialize(val []float64) *sparse.CSR {
-	return &sparse.CSR{
-		Rows: e.ns, Cols: e.nt,
-		IndPtr: append([]int(nil), e.pat.IndPtr...),
-		ColIdx: append([]int(nil), e.pat.ColIdx...),
-		Val:    append([]float64(nil), val...),
-	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,14 +11,15 @@ import (
 	"geoalign/internal/sparse"
 )
 
-// legacyAlign is the pre-Engine Align implementation, kept verbatim as
-// the oracle: the Engine must reproduce its numerics on every input.
+// legacyAlign is the pre-Engine, full-matrix Align implementation,
+// kept as the oracle: the Engine's transpose form must reproduce its
+// numerics on every input.
 func legacyAlign(p Problem, opts Options) (*Result, error) {
 	ns, _, err := validate(p)
 	if err != nil {
 		return nil, err
 	}
-	beta, err := LearnWeights(p, opts)
+	beta, err := LearnWeights(p)
 	if err != nil {
 		return nil, err
 	}
@@ -50,17 +52,28 @@ func legacyAlign(p Problem, opts Options) (*Result, error) {
 		if fb.Rows != ns || fb.Cols != dmo.Cols {
 			return nil, fmt.Errorf("core: fallback DM is %dx%d, want %dx%d", fb.Rows, fb.Cols, ns, dmo.Cols)
 		}
-		dmo, err = patchRows(dmo, fb, nil, degenerate, p.Objective)
-		if err != nil {
-			return nil, err
+		// Replace each degenerate row by the fallback's row, rescaled to
+		// the objective; rows the fallback does not support stay zero.
+		fbSums := fb.RowSums()
+		coo := sparse.NewCOO(ns, dmo.Cols)
+		for i := 0; i < ns; i++ {
+			cols, vals := dmo.Row(i)
+			for t, j := range cols {
+				coo.Add(i, j, vals[t])
+			}
 		}
+		for _, i := range degenerate {
+			if fbSums[i] == 0 {
+				continue
+			}
+			cols, vals := fb.Row(i)
+			for t, j := range cols {
+				coo.Add(i, j, p.Objective[i]/fbSums[i]*vals[t])
+			}
+		}
+		dmo = coo.ToCSR()
 	}
-	target := dmo.ColSums()
-	res := &Result{Target: target, Weights: beta}
-	if opts.KeepDM {
-		res.DM = dmo
-	}
-	return res, nil
+	return &Result{Target: dmo.ColSums(), Weights: beta}, nil
 }
 
 // engineProblem builds a randomized problem with empty rows, explicit
@@ -109,12 +122,6 @@ func resultsClose(t *testing.T, tag string, got, want *Result, tol float64) {
 			t.Fatalf("%s: target %d = %v, want %v", tag, j, got.Target[j], want.Target[j])
 		}
 	}
-	if (got.DM == nil) != (want.DM == nil) {
-		t.Fatalf("%s: DM presence mismatch", tag)
-	}
-	if want.DM != nil && !sparse.Equal(got.DM, want.DM, tol*1000) {
-		t.Fatalf("%s: DM mismatch", tag)
-	}
 }
 
 // TestEngineMatchesLegacyAlign drives the Engine and the legacy
@@ -137,10 +144,7 @@ func TestEngineMatchesLegacyAlign(t *testing.T) {
 				nt := 1 + rng.Intn(12)
 				k := 1 + rng.Intn(5)
 				p := engineProblem(rng, ns, nt, k)
-				opts := Options{KeepDM: trial%2 == 0}
-				if trial%7 == 3 {
-					opts.SolverIterations = 500
-				}
+				var opts Options
 				if trial%5 == 4 {
 					opts.FallbackDM = engineProblem(rng, ns, nt, 1).References[0].DM
 				}
@@ -170,14 +174,38 @@ func TestEngineMatchesLegacyAlign(t *testing.T) {
 }
 
 // TestEngineAlignAllMatchesSequential compares the batch path against
-// per-call Align on the same engine.
+// per-call Align on the same engine, with and without a fallback. The
+// references leave about a third of the source units unsupported, so
+// every objective has degenerate rows; the fallback supports only
+// some of them. With the fallback, the target mass must equal the
+// objective mass minus the rows neither the references nor the
+// fallback support.
 func TestEngineAlignAllMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	p := engineProblem(rng, 80, 15, 4)
-	e, err := NewEngine(p.References, Options{KeepDM: true})
-	if err != nil {
-		t.Fatal(err)
+	for k, r := range p.References {
+		coo := sparse.NewCOO(80, 15)
+		for i := 0; i < 80; i++ {
+			if i%3 == 0 {
+				continue
+			}
+			cols, vals := r.DM.Row(i)
+			for t, j := range cols {
+				coo.Add(i, j, vals[t])
+			}
+		}
+		p.References[k].DM = coo.ToCSR()
 	}
+	fbCOO := sparse.NewCOO(80, 15)
+	for i := 0; i < 80; i++ {
+		if i%2 == 0 {
+			fbCOO.Add(i, rng.Intn(15), 1+rng.Float64())
+			fbCOO.Add(i, rng.Intn(15), 1+rng.Float64())
+		}
+	}
+	fb := fbCOO.ToCSR()
+	fbSums := fb.RowSums()
+
 	objectives := make([][]float64, 17)
 	for a := range objectives {
 		obj := make([]float64, 80)
@@ -186,17 +214,60 @@ func TestEngineAlignAllMatchesSequential(t *testing.T) {
 		}
 		objectives[a] = obj
 	}
-	batch, err := e.AlignAll(objectives, 8)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{}},
+		{"fallback", Options{FallbackDM: fb}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(p.References, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batch, err := e.AlignAll(objectives, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, obj := range objectives {
+				want, err := e.Align(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resultsClose(t, fmt.Sprintf("objective %d", a), batch[a], want, 0)
+				if tc.opts.FallbackDM == nil {
+					continue
+				}
+				var in, dropped, out float64
+				for i, v := range obj {
+					in += v
+					if e.rowSupport(i) == 0 && fbSums[i] == 0 {
+						dropped += v
+					}
+				}
+				if dropped == 0 || dropped == in {
+					t.Fatalf("objective %d: test problem drops %v of %v", a, dropped, in)
+				}
+				for _, v := range want.Target {
+					out += v
+				}
+				if math.Abs(out-(in-dropped)) > 1e-9*in {
+					t.Errorf("objective %d: target mass %v, want %v - %v dropped", a, out, in, dropped)
+				}
+			}
+		})
 	}
-	for a, obj := range objectives {
-		want, err := e.Align(obj)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resultsClose(t, fmt.Sprintf("objective %d", a), batch[a], want, 0)
+}
+
+// rowSupport returns source unit i's total across the reference
+// crosswalks; zero means the unit is degenerate for every objective.
+func (e *Engine) rowSupport(i int) float64 {
+	var s float64
+	for _, rs := range e.rowSums {
+		s += rs[i]
 	}
+	return s
 }
 
 // TestEngineAlignAllError reports the first failure in input order.
@@ -218,6 +289,46 @@ func TestEngineAlignAllError(t *testing.T) {
 	// The error must name the first bad index (1, the length mismatch).
 	if want := "objective 1"; !contains(err.Error(), want) {
 		t.Errorf("err = %v, want mention of %q", err, want)
+	}
+}
+
+// TestEngineAlignAllNonFinite: an objective holding NaN or ±Inf fails
+// with ErrNonFiniteObjective on both paths, and its batch-mates are
+// bitwise identical to their solo Align.
+func TestEngineAlignAllNonFinite(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	p := engineProblem(rng, 30, 7, 3)
+	e, err := NewEngine(p.References, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		objectives := make([][]float64, 5)
+		for a := range objectives {
+			obj := make([]float64, 30)
+			for i := range obj {
+				obj[i] = rng.Float64() * 100
+			}
+			objectives[a] = obj
+		}
+		objectives[2][11] = bad
+		if _, err := e.Align(objectives[2]); !errors.Is(err, ErrNonFiniteObjective) {
+			t.Fatalf("%v: Align err = %v, want ErrNonFiniteObjective", bad, err)
+		}
+		results, err := e.AlignAll(objectives, 2)
+		if !errors.Is(err, ErrNonFiniteObjective) || !contains(err.Error(), "objective 2") {
+			t.Fatalf("%v: AlignAll err = %v, want ErrNonFiniteObjective at objective 2", bad, err)
+		}
+		if results[2] != nil {
+			t.Fatalf("%v: non-finite objective produced a result", bad)
+		}
+		for _, a := range []int{0, 1, 3, 4} {
+			want, err := e.Align(objectives[a])
+			if err != nil {
+				t.Fatal(err)
+			}
+			resultsClose(t, fmt.Sprintf("%v: objective %d", bad, a), results[a], want, 0)
+		}
 	}
 }
 
@@ -280,7 +391,9 @@ func TestEngineAlignWithSources(t *testing.T) {
 	}
 }
 
-// TestEngineZeroSupportRows checks the precomputed degenerate mask.
+// TestEngineZeroSupportRows checks the Eq. 14 degenerate case on the
+// engine: a source unit no reference supports drops its mass, on the
+// single and the batch path alike.
 func TestEngineZeroSupportRows(t *testing.T) {
 	dm0 := mustCSR(t, [][]float64{{1, 1}, {0, 0}, {2, 0}})
 	dm1 := mustCSR(t, [][]float64{{2, 0}, {0, 0}, {0, 3}})
@@ -288,12 +401,22 @@ func TestEngineZeroSupportRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []bool{false, true, false}
-	got := e.ZeroSupportRows()
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("zeroRow[%d] = %v, want %v", i, got[i], want[i])
+	obj := []float64{4, 100, 6}
+	single, err := e.Align(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch, err := e.AlignAll([][]float64{obj, obj}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []*Result{single, batch[0], batch[1]} {
+		if got := res.Target[0] + res.Target[1]; math.Abs(got-10) > 1e-12 {
+			t.Errorf("target mass %v, want 10 (unit 1 has no support)", got)
 		}
+	}
+	if e.PatternNNZ() != 4 {
+		t.Errorf("PatternNNZ = %d, want 4", e.PatternNNZ())
 	}
 }
 

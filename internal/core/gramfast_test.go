@@ -5,20 +5,39 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"geoalign/internal/linalg"
 )
 
 // tallProblem builds a problem tall enough (ns ≫ 8k) that the dense
 // NNLS passive-set solver stays on its normal-equations branch — the
-// regime where the Gram fast path and the dense escape hatch must agree
-// to 1e-9.
+// regime where the engine's Gram solver and the dense oracle must
+// agree to 1e-9.
 func tallProblem(rng *rand.Rand, ns, k int) Problem {
 	return engineProblem(rng, ns, 6, k)
 }
 
-// TestEngineGramMatchesDenseSolver drives the default (Gram) path and
-// the Options.DenseSolver escape hatch over randomized tall problems;
-// the learned weights must agree to 1e-9 absolute (β lives on the
-// simplex, so absolute and relative coincide in scale).
+// denseSystem builds the Eq. 15 design matrix and right-hand side that
+// the dense linalg solvers take, as oracles for the engine's Gram-form
+// solve.
+func denseSystem(t testing.TB, p Problem) (*linalg.Matrix, []float64) {
+	t.Helper()
+	cols := make([][]float64, len(p.References))
+	for k, r := range p.References {
+		cols[k] = maxNormalise(referenceSource(r))
+	}
+	a, err := linalg.MatrixFromColumns(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return a, maxNormalise(p.Objective)
+}
+
+// TestEngineGramMatchesDenseSolver compares the engine's Gram-form
+// weights against the dense linalg.SimplexLeastSquares oracle over
+// randomized tall problems; the learned weights must agree to 1e-9
+// absolute (β lives on the simplex, so absolute and relative coincide
+// in scale), and so must the targets they induce.
 func TestEngineGramMatchesDenseSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	for trial := 0; trial < 30; trial++ {
@@ -30,17 +49,14 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: NewEngine: %v", trial, err)
 		}
-		dense, err := NewEngine(p.References, Options{DenseSolver: true})
-		if err != nil {
-			t.Fatalf("trial %d: NewEngine dense: %v", trial, err)
-		}
 		bf, err := fast.LearnWeights(p.Objective)
 		if err != nil {
 			t.Fatalf("trial %d: gram LearnWeights: %v", trial, err)
 		}
-		bd, err := dense.LearnWeights(p.Objective)
+		a, b := denseSystem(t, p)
+		bd, err := linalg.SimplexLeastSquares(a, b)
 		if err != nil {
-			t.Fatalf("trial %d: dense LearnWeights: %v", trial, err)
+			t.Fatalf("trial %d: dense SimplexLeastSquares: %v", trial, err)
 		}
 		for j := range bd {
 			if math.Abs(bf[j]-bd[j]) > 1e-9 {
@@ -50,7 +66,7 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 
 		// The free function must agree with the engine bit for bit:
 		// both route through the same Gram code path.
-		free, err := LearnWeights(p, Options{})
+		free, err := LearnWeights(p)
 		if err != nil {
 			t.Fatalf("trial %d: free LearnWeights: %v", trial, err)
 		}
@@ -60,29 +76,27 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 			}
 		}
 
-		// Full Align through both paths: targets within 1e-9 relative.
+		// Targets within 1e-9 relative of the dense weights' estimate.
 		rf, err := fast.Align(p.Objective)
 		if err != nil {
 			t.Fatalf("trial %d: gram Align: %v", trial, err)
 		}
-		rd, err := dense.Align(p.Objective)
-		if err != nil {
-			t.Fatalf("trial %d: dense Align: %v", trial, err)
-		}
-		for j := range rd.Target {
-			if math.Abs(rf.Target[j]-rd.Target[j]) > 1e-9*(1+math.Abs(rd.Target[j])) {
-				t.Fatalf("trial %d: target %d: gram %v dense %v", trial, j, rf.Target[j], rd.Target[j])
+		want := estimatedDM(t, p, &Result{Weights: bd}, nil).ColSums()
+		for j := range want {
+			if math.Abs(rf.Target[j]-want[j]) > 1e-9*(1+math.Abs(want[j])) {
+				t.Fatalf("trial %d: target %d: gram %v dense %v", trial, j, rf.Target[j], want[j])
 			}
 		}
 	}
 }
 
-// TestEngineDenseSolverAlignAll checks that the dense escape hatch is
-// honoured on the batch path too.
+// TestEngineDenseSolverAlignAll checks the warm-started batch solves
+// against the dense oracle too, and that they stay bitwise identical
+// to per-call Align.
 func TestEngineDenseSolverAlignAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	p := tallProblem(rng, 120, 3)
-	dense, err := NewEngine(p.References, Options{DenseSolver: true})
+	e, err := NewEngine(p.References, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,16 +108,26 @@ func TestEngineDenseSolverAlignAll(t *testing.T) {
 		}
 		objectives[a] = obj
 	}
-	batch, err := dense.AlignAll(objectives, 4)
+	batch, err := e.AlignAll(objectives, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for a, obj := range objectives {
-		want, err := dense.Align(obj)
+		want, err := e.Align(obj)
 		if err != nil {
 			t.Fatal(err)
 		}
-		resultsClose(t, fmt.Sprintf("dense objective %d", a), batch[a], want, 0)
+		resultsClose(t, fmt.Sprintf("objective %d", a), batch[a], want, 0)
+		m, b := denseSystem(t, Problem{Objective: obj, References: p.References})
+		bd, err := linalg.SimplexLeastSquares(m, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range bd {
+			if math.Abs(batch[a].Weights[j]-bd[j]) > 1e-9 {
+				t.Fatalf("objective %d: β differs: batch %v dense %v", a, batch[a].Weights, bd)
+			}
+		}
 	}
 }
 
@@ -153,37 +177,30 @@ func TestEngineBatchWarmStartStress(t *testing.T) {
 	}
 }
 
-// TestEnginePGGramMatchesDensePG compares the cached-Lipschitz FISTA
-// path against the dense projected-gradient solver.
+// TestEnginePGGramMatchesDensePG compares the engine's active-set
+// weights against the dense projected-gradient oracle: FISTA run to
+// its iteration budget lands within 1e-6 of the exact optimum.
 func TestEnginePGGramMatchesDensePG(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 10; trial++ {
 		k := 2 + rng.Intn(3)
 		p := tallProblem(rng, 100+rng.Intn(100), k)
-		opts := Options{SolverIterations: 3000}
-		fast, err := NewEngine(p.References, opts)
+		e, err := NewEngine(p.References, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts.DenseSolver = true
-		dense, err := NewEngine(p.References, opts)
+		bf, err := e.LearnWeights(p.Objective)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bf, err := fast.LearnWeights(p.Objective)
+		a, b := denseSystem(t, p)
+		bd, err := linalg.SimplexLeastSquaresPG(a, b, 3000, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd, err := dense.LearnWeights(p.Objective)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Identical FISTA recursions on differently-rounded gradients:
-		// the iterates track each other far inside the 1e-6 band FISTA
-		// itself converges to.
 		for j := range bd {
 			if math.Abs(bf[j]-bd[j]) > 1e-6 {
-				t.Fatalf("trial %d: PG β differs: gram %v dense %v", trial, bf, bd)
+				t.Fatalf("trial %d: β differs: engine %v dense PG %v", trial, bf, bd)
 			}
 		}
 	}

@@ -136,7 +136,7 @@ func TestAlignAllZeroReferences(t *testing.T) {
 	res, err := Align(Problem{
 		Objective:  []float64{1, 2, 3},
 		References: []Reference{{DM: dm}},
-	}, Options{KeepDM: true})
+	}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,11 +172,12 @@ func TestAlignNegativeObjectiveVolumePreserved(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	dm := randomDM(rng, 8, 3)
 	obj := []float64{5, -2, 3, 0, -1, 4, 2, 1}
-	res, err := Align(Problem{Objective: obj, References: []Reference{{DM: dm}}}, Options{KeepDM: true})
+	p := Problem{Objective: obj, References: []Reference{{DM: dm}}}
+	res, err := Align(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sums := res.DM.RowSums()
+	sums := estimatedDM(t, p, res, nil).RowSums()
 	for i := range obj {
 		if math.Abs(sums[i]-obj[i]) > 1e-9 {
 			t.Errorf("row %d: %v != %v", i, sums[i], obj[i])
@@ -189,10 +190,11 @@ func TestAlignNegativeObjectiveVolumePreserved(t *testing.T) {
 func TestAlignFallbackDM(t *testing.T) {
 	dm0 := mustCSR(t, [][]float64{{1, 1}, {0, 0}})
 	area := mustCSR(t, [][]float64{{5, 5}, {2, 8}})
-	res, err := Align(Problem{
+	p := Problem{
 		Objective:  []float64{10, 20},
 		References: []Reference{{DM: dm0}},
-	}, Options{KeepDM: true, FallbackDM: area})
+	}
+	res, err := Align(p, Options{FallbackDM: area})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +203,7 @@ func TestAlignFallbackDM(t *testing.T) {
 	if !vecEq(res.Target, want, 1e-9) {
 		t.Errorf("target = %v, want %v", res.Target, want)
 	}
-	if i := CheckVolumePreserving(res.DM, []float64{10, 20}, 1e-9); i >= 0 {
+	if i := CheckVolumePreserving(estimatedDM(t, p, res, area), []float64{10, 20}, 1e-9); i >= 0 {
 		t.Errorf("volume broken at row %d", i)
 	}
 }

@@ -14,25 +14,26 @@ import (
 //
 // A snapshot stores every attribute-independent precompute NewEngine
 // derives from raw crosswalks — the reference CSRs, the Eq. 15 design
-// matrix, its Gram system (with the Lipschitz constant and Cholesky
-// factor when they have been computed), the union sparsity pattern with
-// per-reference slot maps, the Eq. 14 row-sum normalisers and the
-// zero-support mask — so loading rebuilds the Engine by wiring views
-// over the mapped file instead of re-running the build pipeline.
-// Options are deliberately NOT stored: they are caller policy, supplied
-// again at load time.
+// matrix, its Gram system (with the Cholesky factor when it has been
+// computed) and the Eq. 14 row-sum normalisers — so loading rebuilds
+// the Engine by wiring views over the mapped file instead of re-running
+// the build pipeline. Options are deliberately NOT stored: they are
+// caller policy, supplied again at load time.
+//
+// Snapshots written by earlier versions also carry a union sparsity
+// pattern, a zero-support mask, per-reference slot maps and a
+// Lipschitz constant. The loader ignores them, so those files still
+// open and align bit-identically; their section ids and flag bit stay
+// reserved.
 
 // Fixed section ids. Per-reference sections live at
 // refSectionBase + ref*refSectionStride + field.
 const (
 	secMeta       = 1  // ints: ns, nt, k, flags
-	secScalars    = 2  // f64: ‖A‖∞, Lipschitz constant (valid iff flagLipschitz)
-	secPatIndPtr  = 3  // ints, ns+1: union pattern row pointers
-	secPatColIdx  = 4  // ints: union pattern column indices
+	secScalars    = 2  // f64: ‖A‖∞ (legacy files append a Lipschitz constant)
 	secWeightMat  = 5  // f64, ns×k row-major: Eq. 15 design matrix
 	secGram       = 6  // f64, k×k row-major: AᵀA
 	secCholesky   = 7  // f64, k×k row-major; present iff flagCholeskyPD
-	secZeroRow    = 8  // bytes, ns: Eq. 14 zero-support mask (0/1)
 	secRefNames   = 9  // strings, k
 	secSourceKeys = 10 // strings, optional: source unit keys
 	secTargetKeys = 11 // strings, optional: target unit keys
@@ -44,14 +45,19 @@ const (
 	refDMVal         = 2 // f64, nnz
 	refSource        = 3 // f64, ns; present only when the reference had one
 	refRowSums       = 4 // f64, ns: DM row sums (Eq. 14 denominator basis)
-	refSlots         = 5 // ints, nnz: entry positions in the union pattern
+
+	// Reserved: written by earlier versions, ignored on load.
+	secLegacyPatIndPtr = 3 // ints: union pattern row pointers
+	secLegacyPatColIdx = 4 // ints: union pattern column indices
+	secLegacyZeroRow   = 8 // bytes: zero-support mask
+	refLegacySlots     = 5 // ints: entry positions in the union pattern
 )
 
 // Meta flags.
 const (
-	flagLipschitz    = 1 << 0 // the scalars section carries a Lipschitz constant
-	flagCholeskyPD   = 1 << 1 // Cholesky computed, factor stored in secCholesky
-	flagCholeskyFail = 1 << 2 // Cholesky attempted, G not positive definite
+	flagLegacyLipschitz = 1 << 0 // reserved: earlier versions stored a Lipschitz constant
+	flagCholeskyPD      = 1 << 1 // Cholesky computed, factor stored in secCholesky
+	flagCholeskyFail    = 1 << 2 // Cholesky attempted, G not positive definite
 )
 
 // Plausibility bounds on the meta dimensions, checked before any
@@ -75,8 +81,8 @@ func corruptf(format string, args ...any) error {
 }
 
 // WriteSnapshot serialises the engine's full precompute to w. meta may
-// be nil when unit keys are not tracked. Lazy state (Lipschitz
-// constant, Cholesky factor) is written only if already computed — call
+// be nil when unit keys are not tracked. The lazily computed Cholesky
+// factor is written only if already computed — call
 // PrecomputeSolverCaches first to force it in, as `geoalign snapshot
 // build` does.
 func (e *Engine) WriteSnapshot(w io.Writer, meta *SnapshotMeta) (int64, error) {
@@ -95,22 +101,15 @@ func (e *Engine) SnapshotSize(meta *SnapshotMeta) int64 {
 }
 
 // PrecomputeSolverCaches forces the lazily computed solver state — the
-// projected-gradient Lipschitz constant and the Gram Cholesky factor —
-// so a subsequent WriteSnapshot persists them and loaded engines never
-// pay for either.
+// Gram Cholesky factor — so a subsequent WriteSnapshot persists it and
+// loaded engines never pay for it.
 func (e *Engine) PrecomputeSolverCaches() {
-	e.gram.Lipschitz()
 	e.gram.CholeskyFactor()
 }
 
 func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 	k := len(e.refs)
 	flags := 0
-	scalars := []float64{e.gram.AInf, 0}
-	if lip, ok := e.gram.CachedLipschitz(); ok {
-		flags |= flagLipschitz
-		scalars[1] = lip
-	}
 	chol, cholDone := e.gram.CachedCholesky()
 	if cholDone {
 		if chol != nil {
@@ -122,21 +121,12 @@ func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 
 	w := snapshot.NewWriter()
 	w.Ints(secMeta, []int{e.ns, e.nt, k, flags})
-	w.F64(secScalars, scalars)
-	w.Ints(secPatIndPtr, e.pat.IndPtr)
-	w.Ints(secPatColIdx, e.pat.ColIdx)
+	w.F64(secScalars, []float64{e.gram.AInf})
 	w.F64(secWeightMat, e.weightMat.Data)
 	w.F64(secGram, e.gram.Gram().Data)
 	if chol != nil {
 		w.F64(secCholesky, chol.Data)
 	}
-	zero := make([]byte, e.ns)
-	for i, z := range e.zeroRow {
-		if z {
-			zero[i] = 1
-		}
-	}
-	w.Bytes(secZeroRow, zero)
 	names := make([]string, k)
 	for i, r := range e.refs {
 		names[i] = r.Name
@@ -157,15 +147,13 @@ func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 			w.F64(base+refSource, r.Source)
 		}
 		w.F64(base+refRowSums, e.rowSums[i])
-		w.Ints(base+refSlots, e.slots[i])
 	}
 	return w
 }
 
 // LoadSnapshot maps the snapshot at path and rebuilds the engine
-// around it. opts plays the same role as in NewEngine (and, like
-// there, SolverIterations > 0 forces the Lipschitz constant, reusing
-// the persisted one when present). The returned engine owns the
+// around it. opts plays the same role as in NewEngine. The returned
+// engine owns the
 // mapping: its hot arrays alias the file, so Close must not be called
 // before the last Align completes. Results are bit-identical to the
 // engine the snapshot was written from.
@@ -216,22 +204,9 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(scalars) < 2 {
-		return nil, nil, corruptf("scalar section has %d values, want 2", len(scalars))
+	if len(scalars) < 1 {
+		return nil, nil, corruptf("scalar section is empty, want ‖A‖∞")
 	}
-
-	patIndPtr, err := f.Ints(secPatIndPtr)
-	if err != nil {
-		return nil, nil, err
-	}
-	patColIdx, err := f.Ints(secPatColIdx)
-	if err != nil {
-		return nil, nil, err
-	}
-	if err := checkCSRShape("union pattern", patIndPtr, patColIdx, nil, ns, nt); err != nil {
-		return nil, nil, err
-	}
-	pat := &sparse.CSR{Rows: ns, Cols: nt, IndPtr: patIndPtr, ColIdx: patColIdx}
 
 	wmData, err := f.F64(secWeightMat)
 	if err != nil {
@@ -250,9 +225,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		return nil, nil, corruptf("Gram matrix has %d values, want %d x %d", len(gData), k, k)
 	}
 	gram := linalg.RestoreGramSystem(weightMat, &linalg.Matrix{Rows: k, Cols: k, Data: gData}, scalars[0])
-	if flags&flagLipschitz != 0 {
-		gram.PrimeLipschitz(scalars[1])
-	}
 	switch {
 	case flags&flagCholeskyPD != 0:
 		cData, err := f.F64(secCholesky)
@@ -265,24 +237,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		gram.PrimeCholesky(&linalg.Matrix{Rows: k, Cols: k, Data: cData})
 	case flags&flagCholeskyFail != 0:
 		gram.PrimeCholesky(nil)
-	}
-
-	zeroBytes, err := f.Bytes(secZeroRow)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(zeroBytes) != ns {
-		return nil, nil, corruptf("zero-row mask has %d entries, want %d", len(zeroBytes), ns)
-	}
-	zeroRow := make([]bool, ns)
-	for i, b := range zeroBytes {
-		// The mask is derivable from the pattern; a disagreement means
-		// the sections do not belong to the same engine.
-		derived := patIndPtr[i] == patIndPtr[i+1]
-		if (b != 0) != derived {
-			return nil, nil, corruptf("zero-row mask disagrees with the union pattern at row %d", i)
-		}
-		zeroRow[i] = b != 0
 	}
 
 	names, err := f.Strings(secRefNames)
@@ -305,9 +259,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		gram:      gram,
 		rowSums:   make([][]float64, k),
 		maxRow:    make([]float64, k),
-		pat:       pat,
-		slots:     make([][]int, k),
-		zeroRow:   zeroRow,
 		snap:      f,
 	}
 	for i := 0; i < k; i++ {
@@ -325,6 +276,9 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 			return nil, nil, err
 		}
 		what := fmt.Sprintf("reference %d (%s)", i, names[i])
+		if err := checkCSRShape(what, indptr, colIdx, val, ns, nt); err != nil {
+			return nil, nil, err
+		}
 		r := Reference{Name: names[i], DM: &sparse.CSR{Rows: ns, Cols: nt, IndPtr: indptr, ColIdx: colIdx, Val: val}}
 		if f.Has(base + refSource) {
 			src, err := f.F64(base + refSource)
@@ -347,21 +301,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		}
 		e.rowSums[i] = sums
 		e.maxRow[i] = linalg.MaxAbs(sums)
-
-		slots, err := f.Ints(base + refSlots)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := checkSlots(what, slots, r.DM, pat); err != nil {
-			return nil, nil, err
-		}
-		e.slots[i] = slots
-	}
-
-	if opts.SolverIterations > 0 {
-		// Same eager policy as NewEngine; a no-op when the constant was
-		// persisted.
-		e.gram.Lipschitz()
 	}
 	e.initPools()
 
@@ -379,9 +318,9 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 	return e, &meta, nil
 }
 
-// checkCSRShape validates the structural invariants every loaded CSR
-// must satisfy before the engine's unchecked hot loops may index into
-// it: correct pointer array length, monotone row pointers covering
+// checkCSRShape validates the structural invariants every loaded
+// reference crosswalk must satisfy before the engine's unchecked hot
+// loops (the transpose-form scatter) may index into it: correct pointer array length, monotone row pointers covering
 // exactly the stored entries, and strictly increasing in-range column
 // indices per row (the documented CSR invariant).
 func checkCSRShape(what string, indptr, colIdx []int, val []float64, rows, cols int) error {
@@ -414,61 +353,6 @@ func checkCSRShape(what string, indptr, colIdx []int, val []float64, rows, cols 
 				return corruptf("%s row %d column indices are not strictly increasing in [0,%d)", what, i, cols)
 			}
 			prev = c
-		}
-	}
-	return nil
-}
-
-// checkSlots validates a reference's crosswalk and slot map in a
-// single pass: the CSR invariants of checkCSRShape, plus every stored
-// entry's slot landing on the matching union-pattern column of its own
-// row. The combined guarantee is what makes the engine's unchecked
-// hot-loop indexing (the redistributeDM scatter) safe on loaded data;
-// one fused pass over the entries keeps the mmap cold-start cheap.
-func checkSlots(what string, slots []int, dm, pat *sparse.CSR) error {
-	indptr, colIdx := dm.IndPtr, dm.ColIdx
-	rows, cols := dm.Rows, dm.Cols
-	if len(indptr) != rows+1 {
-		return corruptf("%s has %d row pointers, want %d", what, len(indptr), rows+1)
-	}
-	if indptr[0] != 0 {
-		return corruptf("%s row pointers start at %d, want 0", what, indptr[0])
-	}
-	if indptr[rows] != len(colIdx) {
-		return corruptf("%s row pointers end at %d, but %d entries are stored", what, indptr[rows], len(colIdx))
-	}
-	if dm.Val != nil && len(dm.Val) != len(colIdx) {
-		return corruptf("%s has %d values for %d column indices", what, len(dm.Val), len(colIdx))
-	}
-	if len(slots) != len(colIdx) {
-		return corruptf("%s has %d slots for %d entries", what, len(slots), len(colIdx))
-	}
-	patCol := pat.ColIdx
-	n := len(colIdx)
-	slots = slots[:n]
-	for i := 0; i < rows; i++ {
-		lo, hi := indptr[i], indptr[i+1]
-		// hi > n guards against an interior overshoot compensated by a
-		// later decrease (see checkCSRShape); it also lets the compiler
-		// drop the bounds checks in the entry loop.
-		if lo > hi || hi > n {
-			return corruptf("%s row %d pointers decrease or overshoot (%d, %d of %d)", what, i, lo, hi, n)
-		}
-		plo, phi := pat.IndPtr[i], pat.IndPtr[i+1]
-		if plo < 0 || plo > phi || phi > len(patCol) {
-			return corruptf("%s union pattern row %d is malformed", what, i)
-		}
-		prev := -1
-		for p := lo; p < hi; p++ {
-			c := colIdx[p]
-			if c <= prev || c >= cols {
-				return corruptf("%s row %d column indices are not strictly increasing in [0,%d)", what, i, cols)
-			}
-			prev = c
-			s := slots[p]
-			if s < plo || s >= phi || patCol[s] != c {
-				return corruptf("%s slot map entry %d does not land on its pattern column", what, p)
-			}
 		}
 	}
 	return nil

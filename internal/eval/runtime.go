@@ -133,7 +133,7 @@ func RuntimeBreakdown(ns, nt, nrefs, trials int, seed int64) (*StageBreakdown, e
 
 	start := time.Now()
 	for t := 0; t < trials; t++ {
-		if _, err := core.LearnWeights(p, core.Options{}); err != nil {
+		if _, err := core.LearnWeights(p); err != nil {
 			return nil, err
 		}
 	}

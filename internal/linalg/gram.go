@@ -95,27 +95,6 @@ func (gs *GramSystem) Lipschitz() float64 {
 	return gs.lip
 }
 
-// CachedLipschitz returns the Lipschitz constant if it has already been
-// computed (or primed), without triggering the power iteration.
-func (gs *GramSystem) CachedLipschitz() (float64, bool) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	return gs.lip, gs.lipDone
-}
-
-// PrimeLipschitz installs a previously computed Lipschitz constant —
-// e.g. one persisted in an engine snapshot — so later Lipschitz calls
-// skip the power iteration. It has no effect if the constant was
-// already computed.
-func (gs *GramSystem) PrimeLipschitz(lip float64) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if !gs.lipDone {
-		gs.lip = lip
-		gs.lipDone = true
-	}
-}
-
 // CholeskyFactor returns the lower Cholesky factor of G, computing it
 // on first use and caching it (a failed factorisation — G not
 // numerically positive definite, as happens for rank-deficient designs

@@ -42,7 +42,7 @@ func benchEngine(b *testing.B) *geoalign.Aligner {
 			}
 			refs[k] = geoalign.Reference{Name: r.Name, Crosswalk: xw}
 		}
-		al, err := geoalign.NewAligner(refs, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+		al, err := geoalign.NewAligner(refs, nil)
 		if err != nil {
 			panic(err)
 		}

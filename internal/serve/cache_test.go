@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"runtime/debug"
@@ -533,6 +534,37 @@ func TestBufPoolHygiene(t *testing.T) {
 		}
 		if attempt == 50 {
 			t.Fatal("too-small pooled buffer was discarded by getBuf instead of re-pooled")
+		}
+	}
+}
+
+// TestAlignNonFiniteObjective: a binary objective holding NaN or ±Inf
+// is a client error on the direct and the coalesced path alike, and the
+// cache never stores the failure — repeating the request solves (and
+// fails) again instead of hitting.
+func TestAlignNonFiniteObjective(t *testing.T) {
+	al := testAligner(t, 53, 40, 8, 3)
+	for _, maxBatch := range []int{1, 4} {
+		s, hts := newTestServer(t, al, Config{MaxBatch: maxBatch, ResultCacheBytes: 1 << 20})
+		obj := randObjective(rand.New(rand.NewSource(5)), al.SourceUnits())
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			obj[3] = bad
+			for attempt := 0; attempt < 2; attempt++ {
+				resp, err := http.DefaultClient.Post(hts.URL+"/v1/align?engine=test", contentTypeBinary, bytes.NewReader(appendFloats(nil, obj)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("MaxBatch %d, %v, attempt %d: status %d, want 400", maxBatch, bad, attempt, resp.StatusCode)
+				}
+				if how := resp.Header.Get("X-Geoalign-Cache"); how != "" {
+					t.Fatalf("MaxBatch %d, %v, attempt %d: answered from cache (%q)", maxBatch, bad, attempt, how)
+				}
+			}
+		}
+		if s.cache.Len() != 0 || s.metrics.CacheHits() != 0 {
+			t.Fatalf("MaxBatch %d: cache holds %d entries after %d hits", maxBatch, s.cache.Len(), s.metrics.CacheHits())
 		}
 	}
 }

@@ -200,7 +200,7 @@ func (s *Server) openSnapshot(path string) (*geoalign.Aligner, *geoalign.Snapsho
 	if s.cfg.OpenSnapshot != nil {
 		return s.cfg.OpenSnapshot(path)
 	}
-	return geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{DiscardCrosswalks: true})
+	return geoalign.OpenSnapshot(path, nil)
 }
 
 // ApplyManifest converges the registry onto m synchronously: for each

@@ -37,7 +37,7 @@ func testAligner(tb testing.TB, seed int64, ns, nt, k int) *geoalign.Aligner {
 		}
 		refs[kk] = geoalign.Reference{Name: r.Name, Crosswalk: xw}
 	}
-	al, err := geoalign.NewAligner(refs, &geoalign.AlignerOptions{DiscardCrosswalks: true, Workers: 2})
+	al, err := geoalign.NewAligner(refs, &geoalign.AlignerOptions{Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -94,7 +94,7 @@ type Config struct {
 	BlobClient *http.Client
 	// OpenSnapshot maps a snapshot file into a serving engine during a
 	// manifest apply. The geoalignd binary wires worker options in; nil
-	// uses serving defaults (DiscardCrosswalks, NumCPU workers).
+	// uses serving defaults (NumCPU workers).
 	OpenSnapshot func(path string) (*geoalign.Aligner, *geoalign.SnapshotMeta, error)
 }
 
@@ -246,7 +246,7 @@ func solveError(err error) int {
 		return http.StatusRequestTimeout
 	case errors.Is(err, ErrShuttingDown):
 		return http.StatusServiceUnavailable
-	case errors.Is(err, geoalign.ErrNoSourceUnits):
+	case errors.Is(err, geoalign.ErrNoSourceUnits), errors.Is(err, geoalign.ErrNonFiniteObjective):
 		return http.StatusBadRequest
 	default:
 		return http.StatusInternalServerError

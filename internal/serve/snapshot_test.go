@@ -21,7 +21,7 @@ func snapshotAligner(tb testing.TB, dir string, seed int64, ns, nt, k int) *geoa
 	if err := built.WriteSnapshot(path, nil); err != nil {
 		tb.Fatal(err)
 	}
-	loaded, _, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{DiscardCrosswalks: true, Workers: 2})
+	loaded, _, err := geoalign.OpenSnapshot(path, &geoalign.AlignerOptions{Workers: 2})
 	if err != nil {
 		tb.Fatal(err)
 	}

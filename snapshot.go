@@ -2,7 +2,6 @@ package geoalign
 
 import (
 	"io"
-	"runtime"
 
 	"geoalign/internal/core"
 )
@@ -24,14 +23,13 @@ func (m *SnapshotMeta) toCore() *core.SnapshotMeta {
 }
 
 // WriteSnapshot persists the Aligner's full precomputation — crosswalks,
-// design matrix, Gram system, union pattern — to a versioned,
+// design matrix, Gram system, row-sum normalisers — to a versioned,
 // checksummed binary file that OpenSnapshot maps back at near-zero
 // cost. The write is atomic (temp file + rename). meta may be nil.
 //
-// Lazily computed solver state (the projected-gradient Lipschitz
-// constant, the Gram Cholesky factor) is included only if it has been
-// computed; call PrecomputeSolverCaches first to force it in, as
-// `geoalign snapshot build` does.
+// Lazily computed solver state (the Gram Cholesky factor) is included
+// only if it has been computed; call PrecomputeSolverCaches first to
+// force it in, as `geoalign snapshot build` does.
 func (a *Aligner) WriteSnapshot(path string, meta *SnapshotMeta) error {
 	return a.engine.WriteSnapshotFile(path, meta.toCore())
 }
@@ -61,20 +59,10 @@ func (a *Aligner) PrecomputeSolverCaches() { a.engine.PrecomputeSolverCaches() }
 // with descriptive errors; a snapshot is either loaded fully verified
 // (per-section CRC32C) or not at all.
 func OpenSnapshot(path string, opts *AlignerOptions) (*Aligner, *SnapshotMeta, error) {
-	if opts == nil {
-		opts = &AlignerOptions{}
-	}
-	coreOpts := core.Options{KeepDM: !opts.DiscardCrosswalks, DenseSolver: opts.DenseSolver}
-	if opts.Fallback != nil {
-		coreOpts.FallbackDM = opts.Fallback.matrix()
-	}
+	coreOpts, workers := engineOptions(opts)
 	engine, m, err := core.LoadSnapshot(path, coreOpts)
 	if err != nil {
 		return nil, nil, err
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.NumCPU()
 	}
 	return &Aligner{engine: engine, workers: workers}, &SnapshotMeta{SourceKeys: m.SourceKeys, TargetKeys: m.TargetKeys}, nil
 }

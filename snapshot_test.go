@@ -49,7 +49,7 @@ func bitsEqual(a, b []float64) bool {
 // bit for bit.
 func TestOpenSnapshotBitIdenticalUSScale(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	opts := &AlignerOptions{DiscardCrosswalks: true, Workers: 4}
+	opts := &AlignerOptions{Workers: 4}
 	built, err := NewAligner(usScaleRefs(t, rng), opts)
 	if err != nil {
 		t.Fatal(err)
