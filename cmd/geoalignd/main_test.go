@@ -11,12 +11,32 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"geoalign"
 	"geoalign/internal/serve"
 )
+
+// lockedBuffer is a bytes.Buffer a daemon goroutine can write while the
+// test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
 
 func writeFile(t *testing.T, dir, name, content string) string {
 	t.Helper()
@@ -675,7 +695,7 @@ func TestRunClusterScaleOut(t *testing.T) {
 
 	// Replica B: no -demo, no -snapshot-dir — only A's manifest.
 	doneB := make(chan error, 1)
-	var outB bytes.Buffer
+	var outB lockedBuffer
 	go func() {
 		doneB <- run(ctx, []string{"-addr", "127.0.0.1:0",
 			"-blob-dir", blobB,

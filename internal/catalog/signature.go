@@ -20,6 +20,8 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+
+	"geoalign/internal/hashmix"
 )
 
 // Hashing: per-key 64-bit FNV-1a over a length-prefixed byte stream,
@@ -36,15 +38,6 @@ const (
 	// arbitrary odd 64-bit constant (2^64/φ, the Weyl increment).
 	seedHi = 0x9e3779b97f4a7c15
 )
-
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
 
 // KeyHash digests one unit key. Every index structure in the catalog
 // (postings, signatures, edge key sets) is built over this hash; two
@@ -66,7 +59,7 @@ func KeyHash(key string) uint64 {
 		h ^= uint64(key[i])
 		h *= fnvPrime64
 	}
-	return fmix64(h)
+	return hashmix.Fmix64(h)
 }
 
 // HashKeys digests every key, preserving input order (duplicates
@@ -109,8 +102,8 @@ func signatureOfHashes(sorted []uint64) Signature {
 	lo := uint64(fnvOffset64)
 	hi := uint64(fnvOffset64) ^ seedHi
 	for _, h := range sorted {
-		lo = fmix64(lo ^ h)
-		hi = fmix64(hi ^ (h + seedHi))
+		lo = hashmix.Fmix64(lo ^ h)
+		hi = hashmix.Fmix64(hi ^ (h + seedHi))
 	}
 	return Signature{Count: uint32(len(sorted)), Lo: lo, Hi: hi}
 }
@@ -161,8 +154,8 @@ func OrderedDigest(keys []string) [2]uint64 {
 	hi := uint64(fnvOffset64) ^ seedHi
 	for _, k := range keys {
 		h := KeyHash(k)
-		lo = fmix64(lo ^ h)
-		hi = fmix64(hi ^ (h + seedHi))
+		lo = hashmix.Fmix64(lo ^ h)
+		hi = hashmix.Fmix64(hi ^ (h + seedHi))
 	}
 	return [2]uint64{lo, hi}
 }

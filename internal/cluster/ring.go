@@ -23,6 +23,8 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"geoalign/internal/hashmix"
 )
 
 // DefaultVNodes is the virtual-node count per replica when the caller
@@ -84,10 +86,7 @@ func NewRing(vnodes int, factor float64) *Ring {
 func hashKey(s string) uint64 {
 	h := fnv.New64a()
 	h.Write([]byte(s))
-	z := h.Sum64() + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
+	return hashmix.SplitMix64(h.Sum64())
 }
 
 // SetNodes replaces the ring membership. In-flight counters of nodes

@@ -6,6 +6,14 @@
 // once and multiplied against the whole chunk's row scales while it is
 // in register.
 //
+// A chunk left with one successfully solved attribute — a lone
+// objective, the one-attribute tail of a 17- or 33-objective batch, or
+// a chunk whose other objectives were rejected — skips the fusion and
+// runs the single-attribute kernel of Align (redistribute), because
+// the 16-lane blocks would spend sixteen times the multiply-adds and
+// accumulator traffic on it. Only chunks with two or more live
+// attributes take the fused pass and the pooled batchScratch.
+//
 // The fusion is bit-identical to per-attribute Align. For every output
 // element the additions happen in exactly the order of the single-call
 // path: the denominator combines references in index order, each
@@ -102,13 +110,16 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 
 	// processChunk solves the chunk's weights (warm-started down the
 	// worker's chain) and redistributes the successfully solved
-	// attributes in one fused pass. Returns the last successful β to
-	// seed the next chunk.
-	processChunk := func(ci int, warm []float64, s *engineScratch, bs *batchScratch) []float64 {
+	// attributes: a lone one through Align's kernel, two or more in
+	// one fused pass over the worker's batch scratch bs, taken from the
+	// pool by the worker's first fused chunk. Returns the last
+	// successful β to seed the next chunk, and bs.
+	processChunk := func(ci int, warm []float64, s *engineScratch, bs *batchScratch) ([]float64, *batchScratch) {
 		lo := ci * redistChunk
 		hi := min(lo+redistChunk, len(valid))
 		idxs := valid[lo:hi]
 		betas := make([][]float64, len(idxs))
+		nLive, lone := 0, 0
 		for t, i := range idxs {
 			var beta []float64
 			var err error
@@ -123,48 +134,53 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 			}
 			betas[t] = beta
 			warm = beta
+			nLive, lone = nLive+1, t
 		}
-		live := e.redistributeBatch(objectives, idxs, betas, results, bs)
-		if e.opts.FallbackDM != nil {
-			e.batchFallback(objectives, live, results, errs, bs)
+		switch {
+		case nLive == 1:
+			i := idxs[lone]
+			res, err := e.redistribute(objectives[i], betas[lone], s)
+			results[i], errs[i] = res, err
+		case nLive > 1:
+			if bs == nil {
+				bs = e.batch.Get().(*batchScratch)
+			}
+			live := e.redistributeBatch(objectives, idxs, betas, results, bs)
+			if e.opts.FallbackDM != nil {
+				e.batchFallback(objectives, live, results, errs, bs)
+			}
 		}
-		return warm
+		return warm, bs
 	}
-
-	if workers <= 1 {
+	// work runs one worker: it claims chunks in index order until none
+	// is left or the context is cancelled, and keeps its scratch (and,
+	// once a fused chunk took it, its batch scratch) across them.
+	var next atomic.Int64
+	work := func() {
 		s := e.scratch.Get().(*engineScratch)
-		bs := e.batch.Get().(*batchScratch)
+		var bs *batchScratch
 		var warm []float64
-		for ci := 0; ci < nChunks; ci++ {
-			if ctx.Err() != nil {
+		for ctx.Err() == nil {
+			ci := int(next.Add(1)) - 1
+			if ci >= nChunks {
 				break
 			}
-			warm = processChunk(ci, warm, s, bs)
+			warm, bs = processChunk(ci, warm, s, bs)
 		}
 		e.scratch.Put(s)
-		e.batch.Put(bs)
+		if bs != nil {
+			e.batch.Put(bs)
+		}
+	}
+	if workers <= 1 {
+		work()
 	} else {
-		var next atomic.Int64
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s := e.scratch.Get().(*engineScratch)
-				bs := e.batch.Get().(*batchScratch)
-				defer e.scratch.Put(s)
-				defer e.batch.Put(bs)
-				var warm []float64
-				for {
-					if ctx.Err() != nil {
-						return
-					}
-					ci := int(next.Add(1)) - 1
-					if ci >= nChunks {
-						return
-					}
-					warm = processChunk(ci, warm, s, bs)
-				}
+				work()
 			}()
 		}
 		wg.Wait()

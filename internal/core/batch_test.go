@@ -3,9 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"geoalign/internal/sparse"
 )
 
 // TestEngineBatchBitIdentical pins the serving contract: without a
@@ -170,5 +174,156 @@ func TestEngineAlignAllFastPathErrors(t *testing.T) {
 			t.Fatalf("valid objective %d not aligned", a)
 		}
 		resultsClose(t, fmt.Sprintf("objective %d", a), r, want, 0)
+	}
+}
+
+// TestEngineAlignAllChunkRouting pins how AlignAll routes its chunks: a
+// chunk with one live attribute runs Align's kernel, two or more run
+// the fused pass, and both are bit-identical to per-objective Align.
+// It covers batch sizes around the chunk width (a lone request, a
+// pair, a full chunk, a one-attribute tail after one and after two
+// full chunks), one and two workers, a chunk whose other fifteen objectives are rejected, and a
+// fallback crosswalk over degenerate rows, where the target mass must
+// equal the objective mass minus the rows nothing supports. Only
+// chunks that run the fused pass may take the pooled batch scratch.
+func TestEngineAlignAllChunkRouting(t *testing.T) {
+	const ns, nt = 90, 14
+	rng := rand.New(rand.NewSource(15))
+	p := engineProblem(rng, ns, nt, 4)
+	// Every third source unit loses its support in every reference;
+	// the fallback covers the even rows, so rows ≡ 3 (mod 6) are
+	// dropped.
+	for k, r := range p.References {
+		coo := sparse.NewCOO(ns, nt)
+		for i := 0; i < ns; i++ {
+			if i%3 == 0 {
+				continue
+			}
+			cols, vals := r.DM.Row(i)
+			for c, j := range cols {
+				coo.Add(i, j, vals[c])
+			}
+		}
+		p.References[k].DM = coo.ToCSR()
+	}
+	fbCOO := sparse.NewCOO(ns, nt)
+	for i := 0; i < ns; i += 2 {
+		fbCOO.Add(i, rng.Intn(nt), 1+rng.Float64())
+		fbCOO.Add(i, rng.Intn(nt), 1+rng.Float64())
+	}
+	fb := fbCOO.ToCSR()
+	fbSums := fb.RowSums()
+
+	objectives := make([][]float64, 3*redistChunk+1)
+	for a := range objectives {
+		obj := make([]float64, ns)
+		for i := range obj {
+			obj[i] = rng.Float64() * 100
+		}
+		objectives[a] = obj
+	}
+	// A full chunk with one live attribute: the rest are rejected.
+	const loneAt = 7
+	rejected := make([][]float64, redistChunk)
+	for a := range rejected {
+		switch {
+		case a == loneAt:
+			rejected[a] = objectives[0]
+		case a%2 == 0:
+			bad := append([]float64(nil), objectives[a]...)
+			bad[a] = math.NaN()
+			rejected[a] = bad
+		default:
+			rejected[a] = make([]float64, ns-1)
+		}
+	}
+
+	// newEngine builds a fresh engine (so its batch pool starts empty)
+	// that counts the batch scratches it allocates.
+	newEngine := func(t *testing.T, opts Options) (*Engine, *atomic.Int64) {
+		e, err := NewEngine(p.References, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		taken := new(atomic.Int64)
+		e.batch.New = func() any {
+			taken.Add(1)
+			return newBatchScratch(e)
+		}
+		return e, taken
+	}
+	check := func(t *testing.T, tag string, e *Engine, got *Result, obj []float64) {
+		t.Helper()
+		want, err := e.Align(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil {
+			t.Fatalf("%s: no result", tag)
+		}
+		resultsClose(t, tag, got, want, 0)
+		if e.opts.FallbackDM == nil {
+			return
+		}
+		var in, dropped, out float64
+		for i, v := range obj {
+			in += v
+			if e.rowSupport(i) == 0 && fbSums[i] == 0 {
+				dropped += v
+			}
+		}
+		if dropped == 0 || dropped == in {
+			t.Fatalf("%s: test problem drops %v of %v", tag, dropped, in)
+		}
+		for _, v := range got.Target {
+			out += v
+		}
+		if math.Abs(out-(in-dropped)) > 1e-9*in {
+			t.Errorf("%s: target mass %v, want %v - %v dropped", tag, out, in, dropped)
+		}
+	}
+
+	for _, tc := range []struct {
+		name string
+		opts Options
+	}{
+		{"plain", Options{}},
+		{"fallback", Options{FallbackDM: fb}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, workers := range []int{1, 2} {
+				for _, n := range []int{1, 2, redistChunk, redistChunk + 1, 2*redistChunk + 1} {
+					e, taken := newEngine(t, tc.opts)
+					batch, err := e.AlignAll(objectives[:n], workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for a, obj := range objectives[:n] {
+						check(t, fmt.Sprintf("n=%d workers=%d objective %d", n, workers, a), e, batch[a], obj)
+					}
+					if n == 1 && taken.Load() != 0 {
+						t.Errorf("workers=%d: a lone objective took %d batch scratches", workers, taken.Load())
+					}
+					if n > 1 && taken.Load() == 0 {
+						t.Errorf("n=%d workers=%d: no fused chunk took a batch scratch", n, workers)
+					}
+				}
+
+				e, taken := newEngine(t, tc.opts)
+				results, err := e.AlignAll(rejected, workers)
+				if err == nil || !contains(err.Error(), "objective 0") {
+					t.Fatalf("workers=%d: rejected chunk err = %v, want objective 0", workers, err)
+				}
+				for a, r := range results {
+					if a != loneAt && r != nil {
+						t.Errorf("workers=%d: rejected objective %d produced a result", workers, a)
+					}
+				}
+				check(t, fmt.Sprintf("rejected chunk workers=%d", workers), e, results[loneAt], rejected[loneAt])
+				if taken.Load() != 0 {
+					t.Errorf("workers=%d: a chunk with one live attribute took %d batch scratches", workers, taken.Load())
+				}
+			}
+		})
 	}
 }

@@ -431,8 +431,12 @@ func (e *Engine) rowScales(scale, den, objective, w []float64) {
 // disaggregation matrix. Each reference's transpose product y is
 // computed with rows ascending and combined in reference order; the
 // batch path (batch.go) uses the same accumulation orders, so single
-// and batched alignment stay bitwise identical. target must be
-// zero-initialised; y is scratch of length nt.
+// and batched alignment stay bitwise identical. It runs for Align and
+// for a fused chunk left with one live attribute. The product walks
+// the CSR arrays with one running entry index (a CSR stores its rows
+// back to back), sliced once per reference, instead of slicing out
+// each of the ~ns short rows. target must be zero-initialised; y is
+// scratch of length nt.
 func (e *Engine) redistributeTargets(w, scale, y, target []float64) {
 	for k, r := range e.refs {
 		wk := w[k]
@@ -442,11 +446,14 @@ func (e *Engine) redistributeTargets(w, scale, y, target []float64) {
 		for c := range y {
 			y[c] = 0
 		}
-		for i := 0; i < e.ns; i++ {
+		ends := r.DM.IndPtr[1 : e.ns+1]
+		cols := r.DM.ColIdx
+		vals := r.DM.Val[:len(cols)]
+		j := r.DM.IndPtr[0]
+		for i, end := range ends {
 			si := scale[i]
-			cols, vals := r.DM.Row(i)
-			for t, v := range vals {
-				y[cols[t]] += v * si
+			for ; j < end; j++ {
+				y[cols[j]] += vals[j] * si
 			}
 		}
 		for c, v := range y {

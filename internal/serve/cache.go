@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"math"
 	"sync"
+
+	"geoalign/internal/hashmix"
 )
 
 // The result cache is the steady-state serving fast path. Alignment is
@@ -328,18 +330,8 @@ func digestFinish(l [8]uint64, n int) objDigest {
 	h1 = (h1 ^ l[6]) * fnvPrime
 	h1 = (h1 ^ l[7]) * fnvPrime
 	h1 ^= uint64(n)
-	h2 := fmix64(l[0] + 3*l[1] + 5*l[2] + 7*l[3] + 9*l[4] + 11*l[5] + 13*l[6] + 15*l[7] + uint64(n))
-	return objDigest{h1: fmix64(h1), h2: h2}
-}
-
-// fmix64 is the murmur3 finalizer: a cheap full-avalanche mix.
-func fmix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
+	h2 := hashmix.Fmix64(l[0] + 3*l[1] + 5*l[2] + 7*l[3] + 9*l[4] + 11*l[5] + 13*l[6] + 15*l[7] + uint64(n))
+	return objDigest{h1: hashmix.Fmix64(h1), h2: h2}
 }
 
 // digestBytesLE digests a raw binary objective payload. len(b) must be

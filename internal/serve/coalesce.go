@@ -21,9 +21,10 @@ var ErrShuttingDown = errors.New("serve: shutting down")
 // the timer expires, whichever comes first. Batches are keyed by
 // *Instance, so a hot swap splits traffic cleanly between generations.
 //
-// Coalescing does not change results: the fused batch path is bitwise
-// identical to per-call Align for the serving engine configuration
-// (no retained crosswalks, no fallback).
+// Coalescing does not change results: AlignAll is bitwise identical to
+// per-call Align, with or without a fallback crosswalk. A request alone
+// in its window runs Align's own single-attribute kernel; two or more
+// share the fused batch pass.
 type Coalescer struct {
 	maxBatch int
 	maxWait  time.Duration

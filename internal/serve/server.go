@@ -10,9 +10,10 @@
 // and the fused chunk redistribution). The coalescer buys those wins
 // back at the cost of a small batching window: requests for the same
 // engine instance that arrive within MaxWait of each other are merged
-// into one AlignAllContext call, whose fused path is bit-identical to
-// per-request Align — so coalescing is invisible in the response bytes,
-// visible only in latency and throughput.
+// into one AlignAllContext call, which is bit-identical to per-request
+// Align (a request alone in its window runs Align's own kernel) — so
+// coalescing is invisible in the response bytes, visible only in
+// latency and throughput.
 package serve
 
 import (

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"geoalign/internal/geom"
+	"geoalign/internal/hashmix"
 )
 
 // TigerConfig sizes a streamed TIGER-like layer: a jittered lattice of
@@ -53,21 +54,12 @@ func tigerGrid(cfg TigerConfig) (cols, rows int) {
 	return cols, rows
 }
 
-// splitmix64 is the finalizer from the SplitMix64 generator — a cheap,
-// well-mixed 64-bit hash used to derive all lattice jitter.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // latticeHash folds the seed and up to three lattice coordinates into a
 // jitter value in [-1, 1).
 func latticeHash(seed int64, kind uint64, a, b int) float64 {
-	h := splitmix64(uint64(seed))
-	h = splitmix64(h ^ kind<<56 ^ uint64(uint32(a)))
-	h = splitmix64(h ^ uint64(uint32(b)))
+	h := hashmix.SplitMix64(uint64(seed))
+	h = hashmix.SplitMix64(h ^ kind<<56 ^ uint64(uint32(a)))
+	h = hashmix.SplitMix64(h ^ uint64(uint32(b)))
 	return float64(h>>11)/float64(1<<53)*2 - 1
 }
 
