@@ -89,7 +89,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		engineSpecs cliflag.Repeated
 		demo        = fs.Bool("demo", false, "register a synthetic \"demo\" engine (500 sources, 40 targets, 3 references)")
 		maxBatch    = fs.Int("max-batch", 32, "max requests per coalesced batch; <=1 disables coalescing")
-		maxWait     = fs.Duration("max-wait", 2*time.Millisecond, "coalescing window: how long the first request waits for followers")
 		maxInflight = fs.Int("max-inflight", 256, "max admitted requests before shedding")
 		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "how long an arrival may wait for admission before a 429")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request deadline plumbed into the engine (0 = none)")
@@ -186,7 +185,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 
 	cfg := serve.Config{
 		MaxBatch:         *maxBatch,
-		MaxWait:          *maxWait,
 		MaxInFlight:      *maxInflight,
 		QueueWait:        *queueWait,
 		RequestTimeout:   *reqTimeout,

@@ -203,7 +203,7 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var out bytes.Buffer
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-demo", "-max-wait", "1ms"}, &out, &out)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-demo"}, &out, &out)
 	}()
 
 	var addr net.Addr
@@ -420,7 +420,7 @@ func TestRunPprofAndResultCache(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		var out bytes.Buffer
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-demo", "-max-wait", "1ms",
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-demo",
 			"-pprof-addr", "127.0.0.1:0", "-result-cache-bytes", "64MiB"}, &out, &out)
 	}()
 	var addr, pprofAddr net.Addr

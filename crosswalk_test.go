@@ -145,3 +145,42 @@ func TestEstimatedCrosswalkDetached(t *testing.T) {
 		t.Errorf("Result mutated through EstimatedCrosswalk: At(0,0) = %v, want %v", got, before)
 	}
 }
+
+// TestCrosswalkAddRejectsNonFinite: NaN and ±Inf entries are refused
+// like negative ones and leave the crosswalk untouched, so an Aligner
+// built from it never sees them. (A NaN entry used to be accepted, and
+// the aligner then returned a NaN target with a nil error.)
+func TestCrosswalkAddRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+		a := NewCrosswalk(2, 2)
+		b := NewCrosswalk(2, 2)
+		for _, e := range []struct {
+			xw   *Crosswalk
+			i, j int
+			v    float64
+		}{{a, 0, 0, 1}, {a, 1, 1, 2}, {b, 0, 1, 1}, {b, 1, 0, 2}} {
+			if err := e.xw.Add(e.i, e.j, e.v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Add(1, 0, bad); err == nil {
+			t.Fatalf("Add accepted %v", bad)
+		}
+		if a.NonZeros() != 2 || a.At(1, 0) != 0 {
+			t.Fatalf("rejected %v changed the crosswalk: %d entries", bad, a.NonZeros())
+		}
+		al, err := NewAligner([]Reference{{Name: "a", Crosswalk: a}, {Name: "b", Crosswalk: b}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := al.Align([]float64{1, 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range append(res.Target, res.Weights...) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("after rejecting %v: result %v %v is not finite", bad, res.Target, res.Weights)
+			}
+		}
+	}
+}

@@ -50,6 +50,7 @@ package geoalign
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"geoalign/internal/core"
 	"geoalign/internal/eval"
@@ -86,11 +87,12 @@ func FromDense(m [][]float64) (*Crosswalk, error) {
 	return &Crosswalk{rows: csr.Rows, cols: csr.Cols, csr: csr}, nil
 }
 
-// Add accumulates v at (sourceUnit, targetUnit). Negative values are
-// rejected: crosswalk entries are aggregates of a non-negative measure.
+// Add accumulates v at (sourceUnit, targetUnit). Negative, NaN and
+// infinite values are rejected: crosswalk entries are finite aggregates
+// of a non-negative measure.
 func (c *Crosswalk) Add(sourceUnit, targetUnit int, v float64) error {
-	if v < 0 {
-		return fmt.Errorf("geoalign: negative crosswalk entry %v at (%d,%d)", v, sourceUnit, targetUnit)
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return fmt.Errorf("geoalign: crosswalk entry %v at (%d,%d) is not a finite non-negative value", v, sourceUnit, targetUnit)
 	}
 	if sourceUnit < 0 || sourceUnit >= c.rows || targetUnit < 0 || targetUnit >= c.cols {
 		return fmt.Errorf("geoalign: crosswalk index (%d,%d) out of bounds for %dx%d",

@@ -386,9 +386,41 @@ func engineOf(r *http.Request, body []byte) string {
 	return peek.Engine
 }
 
+// readBody reads a request body into one buffer sized from its
+// Content-Length: a binary objective runs to hundreds of kilobytes, and
+// io.ReadAll would grow and copy its buffer several times over to
+// reach that. A body longer or shorter than its Content-Length is an
+// error, not silently truncated; a body of unknown length (chunked)
+// falls back to io.ReadAll. The buffer is not pooled:
+// http.Transport may still be reading a request body after RoundTrip
+// returns, so a recycled buffer could be overwritten while in use.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxProxyBody)
+	if r.ContentLength < 0 {
+		return io.ReadAll(body)
+	}
+	if r.ContentLength > maxProxyBody {
+		return nil, fmt.Errorf("cluster: body of %d bytes exceeds the %d-byte limit", r.ContentLength, maxProxyBody)
+	}
+	buf := make([]byte, r.ContentLength)
+	if _, err := io.ReadFull(body, buf); err != nil {
+		if errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			return nil, errors.New("cluster: body shorter than Content-Length")
+		}
+		return nil, err
+	}
+	var extra [1]byte
+	if n, err := body.Read(extra[:]); n != 0 {
+		return nil, errors.New("cluster: body longer than Content-Length")
+	} else if err != nil && err != io.EOF {
+		return nil, err
+	}
+	return buf, nil
+}
+
 func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
+	body, err := readBody(w, r)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return
@@ -403,7 +435,7 @@ func (rt *Router) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 func (rt *Router) handleDelta(w http.ResponseWriter, r *http.Request) {
 	rt.metrics.requests.Add(1)
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxProxyBody))
+	body, err := readBody(w, r)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, "reading body: "+err.Error())
 		return

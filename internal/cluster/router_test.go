@@ -402,3 +402,66 @@ func TestRouterRejectsBadConfig(t *testing.T) {
 		t.Fatal("bad replica URL accepted")
 	}
 }
+
+// TestRouterBodyLength: the router reads a body with a declared length
+// into one buffer of that size and answers 400, without proxying, when
+// the body is longer or shorter than its Content-Length — on the align
+// and the delta route alike. A chunked body, with no declared length,
+// is still read in full and proxied unchanged.
+func TestRouterBodyLength(t *testing.T) {
+	echo := func(w http.ResponseWriter, r *http.Request) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		w.Write(b)
+	}
+	a := newFakeReplica(t, echo)
+	rt, ts := newTestRouter(t, RouterConfig{}, a)
+
+	payload := bytes.Repeat([]byte{1, 2, 3, 4, 5, 6, 7, 8}, 1000)
+	for _, path := range []string{"/v1/align?engine=e1", "/v1/engines/e1/delta"} {
+		for _, tc := range []struct {
+			name string
+			cl   int64
+		}{
+			{"longer", int64(len(payload)) - 8},
+			{"shorter", int64(len(payload)) + 8},
+		} {
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload))
+			req.Header.Set("Content-Type", "application/octet-stream")
+			req.ContentLength = tc.cl
+			rec := httptest.NewRecorder()
+			rt.Handler().ServeHTTP(rec, req)
+			if rec.Code != http.StatusBadRequest {
+				t.Errorf("%s: body %s than Content-Length = %d, want 400", path, tc.name, rec.Code)
+			}
+		}
+	}
+	if n := a.aligns.Load(); n != 0 {
+		t.Fatalf("replica received %d requests with mismatched bodies", n)
+	}
+
+	for _, path := range []string{"/v1/align?engine=e1", "/v1/engines/e1/delta"} {
+		// io.MultiReader hides the length, so the client sends the body
+		// chunked.
+		req, err := http.NewRequest(http.MethodPost, ts.URL+path, io.MultiReader(bytes.NewReader(payload)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/octet-stream")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !bytes.Equal(got, payload) {
+			t.Fatalf("%s: chunked body proxied as status %d with %d of %d bytes", path, resp.StatusCode, len(got), len(payload))
+		}
+	}
+}

@@ -6,13 +6,15 @@
 // once and multiplied against the whole chunk's row scales while it is
 // in register.
 //
-// A chunk left with one successfully solved attribute — a lone
-// objective, the one-attribute tail of a 17- or 33-objective batch, or
-// a chunk whose other objectives were rejected — skips the fusion and
-// runs the single-attribute kernel of Align (redistribute), because
-// the 16-lane blocks would spend sixteen times the multiply-adds and
-// accumulator traffic on it. Only chunks with two or more live
-// attributes take the fused pass and the pooled batchScratch.
+// The fused pass costs about the same whatever its live count, since
+// its blocks are always redistChunk lanes wide. A chunk with fewer than
+// fuseMinLive successfully solved attributes — a lone objective, the
+// short tail of a 17- or 33-objective batch, the small batches a busy
+// server coalesces, or a chunk whose other objectives were rejected —
+// therefore skips the fusion and runs each attribute through the
+// single-attribute kernel of Align (redistribute). Only chunks with
+// fuseMinLive or more live attributes take the fused pass and the
+// pooled batchScratch.
 //
 // The fusion is bit-identical to per-attribute Align. For every output
 // element the additions happen in exactly the order of the single-call
@@ -39,6 +41,14 @@ import (
 // multiply-adds. Wide enough to amortise the streaming, narrow enough
 // that the per-entry scale and accumulator blocks stay in L1.
 const redistChunk = 16
+
+// fuseMinLive is the fewest live attributes a chunk must carry to take
+// the fused pass. BenchmarkEngineAlignAll at 12486×1052×7 on one worker
+// puts the crossover between three and four: a lone attribute costs
+// ~1.6ms, a fused pair 4.8ms, a fused quad 5.7ms, eight 7.7ms and
+// sixteen 14.6ms, so a pair or a triple is cheaper one at a time and a
+// quad is cheaper fused.
+const fuseMinLive = 4
 
 // batchChunk bounds the normalised-objective buffers of batchGramPrep:
 // objectives run through the AᵀB product this many columns at a time.
@@ -110,16 +120,16 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 
 	// processChunk solves the chunk's weights (warm-started down the
 	// worker's chain) and redistributes the successfully solved
-	// attributes: a lone one through Align's kernel, two or more in
-	// one fused pass over the worker's batch scratch bs, taken from the
-	// pool by the worker's first fused chunk. Returns the last
-	// successful β to seed the next chunk, and bs.
+	// attributes: fewer than fuseMinLive one at a time through Align's
+	// kernel, more in one fused pass over the worker's batch scratch
+	// bs, taken from the pool by the worker's first fused chunk.
+	// Returns the last successful β to seed the next chunk, and bs.
 	processChunk := func(ci int, warm []float64, s *engineScratch, bs *batchScratch) ([]float64, *batchScratch) {
 		lo := ci * redistChunk
 		hi := min(lo+redistChunk, len(valid))
 		idxs := valid[lo:hi]
 		betas := make([][]float64, len(idxs))
-		nLive, lone := 0, 0
+		nLive := 0
 		for t, i := range idxs {
 			var beta []float64
 			var err error
@@ -134,21 +144,22 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 			}
 			betas[t] = beta
 			warm = beta
-			nLive, lone = nLive+1, t
+			nLive++
 		}
-		switch {
-		case nLive == 1:
-			i := idxs[lone]
-			res, err := e.redistribute(objectives[i], betas[lone], s)
-			results[i], errs[i] = res, err
-		case nLive > 1:
-			if bs == nil {
-				bs = e.batch.Get().(*batchScratch)
+		if nLive < fuseMinLive {
+			for t, i := range idxs {
+				if betas[t] != nil {
+					results[i], errs[i] = e.redistribute(objectives[i], betas[t], s)
+				}
 			}
-			live := e.redistributeBatch(objectives, idxs, betas, results, bs)
-			if e.opts.FallbackDM != nil {
-				e.batchFallback(objectives, live, results, errs, bs)
-			}
+			return warm, bs
+		}
+		if bs == nil {
+			bs = e.batch.Get().(*batchScratch)
+		}
+		live := e.redistributeBatch(objectives, idxs, betas, results, bs)
+		if e.opts.FallbackDM != nil {
+			e.batchFallback(objectives, live, results, errs, bs)
 		}
 		return warm, bs
 	}

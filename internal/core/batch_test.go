@@ -178,14 +178,17 @@ func TestEngineAlignAllFastPathErrors(t *testing.T) {
 }
 
 // TestEngineAlignAllChunkRouting pins how AlignAll routes its chunks: a
-// chunk with one live attribute runs Align's kernel, two or more run
-// the fused pass, and both are bit-identical to per-objective Align.
-// It covers batch sizes around the chunk width (a lone request, a
-// pair, a full chunk, a one-attribute tail after one and after two
-// full chunks), one and two workers, a chunk whose other fifteen objectives are rejected, and a
-// fallback crosswalk over degenerate rows, where the target mass must
-// equal the objective mass minus the rows nothing supports. Only
-// chunks that run the fused pass may take the pooled batch scratch.
+// chunk with fewer than fuseMinLive live attributes runs Align's kernel
+// once per attribute, more run the fused pass, and both are
+// bit-identical to per-objective Align. It covers batch sizes on both
+// sides of the crossover and around the chunk width (a lone request, a
+// pair, one below and at fuseMinLive, a full chunk, a one-attribute
+// and a fuseMinLive-1 tail after a full chunk, a one-attribute tail
+// after two), one and two workers, a chunk whose other fifteen
+// objectives are rejected, and a fallback crosswalk over degenerate
+// rows, where the target mass must equal the objective mass minus the
+// rows nothing supports. Only chunks that run the fused pass may take
+// the pooled batch scratch.
 func TestEngineAlignAllChunkRouting(t *testing.T) {
 	const ns, nt = 90, 14
 	rng := rand.New(rand.NewSource(15))
@@ -292,7 +295,7 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			for _, workers := range []int{1, 2} {
-				for _, n := range []int{1, 2, redistChunk, redistChunk + 1, 2*redistChunk + 1} {
+				for _, n := range []int{1, 2, fuseMinLive - 1, fuseMinLive, redistChunk, redistChunk + 1, redistChunk + fuseMinLive - 1, 2*redistChunk + 1} {
 					e, taken := newEngine(t, tc.opts)
 					batch, err := e.AlignAll(objectives[:n], workers)
 					if err != nil {
@@ -301,10 +304,10 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 					for a, obj := range objectives[:n] {
 						check(t, fmt.Sprintf("n=%d workers=%d objective %d", n, workers, a), e, batch[a], obj)
 					}
-					if n == 1 && taken.Load() != 0 {
-						t.Errorf("workers=%d: a lone objective took %d batch scratches", workers, taken.Load())
+					if n < fuseMinLive && taken.Load() != 0 {
+						t.Errorf("n=%d workers=%d: a chunk below fuseMinLive took %d batch scratches", n, workers, taken.Load())
 					}
-					if n > 1 && taken.Load() == 0 {
+					if n >= fuseMinLive && taken.Load() == 0 {
 						t.Errorf("n=%d workers=%d: no fused chunk took a batch scratch", n, workers)
 					}
 				}

@@ -15,8 +15,10 @@ import (
 //
 //   - lone: one objective, the request a coalescer mostly hands the
 //     engine; it takes the single-attribute kernel;
-//   - pair: two objectives, the smallest chunk that takes the fused
-//     16-lane pass;
+//   - pair, quad, eight, sixteen: 2, 4, 8 and 16 objectives in one
+//     chunk; per attribute, these against lone locate the live count
+//     below which processChunk runs attributes one at a time
+//     (fuseMinLive) instead of through the fused 16-lane pass;
 //   - align: the same objective through Align, for comparison with
 //     lone.
 func BenchmarkEngineAlignAll(b *testing.B) {
@@ -27,7 +29,7 @@ func BenchmarkEngineAlignAll(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	objectives := make([][]float64, 2)
+	objectives := make([][]float64, 16)
 	for a := range objectives {
 		obj := make([]float64, ns)
 		for i := range obj {
@@ -38,7 +40,7 @@ func BenchmarkEngineAlignAll(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		n    int
-	}{{"lone", 1}, {"pair", 2}} {
+	}{{"lone", 1}, {"pair", 2}, {"quad", 4}, {"eight", 8}, {"sixteen", 16}} {
 		b.Run(bc.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := e.AlignAll(objectives[:bc.n], 1); err != nil {

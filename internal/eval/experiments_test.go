@@ -223,7 +223,7 @@ func TestRuntimeBreakdown(t *testing.T) {
 
 func TestRuntimeStability(t *testing.T) {
 	cat := testCatalog(t, synth.UnitedStates)
-	st, err := RuntimeStability(cat, 2)
+	st, err := RuntimeStability(cat, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

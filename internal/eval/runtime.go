@@ -3,6 +3,8 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sort"
 	"strings"
 	"time"
 
@@ -15,7 +17,7 @@ type RuntimePoint struct {
 	Universe    string
 	SourceUnits int
 	TargetUnits int
-	Seconds     float64 // mean wall time of one GeoAlign run
+	Seconds     float64 // median wall time of one GeoAlign run
 	Trials      int
 }
 
@@ -60,9 +62,9 @@ func PaperRuntimeSpecs(scale float64) []RuntimeSpec {
 
 // RuntimeExperiment measures GeoAlign end-to-end wall time (weight
 // learning + disaggregation + re-aggregation) on synthetic problems at
-// each spec's unit counts, averaged over trials, with nrefs references
-// — mirroring §4.3 where data preparation is excluded and only the
-// algorithm is timed.
+// each spec's unit counts, as the median over trials individually
+// timed runs, with nrefs references — mirroring §4.3 where data
+// preparation is excluded and only the algorithm is timed.
 func RuntimeExperiment(specs []RuntimeSpec, nrefs, trials int, seed int64) (*RuntimeReport, error) {
 	if nrefs <= 0 {
 		nrefs = 7
@@ -78,18 +80,18 @@ func RuntimeExperiment(specs []RuntimeSpec, nrefs, trials int, seed int64) (*Run
 		if _, err := core.Align(p, core.Options{}); err != nil {
 			return nil, fmt.Errorf("eval: runtime warm-up for %q: %w", spec.Name, err)
 		}
-		start := time.Now()
-		for t := 0; t < trials; t++ {
-			if _, err := core.Align(p, core.Options{}); err != nil {
-				return nil, fmt.Errorf("eval: runtime trial for %q: %w", spec.Name, err)
-			}
+		med, err := medianRunSeconds(trials, func() error {
+			_, err := core.Align(p, core.Options{})
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("eval: runtime trial for %q: %w", spec.Name, err)
 		}
-		mean := time.Since(start).Seconds() / float64(trials)
 		report.Points = append(report.Points, RuntimePoint{
 			Universe:    spec.Name,
 			SourceUnits: spec.SourceUnits,
 			TargetUnits: spec.TargetUnits,
-			Seconds:     mean,
+			Seconds:     med,
 			Trials:      trials,
 		})
 	}
@@ -249,16 +251,22 @@ func (b *BatchThroughputResult) String() string {
 // matrices share their shapes; only the non-zero counts differ.
 type StabilityResult struct {
 	Universe   string
-	Seconds    map[string]float64 // dataset name -> mean wall time
+	Seconds    map[string]float64 // dataset name -> median wall time of one run
 	MaxOverMin float64
 }
 
-// RuntimeStability times one GeoAlign run per catalog dataset (each
-// using the remaining datasets as references) and reports the spread.
+// minStabilityTrials is the fewest timed runs per dataset whose median
+// RuntimeStability reports. Runs take milliseconds at test scale, so a
+// single run can land on a scheduling hiccup of a busy host; the median
+// of five ignores up to two such outliers.
+const minStabilityTrials = 5
+
+// RuntimeStability times GeoAlign runs per catalog dataset (each using
+// the remaining datasets as references) and reports the spread. Each
+// run is timed on its own and a dataset's time is the median over
+// trials runs, at least minStabilityTrials.
 func RuntimeStability(cat *synth.Catalog, trials int) (*StabilityResult, error) {
-	if trials <= 0 {
-		trials = 5
-	}
+	trials = max(trials, minStabilityTrials)
 	out := &StabilityResult{Universe: cat.Universe.Name, Seconds: make(map[string]float64)}
 	mn, mx := 0.0, 0.0
 	for _, test := range cat.Datasets {
@@ -267,25 +275,48 @@ func RuntimeStability(cat *synth.Catalog, trials int) (*StabilityResult, error) 
 		if _, err := core.Align(p, core.Options{}); err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		for t := 0; t < trials; t++ {
-			if _, err := core.Align(p, core.Options{}); err != nil {
-				return nil, err
-			}
+		med, err := medianRunSeconds(trials, func() error {
+			_, err := core.Align(p, core.Options{})
+			return err
+		})
+		if err != nil {
+			return nil, err
 		}
-		mean := time.Since(start).Seconds() / float64(trials)
-		out.Seconds[test.Name] = mean
-		if mn == 0 || mean < mn {
-			mn = mean
+		out.Seconds[test.Name] = med
+		if mn == 0 || med < mn {
+			mn = med
 		}
-		if mean > mx {
-			mx = mean
+		if med > mx {
+			mx = med
 		}
 	}
 	if mn > 0 {
 		out.MaxOverMin = mx / mn
 	}
 	return out, nil
+}
+
+// medianRunSeconds times trials calls of run one by one and returns the
+// median wall time of one call. Each run takes milliseconds at test
+// scale, so a mean over a wall-clocked loop is at the mercy of one
+// scheduling hiccup on a busy host, or of a collection of garbage left
+// by earlier work; the heap is collected before timing, and the median
+// ignores a minority of outlying runs.
+func medianRunSeconds(trials int, run func() error) (float64, error) {
+	runs := make([]float64, trials)
+	runtime.GC()
+	for t := range runs {
+		start := time.Now()
+		if err := run(); err != nil {
+			return 0, err
+		}
+		runs[t] = time.Since(start).Seconds()
+	}
+	sort.Float64s(runs)
+	if trials%2 == 0 {
+		return (runs[trials/2-1] + runs[trials/2]) / 2, nil
+	}
+	return runs[trials/2], nil
 }
 
 // Table renders the Figure 6 series with the linearity diagnostics.

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
-	"time"
 
 	"geoalign"
 	"geoalign/internal/synth"
@@ -56,10 +55,11 @@ func benchEngine(b *testing.B) *geoalign.Aligner {
 // US-scale engine. One op is one wave: every client fires a request at
 // once and the op ends when all 32 responses are in — so ns/op is the
 // wall time to serve 32 concurrent requests, valid at any -benchtime
-// (divide by 32 for per-request cost). The coalesced variant merges a
-// wave into one warm-started batch solve; uncoalesced (MaxBatch=1)
-// solves each request alone — the gap is the serving layer's reason to
-// exist.
+// (divide by 32 for per-request cost). In the coalesced variant the
+// first arrivals of a wave take the instance's free solve slots and
+// the rest, arriving while those are busy, share one warm-started
+// batch solve; uncoalesced (MaxBatch=1) solves each request alone —
+// the gap is the serving layer's reason to exist.
 func BenchmarkServeAlign(b *testing.B) {
 	const clients = 32
 	al := benchEngine(b)
@@ -118,12 +118,8 @@ func BenchmarkServeAlign(b *testing.B) {
 	b.Run("uncoalesced", func(b *testing.B) {
 		run(b, Config{MaxBatch: 1, MaxInFlight: 64})
 	})
-	// The window is a fallback here: a wave's requests land within a few
-	// milliseconds and the batch fires the moment the 32nd arrives. 8ms
-	// covers the serial arrival cost (~0.14ms parse per 240KB request on
-	// one core); the daemon default (2ms) favours latency instead.
 	b.Run("coalesced", func(b *testing.B) {
-		run(b, Config{MaxBatch: clients, MaxWait: 8 * time.Millisecond, MaxInFlight: 64})
+		run(b, Config{MaxBatch: clients, MaxInFlight: 64})
 	})
 
 	// The cached/cold pair isolates the result cache's win from socket
@@ -184,10 +180,10 @@ func BenchmarkServeAlign(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		runDirect(b, Config{MaxBatch: clients, MaxWait: 8 * time.Millisecond, MaxInFlight: 64, ResultCacheBytes: 1 << 30}, true)
+		runDirect(b, Config{MaxBatch: clients, MaxInFlight: 64, ResultCacheBytes: 1 << 30}, true)
 	})
 	b.Run("cached", func(b *testing.B) {
-		runDirect(b, Config{MaxBatch: clients, MaxWait: 8 * time.Millisecond, MaxInFlight: 64, ResultCacheBytes: 1 << 30}, false)
+		runDirect(b, Config{MaxBatch: clients, MaxInFlight: 64, ResultCacheBytes: 1 << 30}, false)
 	})
 }
 
@@ -223,10 +219,9 @@ func BenchmarkResultCacheHit(b *testing.B) {
 		b.Fatal(err)
 	}
 	entry := &cacheEntry{
-		key:        key,
-		bin:        appendBinaryResult(nil, res.Target, res.Weights),
-		json:       nil,
-		batchedStr: "1",
+		key:     key,
+		bin:     appendBinaryResult(nil, res.Target, res.Weights),
+		batched: 1,
 	}
 	entry.size = entrySize(key, entry.bin, entry.json)
 	_, f, leader := c.lookup(key)

@@ -24,10 +24,13 @@ import (
 // swaps; anything that slips past the purge is evicted lazily by the
 // LRU.
 //
-// Entries store the already-encoded binary and JSON response bodies, so
-// a hit is one shard-lock lookup plus one Write — no solve, no float
-// formatting, no allocation. Concurrent identical misses collapse into
-// one coalesced solve through a per-key singleflight table.
+// Entries store the already-encoded binary response body, so a binary
+// hit is one shard-lock lookup plus one Write — no solve, no float
+// formatting, no allocation. Binary traffic never encodes JSON; the
+// JSON body is encoded once per entry, by the first JSON response that
+// needs it, and kept beside the binary one. Concurrent identical misses
+// collapse into one coalesced solve through a per-key singleflight
+// table.
 
 // cacheShards is the shard count (power of two). Sharding keeps the
 // per-hit critical section (map lookup + LRU splice) from serialising
@@ -53,16 +56,19 @@ type resultKey struct {
 	n    int // objective length in float64s (cheap extra collision guard)
 }
 
-// cacheEntry is one cached answer with both wire encodings prepared.
-// Entries are immutable after insertion; eviction only drops the
+// cacheEntry is one cached answer. Its binary framing is immutable
+// after insertion; its JSON body is attached once, under the shard
+// lock, by the first JSON response for it. Eviction only drops the
 // cache's reference, so a concurrent writer can keep streaming an
 // evicted entry's bytes.
 type cacheEntry struct {
-	key        resultKey
-	bin        []byte // encodeBinaryResult framing
-	json       []byte // full JSON response body, trailing newline included
-	batchedStr string // pre-rendered X-Geoalign-Batch value
-	size       int64  // budget charge: len(bin)+len(json)+key+overhead
+	key     resultKey
+	bin     []byte // encodeBinaryResult framing
+	batched int    // size of the coalesced batch that solved it
+
+	// Guarded by the shard's mu.
+	json []byte // full JSON response body, trailing newline included; nil until first needed
+	size int64  // budget charge: len(bin)+len(json)+key+overhead
 
 	prev, next *cacheEntry // shard LRU list; nil-terminated both ends
 }
@@ -171,14 +177,55 @@ func (c *ResultCache) complete(key resultKey, f *cacheFlight, e *cacheEntry) {
 		c.metrics.cacheBytes.Add(e.size)
 		c.metrics.cacheEntries.Add(1)
 	}
+	c.trimLocked(sh)
+	sh.mu.Unlock()
+	close(f.done)
+}
+
+// trimLocked evicts LRU entries while the shard is over budget. The
+// caller holds sh.mu.
+func (c *ResultCache) trimLocked(sh *cacheShard) {
 	for sh.bytes > c.shardBudget && sh.tail != nil {
 		c.evictLocked(sh, sh.tail)
 		if c.metrics != nil {
 			c.metrics.cacheEvictions.Add(1)
 		}
 	}
+}
+
+// jsonBody returns e's JSON response body, encoding it on the first
+// call for the entry. The encode runs outside the shard lock; the body
+// is attached under it and, if e is still cached, charged to the
+// budget. Concurrent first calls may both encode, but only the first
+// attached body is kept and charged.
+func (c *ResultCache) jsonBody(e *cacheEntry) ([]byte, error) {
+	sh := c.shardFor(e.key)
+	sh.mu.Lock()
+	body := e.json
 	sh.mu.Unlock()
-	close(f.done)
+	if body != nil {
+		return body, nil
+	}
+	body, err := e.renderJSON()
+	if err != nil {
+		return nil, err
+	}
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e.json != nil {
+		return e.json, nil
+	}
+	e.json = body
+	if sh.entries[e.key] == e {
+		n := int64(len(body))
+		e.size += n
+		sh.bytes += n
+		if c.metrics != nil {
+			c.metrics.cacheBytes.Add(n)
+		}
+		c.trimLocked(sh)
+	}
+	return body, nil
 }
 
 // abort resolves a flight whose leader could not produce an entry

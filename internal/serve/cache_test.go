@@ -52,7 +52,7 @@ func TestDigestFormsAgree(t *testing.T) {
 // whose budget charge is 2*payload+len(name)+cacheEntryOverhead.
 func testCacheEntry(name string, gen int, h1 uint64, payload int) (resultKey, *cacheEntry) {
 	key := resultKey{name: name, gen: gen, dig: objDigest{h1: h1, h2: h1 ^ 0x9e3779b97f4a7c15}, n: payload}
-	e := &cacheEntry{key: key, bin: make([]byte, payload), json: make([]byte, payload), batchedStr: "1"}
+	e := &cacheEntry{key: key, bin: make([]byte, payload), json: make([]byte, payload), batched: 1}
 	e.size = entrySize(key, e.bin, e.json)
 	return key, e
 }
@@ -409,7 +409,6 @@ func TestResultCacheDeltaSwapGenerationExact(t *testing.T) {
 
 	s, hts := newTestServer(t, al, Config{
 		MaxBatch:         8,
-		MaxWait:          200 * time.Microsecond,
 		ResultCacheBytes: 1 << 20,
 	})
 	client := hts.Client()
@@ -566,5 +565,88 @@ func TestAlignNonFiniteObjective(t *testing.T) {
 		if s.cache.Len() != 0 || s.metrics.CacheHits() != 0 {
 			t.Fatalf("MaxBatch %d: cache holds %d entries after %d hits", maxBatch, s.cache.Len(), s.metrics.CacheHits())
 		}
+	}
+}
+
+// TestCacheJSONEncodedOncePerEntry: binary traffic never encodes JSON,
+// and the first JSON response for an entry encodes it exactly once. A
+// binary miss stores only the binary framing; a JSON hit on that entry
+// returns the bytes a cache-off server's writeJSON produces, attaches
+// them to the entry and grows the shard's byte charge by their length;
+// a second JSON hit reuses the attached bytes and charges nothing.
+func TestCacheJSONEncodedOncePerEntry(t *testing.T) {
+	al := testAligner(t, 57, 50, 10, 3)
+	s, htsOn := newTestServer(t, al, Config{MaxBatch: 1, ResultCacheBytes: 1 << 20})
+	_, htsOff := newTestServer(t, al, Config{MaxBatch: 1})
+	obj := randObjective(rand.New(rand.NewSource(23)), al.SourceUnits())
+	jsonReq := mustJSON(t, alignRequest{Engine: "test", Objective: obj})
+
+	fetch := func(url, ct string, body []byte) ([]byte, string) {
+		t.Helper()
+		resp, err := http.DefaultClient.Post(url+"/v1/align?engine=test", ct, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d: %s", resp.StatusCode, b)
+		}
+		return b, resp.Header.Get("X-Geoalign-Cache")
+	}
+	wantJSON, _ := fetch(htsOff.URL, contentTypeJSON, jsonReq)
+
+	if _, how := fetch(htsOn.URL, contentTypeBinary, appendFloats(nil, obj)); how != "" {
+		t.Fatalf("binary request tagged %q, want a fresh solve", how)
+	}
+	in, err := s.registry.AcquireInstance("test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := cacheKeyFloats("test", in.Generation(), obj)
+	in.release()
+	sh := s.cache.shardFor(key)
+	state := func() (*cacheEntry, []byte, int64) {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		e := sh.entries[key]
+		if e == nil {
+			t.Fatal("solved entry is not cached")
+		}
+		return e, e.json, sh.bytes
+	}
+	e, body, before := state()
+	if body != nil {
+		t.Fatal("a binary miss encoded a JSON body")
+	}
+
+	got, how := fetch(htsOn.URL, contentTypeJSON, jsonReq)
+	if how != "hit" || !bytes.Equal(got, wantJSON) {
+		t.Fatalf("first JSON hit (tag %q) differs from writeJSON's bytes", how)
+	}
+	e1, body1, after := state()
+	if e1 != e || !bytes.Equal(body1, wantJSON) {
+		t.Fatal("the JSON body was not attached to the cached entry")
+	}
+	if after-before != int64(len(wantJSON)) {
+		t.Fatalf("shard bytes grew by %d, want len(json) = %d", after-before, len(wantJSON))
+	}
+
+	got, how = fetch(htsOn.URL, contentTypeJSON, jsonReq)
+	if how != "hit" || !bytes.Equal(got, wantJSON) {
+		t.Fatalf("second JSON hit (tag %q) differs from writeJSON's bytes", how)
+	}
+	_, body2, again := state()
+	if &body2[0] != &body1[0] {
+		t.Fatal("the second JSON hit encoded the body again")
+	}
+	if again != after {
+		t.Fatalf("shard bytes moved from %d to %d on the second JSON hit", after, again)
+	}
+	if s.cache.Bytes() != s.metrics.CacheBytes() {
+		t.Fatalf("metrics bytes gauge %d != cache bytes %d", s.metrics.CacheBytes(), s.cache.Bytes())
 	}
 }

@@ -3,8 +3,8 @@ package serve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
-	"time"
 
 	"geoalign"
 )
@@ -13,53 +13,73 @@ import (
 // began draining. The HTTP layer maps it to 503.
 var ErrShuttingDown = errors.New("serve: shutting down")
 
-// Coalescer micro-batches concurrent single-attribute requests against
-// the same engine instance into one warm-started AlignAll call. The
-// first request on an idle instance opens a batch and arms a maxWait
-// timer; followers append to it. The batch fires when it reaches
-// maxBatch objectives (in the goroutine of the filling request) or when
-// the timer expires, whichever comes first. Batches are keyed by
-// *Instance, so a hot swap splits traffic cleanly between generations.
+// Coalescer batches concurrent single-attribute requests against the
+// same engine instance while that instance is busy. Each instance may
+// run up to slots solves at once (runtime.GOMAXPROCS(0), read once). A
+// request that finds a free slot solves at once, alone, in its own
+// goroutine through Align. A request that arrives while every slot is
+// busy joins the instance's one pending batch, and the first running
+// solve to finish claims that batch and runs it as one warm-started
+// AlignAll call. A pending batch that reaches maxBatch objectives runs
+// at once in the goroutine of the request that filled it.
+//
+// No timer is involved, so an idle server adds no wait to a request,
+// and the load sets the batch size: one at light load, growing as
+// arrivals outpace solves, which is where the fused chunk pass pays
+// (see fuseMinLive in internal/core). Batches are keyed by *Instance,
+// so a hot swap splits traffic cleanly between generations.
 //
 // Coalescing does not change results: AlignAll is bitwise identical to
-// per-call Align, with or without a fallback crosswalk. A request alone
-// in its window runs Align's own single-attribute kernel; two or more
-// share the fused batch pass.
+// per-call Align, with or without a fallback crosswalk.
 type Coalescer struct {
 	maxBatch int
-	maxWait  time.Duration
+	slots    int             // concurrent solves per instance
 	baseCtx  context.Context // solve lifetime: server-wide, not per-request
 	metrics  *Metrics
 
-	mu      sync.Mutex
-	pending map[*Instance]*microBatch
-	closed  bool
+	// beforeSolve, when set, runs in the solving goroutine just before
+	// each solve, with the instance and the number of objectives the
+	// solve carries. Tests use it to hold an instance busy; it is nil in
+	// production.
+	beforeSolve func(in *Instance, n int)
+
+	mu     sync.Mutex
+	lanes  map[*Instance]lane
+	closed bool
+}
+
+// lane is one instance's coalescing state, guarded by Coalescer.mu. An
+// instance with no solve running and nothing pending has no lane.
+type lane struct {
+	running int         // solves in progress, lone or batched
+	pending *microBatch // requests waiting for a slot; nil when none
 }
 
 type microBatch struct {
 	inst    *Instance
 	objs    [][]float64
-	timer   *time.Timer
 	done    chan struct{}
 	results []*geoalign.Result
 	err     error
 	size    int
 }
 
-func newCoalescer(maxBatch int, maxWait time.Duration, baseCtx context.Context, m *Metrics) *Coalescer {
+func newCoalescer(maxBatch int, baseCtx context.Context, m *Metrics) *Coalescer {
 	return &Coalescer{
 		maxBatch: maxBatch,
-		maxWait:  maxWait,
+		slots:    runtime.GOMAXPROCS(0),
 		baseCtx:  baseCtx,
 		metrics:  m,
-		pending:  make(map[*Instance]*microBatch),
+		lanes:    make(map[*Instance]lane),
 	}
 }
 
-// Submit joins (or opens) the micro-batch for in and blocks until the
-// batch has run or ctx is done. It returns this objective's result and
-// the size of the batch that carried it. The solve itself runs under
-// the coalescer's base context: a caller that gives up waiting
+// Submit solves objective against in, at once when the instance has a
+// free slot and otherwise in the instance's next batch, and blocks until
+// the solve has run or ctx is done. The caller holds a lease on in for
+// the duration of the call. It returns this objective's result and the
+// size of the batch that carried it. The solve itself runs under the
+// coalescer's base context: a caller that gives up waiting for a batch
 // abandons its slot, but the batch still completes for the others.
 func (c *Coalescer) Submit(ctx context.Context, in *Instance, objective []float64) (*geoalign.Result, int, error) {
 	c.mu.Lock()
@@ -67,38 +87,43 @@ func (c *Coalescer) Submit(ctx context.Context, in *Instance, objective []float6
 		c.mu.Unlock()
 		return nil, 0, ErrShuttingDown
 	}
-	b := c.pending[in]
+	ln := c.lanes[in]
+	if ln.running < c.slots {
+		ln.running++
+		c.lanes[in] = ln
+		c.mu.Unlock()
+		if c.beforeSolve != nil {
+			c.beforeSolve(in, 1)
+		}
+		res, err := in.aligner.AlignContext(c.baseCtx, objective)
+		if c.metrics != nil {
+			c.metrics.observeBatch(1)
+		}
+		c.finish(in)
+		return res, 1, err
+	}
+	b := ln.pending
 	if b == nil {
 		b = &microBatch{inst: in, done: make(chan struct{})}
 		// The batch holds its own claim on the instance so a hot swap
 		// cannot observe "drained" while the solve is still running,
 		// even if every waiter abandons.
 		in.acquire()
-		c.pending[in] = b
-		if c.maxWait > 0 {
-			b.timer = time.AfterFunc(c.maxWait, func() { c.fire(in, b) })
-		}
+		ln.pending = b
 	}
 	idx := len(b.objs)
 	b.objs = append(b.objs, objective)
 	full := len(b.objs) >= c.maxBatch
 	if full {
-		delete(c.pending, in)
-		if b.timer != nil {
-			b.timer.Stop()
-		}
+		ln.pending = nil
+		ln.running++
 	}
+	c.lanes[in] = ln
 	c.mu.Unlock()
 
-	// The goroutine that claims the batch runs it: the filler (full
-	// above, detached under the lock), the timer callback, or — with no
-	// batching window configured — whoever detaches it first.
-	claimed := full
-	if !full && c.maxWait <= 0 {
-		claimed = c.detach(in, b)
-	}
-	if claimed {
+	if full {
 		c.run(b)
+		c.finish(in)
 	}
 
 	select {
@@ -115,31 +140,51 @@ func (c *Coalescer) Submit(ctx context.Context, in *Instance, objective []float6
 	return nil, b.size, errors.New("serve: batch produced no result")
 }
 
-// fire is the timer path: claim the batch if it is still pending and
-// run it.
-func (c *Coalescer) fire(in *Instance, b *microBatch) {
-	if !c.detach(in, b) {
-		return
+// finish ends one solve on in. If a batch is pending it takes over the
+// finished solve's slot and runs on a goroutine of its own, so the
+// request whose solve just ended is answered without waiting for it.
+func (c *Coalescer) finish(in *Instance) {
+	if b := c.next(in); b != nil {
+		go c.drain(in, b)
 	}
-	c.run(b)
 }
 
-// detach removes b from the pending table if it is still the live batch
-// for in, reporting whether this caller won the claim.
-func (c *Coalescer) detach(in *Instance, b *microBatch) bool {
+// next claims in's pending batch for a slot that just came free, or
+// releases the slot when nothing is pending.
+func (c *Coalescer) next(in *Instance) *microBatch {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.pending[in] != b {
-		return false
+	ln := c.lanes[in]
+	b := ln.pending
+	if b != nil {
+		ln.pending = nil
+		c.lanes[in] = ln
+		return b
 	}
-	delete(c.pending, in)
-	return true
+	if ln.running--; ln.running > 0 {
+		c.lanes[in] = ln
+	} else {
+		delete(c.lanes, in)
+	}
+	return nil
+}
+
+// drain runs b, then every batch that gathers while it runs, until the
+// instance has nothing pending.
+func (c *Coalescer) drain(in *Instance, b *microBatch) {
+	for b != nil {
+		c.run(b)
+		b = c.next(in)
+	}
 }
 
 // run executes a claimed batch and wakes its waiters. Exactly one
 // goroutine runs any given batch.
 func (c *Coalescer) run(b *microBatch) {
 	b.size = len(b.objs)
+	if c.beforeSolve != nil {
+		c.beforeSolve(b.inst, b.size)
+	}
 	b.results, b.err = b.inst.aligner.AlignAllContext(c.baseCtx, b.objs)
 	b.inst.release()
 	if c.metrics != nil {
@@ -149,17 +194,17 @@ func (c *Coalescer) run(b *microBatch) {
 }
 
 // Shutdown stops accepting new submissions and synchronously runs every
-// batch still waiting on its timer, so all current waiters get answers.
+// batch still waiting for a slot, so all current waiters get answers.
 func (c *Coalescer) Shutdown() {
 	c.mu.Lock()
 	c.closed = true
-	leftover := make([]*microBatch, 0, len(c.pending))
-	for in, b := range c.pending {
-		if b.timer != nil {
-			b.timer.Stop()
+	var leftover []*microBatch
+	for in, ln := range c.lanes {
+		if ln.pending != nil {
+			leftover = append(leftover, ln.pending)
+			ln.pending = nil
+			c.lanes[in] = ln
 		}
-		delete(c.pending, in)
-		leftover = append(leftover, b)
 	}
 	c.mu.Unlock()
 	for _, b := range leftover {

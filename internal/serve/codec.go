@@ -111,7 +111,8 @@ func appendFloats(dst []byte, v []float64) []byte {
 // appendBinaryResult appends the binary response framing for one
 // aligned attribute to dst. This is the encode-once kernel shared by
 // the streaming writer below and the result cache, which stores the
-// framed bytes so a hit never re-encodes.
+// framed bytes: binary never encodes JSON; JSON is encoded once per
+// entry, from these bytes.
 func appendBinaryResult(dst []byte, target, weights []float64) []byte {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(target)))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(weights)))

@@ -222,7 +222,7 @@ func TestDeltaSwapGenerationExact(t *testing.T) {
 		}
 	}
 
-	_, hts := newTestServer(t, al, Config{MaxBatch: 8, MaxWait: 200 * time.Microsecond})
+	_, hts := newTestServer(t, al, Config{MaxBatch: 8})
 	client := hts.Client()
 
 	var wg sync.WaitGroup

@@ -209,10 +209,12 @@ func TestGate(t *testing.T) {
 // TestServeAlignMatchesSequential is the end-to-end bit-identity check:
 // responses served through the coalescer are byte-for-byte the numbers
 // sequential Align calls produce, for every one of a burst of
-// concurrent clients.
+// concurrent clients. Every solve is held at its start until the whole
+// burst has arrived, so the burst deterministically runs as lone
+// solves on the instance's slots plus shared batches.
 func TestServeAlignMatchesSequential(t *testing.T) {
 	al := testAligner(t, 11, 120, 15, 4)
-	s, hts := newTestServer(t, al, Config{MaxBatch: 8, MaxWait: 20 * time.Millisecond})
+	s, hts, g := newHeldServer(t, al, Config{MaxBatch: 8}, func(*Instance, int) bool { return true })
 
 	const clients = 32
 	rng := rand.New(rand.NewSource(5))
@@ -245,6 +247,10 @@ func TestServeAlignMatchesSequential(t *testing.T) {
 			fmt.Sscan(httpResp.Header.Get("X-Geoalign-Batch"), &batchSizes[i])
 		}(i)
 	}
+	waitFor(t, "every client to reach a solve or a pending batch", func() bool {
+		return int(g.started.Load())+pendingObjectives(s.coal) == clients
+	})
+	g.open()
 	wg.Wait()
 
 	for i := range got {
@@ -268,7 +274,7 @@ func TestServeAlignMatchesSequential(t *testing.T) {
 // the same bits as Align.
 func TestServeBinary(t *testing.T) {
 	al := testAligner(t, 21, 60, 9, 3)
-	_, hts := newTestServer(t, al, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	_, hts := newTestServer(t, al, Config{MaxBatch: 4})
 
 	rng := rand.New(rand.NewSource(1))
 	obj := randObjective(rng, 60)
@@ -300,22 +306,26 @@ func TestServeBinary(t *testing.T) {
 	}
 }
 
-// TestServeFullBatch pins the deterministic coalescing path: with a
-// long window and MaxBatch=N, exactly N concurrent requests fire as one
-// batch the moment the Nth arrives, and every response reports N.
+// TestServeFullBatch pins the full-batch path: with every solve slot
+// of the instance held busy and MaxBatch=N, the N requests that arrive
+// meanwhile run as one batch the moment the Nth arrives, without
+// waiting for a slot, and every response reports N.
 func TestServeFullBatch(t *testing.T) {
 	al := testAligner(t, 31, 80, 10, 3)
-	_, hts := newTestServer(t, al, Config{MaxBatch: 4, MaxWait: 5 * time.Second})
+	s, hts, g := newHeldServer(t, al, Config{MaxBatch: 4}, func(_ *Instance, n int) bool { return n == 1 })
 
-	rng := rand.New(rand.NewSource(2))
-	start := time.Now()
+	post := func(seed int64) (alignResponse, *http.Response) {
+		return postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: randObjective(rand.New(rand.NewSource(seed)), 80)})
+	}
+	held := g.fillSlots(t, s.coal, func(i int) { post(100 + int64(i)) })
+
 	var wg sync.WaitGroup
 	sizes := make([]int, 4)
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, httpResp := postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: randObjective(rand.New(rand.NewSource(int64(i))), 80)})
+			resp, httpResp := post(int64(i))
 			if httpResp.StatusCode != http.StatusOK {
 				t.Errorf("status %d", httpResp.StatusCode)
 				return
@@ -323,29 +333,26 @@ func TestServeFullBatch(t *testing.T) {
 			sizes[i] = resp.Batched
 		}(i)
 	}
-	wg.Wait()
-	if el := time.Since(start); el > 2*time.Second {
-		t.Fatalf("full batch waited for the timer (%v); it must fire when MaxBatch is reached", el)
-	}
+	wg.Wait() // returns while every slot is still held
 	for i, sz := range sizes {
 		if sz != 4 {
 			t.Errorf("request %d: batch size %d, want 4", i, sz)
 		}
 	}
-	_ = rng
+	g.open()
+	held.Wait()
 }
 
 // TestServeShed pins the load-shedding contract: with every admission
-// slot held, a new request is refused with 429 within the configured
-// queue wait, not after the batching window.
+// slot held by a request whose solve is blocked, a new request is
+// refused with 429 and Retry-After within the configured queue wait.
 func TestServeShed(t *testing.T) {
 	al := testAligner(t, 41, 80, 10, 3)
-	s, hts := newTestServer(t, al, Config{
+	s, hts, g := newHeldServer(t, al, Config{
 		MaxBatch:    32,
-		MaxWait:     300 * time.Millisecond,
 		MaxInFlight: 1,
 		QueueWait:   20 * time.Millisecond,
-	})
+	}, func(*Instance, int) bool { return true })
 
 	rng := rand.New(rand.NewSource(3))
 	obj := randObjective(rng, 80)
@@ -354,28 +361,18 @@ func TestServeShed(t *testing.T) {
 		_, resp := postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: obj})
 		first <- resp.StatusCode
 	}()
-	// Wait for the first request to hold the only slot (it sits in the
-	// coalescer for the 300ms window).
-	deadline := time.Now().Add(2 * time.Second)
-	for s.gate.depth() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first request never took the admission slot")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// The first request holds the only admission slot while its solve
+	// is blocked.
+	waitFor(t, "the first request to start solving", func() bool { return g.started.Load() == 1 })
 
-	start := time.Now()
 	_, resp := postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: obj})
-	elapsed := time.Since(start)
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	if elapsed >= 300*time.Millisecond {
-		t.Errorf("shed took %v: longer than the batching window, load shedding is not bounded by QueueWait", elapsed)
-	}
+	g.open()
 	if code := <-first; code != http.StatusOK {
 		t.Fatalf("first request status %d", code)
 	}
@@ -510,7 +507,7 @@ func TestServeStress(t *testing.T) {
 	if err := reg.Register("e", al1); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{MaxBatch: 8, MaxWait: time.Millisecond, MaxInFlight: 16, QueueWait: 100 * time.Millisecond})
+	s := NewServer(reg, Config{MaxBatch: 8, MaxInFlight: 16, QueueWait: 100 * time.Millisecond})
 	hts := httptest.NewServer(s.Handler())
 	defer hts.Close()
 

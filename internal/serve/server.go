@@ -5,15 +5,20 @@
 // The interesting piece is the coalescer. The paper's repeated-query
 // workload (many attributes crossing the same pair of unit systems)
 // arrives at a server as concurrent single-attribute requests; solving
-// them one by one forfeits exactly the batching wins the engine was
-// built for (PR 3's shared AᵀB preparation and warm-started solvers,
-// and the fused chunk redistribution). The coalescer buys those wins
-// back at the cost of a small batching window: requests for the same
-// engine instance that arrive within MaxWait of each other are merged
-// into one AlignAllContext call, which is bit-identical to per-request
-// Align (a request alone in its window runs Align's own kernel) — so
-// coalescing is invisible in the response bytes, visible only in
-// latency and throughput.
+// them one by one under load forfeits the batching wins the engine was
+// built for (the shared AᵀB preparation, warm-started solvers and the
+// fused chunk redistribution). The coalescer batches while busy: a
+// request that finds one of its engine instance's GOMAXPROCS solve
+// slots free solves at once, alone, and requests that arrive while
+// every slot is busy are merged into one AlignAllContext call that
+// runs as soon as a slot frees. No timer is involved, so an idle server
+// adds no wait, and batches grow only when arrivals outpace solves: on
+// the repository benchmark's serve-miss load the light-phase median
+// latency fell from 6.7ms under the former fixed 2ms batching window
+// to 3.5ms (2-vCPU host).
+// AlignAll is bit-identical to per-request Align, so coalescing is
+// invisible in the response bytes, visible only in latency and
+// throughput.
 package serve
 
 import (
@@ -36,14 +41,10 @@ import (
 // each field.
 type Config struct {
 	// MaxBatch caps how many requests one coalesced engine call may
-	// carry. Values <= 1 disable coalescing: each request solves alone
-	// under its own context. Default 32.
+	// carry; a batch that fills runs at once. Values <= 1 disable
+	// coalescing: each request solves alone under its own context.
+	// Default 32.
 	MaxBatch int
-	// MaxWait is the coalescing window: how long the first request on an
-	// idle engine waits for followers before its batch fires. <= 0 fires
-	// immediately (batching only what arrived concurrently). Default
-	// 2ms.
-	MaxWait time.Duration
 	// MaxInFlight bounds admitted requests; arrivals beyond it wait up
 	// to QueueWait and are then shed with 429. Default 256.
 	MaxInFlight int
@@ -55,10 +56,11 @@ type Config struct {
 	RequestTimeout time.Duration
 	// ResultCacheBytes budgets the generation-keyed align result cache:
 	// repeated (engine generation, objective) pairs are answered from
-	// already-encoded response bytes without solving, and identical
-	// concurrent misses collapse into one solve. 0 (the default)
-	// disables the cache. Hits bypass the admission gate — they cost a
-	// shard lookup and one Write, not a solve slot.
+	// stored response bytes without solving, and identical concurrent
+	// misses collapse into one solve. Binary never encodes JSON; JSON is
+	// encoded once per entry. 0 (the default) disables the cache. Hits
+	// bypass the admission gate — they cost a shard lookup and one
+	// Write, not a solve slot.
 	ResultCacheBytes int64
 	// SnapshotEvery, if positive, invokes SnapshotPersist after every
 	// SnapshotEvery deltas applied to an engine name, so a long-lived
@@ -103,9 +105,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxBatch == 0 {
 		c.MaxBatch = 32
 	}
-	if c.MaxWait == 0 {
-		c.MaxWait = 2 * time.Millisecond
-	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 256
 	}
@@ -149,7 +148,7 @@ func NewServer(reg *Registry, cfg Config) *Server {
 		cfg:      cfg,
 		registry: reg,
 		metrics:  m,
-		coal:     newCoalescer(cfg.MaxBatch, cfg.MaxWait, baseCtx, m),
+		coal:     newCoalescer(cfg.MaxBatch, baseCtx, m),
 		gate:     newGate(cfg.MaxInFlight, cfg.QueueWait),
 		mux:      http.NewServeMux(),
 		baseCtx:  baseCtx,
@@ -202,8 +201,8 @@ func (s *Server) ResultCache() *ResultCache { return s.cache }
 
 // Shutdown drains the serving layer. Call it after http.Server.Shutdown
 // has returned (so no new requests are arriving): it runs every batch
-// still waiting on its coalescing timer so current waiters get answers,
-// then cancels the base context that in-flight solves run under.
+// still waiting for a solve slot so current waiters get answers, then
+// cancels the base context that in-flight solves run under.
 func (s *Server) Shutdown() {
 	s.coal.Shutdown()
 	s.cancel()
@@ -465,14 +464,10 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 	tSolved := time.Now()
 	if flight != nil {
-		// Encode once into cacheable bytes, publish to followers and the
-		// cache, and answer from the same bytes every later hit reuses.
-		entry, err := s.newCacheEntry(key, name, res, batched)
-		if err != nil {
-			s.cache.abort(key, flight, err)
-			s.writeError(w, http.StatusInternalServerError, err.Error())
-			return
-		}
+		// Encode the binary framing once, publish it to followers and the
+		// cache, and answer from the entry every later hit reuses; a JSON
+		// answer encodes the entry's JSON body here, once.
+		entry := newCacheEntry(key, res, batched)
 		s.cache.complete(key, flight, entry)
 		s.writeCached(w, entry, binary, "")
 		s.metrics.encode.observe(time.Since(tSolved))
@@ -497,26 +492,33 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	s.metrics.ok.Add(1)
 }
 
-// newCacheEntry encodes a solved result once into both wire formats.
-func (s *Server) newCacheEntry(key resultKey, name string, res *geoalign.Result, batched int) (*cacheEntry, error) {
-	jsonBody, err := marshalJSONBody(alignResponse{
-		Engine:  name,
-		Target:  res.Target,
-		Weights: res.Weights,
-		Batched: batched,
-	})
+// newCacheEntry encodes a solved result into the binary framing the
+// cache stores; a JSON body is rendered from it only when a JSON
+// response needs one (see ResultCache.jsonBody).
+func newCacheEntry(key resultKey, res *geoalign.Result, batched int) *cacheEntry {
+	e := &cacheEntry{
+		key:     key,
+		bin:     appendBinaryResult(make([]byte, 0, 8+8*(len(res.Target)+len(res.Weights))), res.Target, res.Weights),
+		batched: batched,
+	}
+	e.size = entrySize(key, e.bin, nil)
+	return e
+}
+
+// renderJSON renders the entry's JSON response body from its binary
+// framing, byte-identical to what writeJSON puts on the wire for the
+// same result: the floats round-trip the framing bit for bit.
+func (e *cacheEntry) renderJSON() ([]byte, error) {
+	target, weights, err := decodeBinaryResult(e.bin)
 	if err != nil {
 		return nil, err
 	}
-	bin := appendBinaryResult(make([]byte, 0, 8+8*(len(res.Target)+len(res.Weights))), res.Target, res.Weights)
-	e := &cacheEntry{
-		key:        key,
-		bin:        bin,
-		json:       jsonBody,
-		batchedStr: strconv.Itoa(batched),
-	}
-	e.size = entrySize(key, e.bin, e.json)
-	return e, nil
+	return marshalJSONBody(alignResponse{
+		Engine:  e.key.name,
+		Target:  target,
+		Weights: weights,
+		Batched: e.batched,
+	})
 }
 
 // writeCached answers a request from an entry's stored bytes. how tags
@@ -524,17 +526,22 @@ func (s *Server) newCacheEntry(key resultKey, name string, res *geoalign.Result,
 // own freshly solved response). The body bytes are identical to what
 // the uncached encode path would produce.
 func (s *Server) writeCached(w http.ResponseWriter, e *cacheEntry, binary bool, how string) {
+	body := e.bin
+	ct := contentTypeBinary
+	if !binary {
+		var err error
+		if body, err = s.cache.jsonBody(e); err != nil {
+			s.writeError(w, http.StatusInternalServerError, err.Error())
+			return
+		}
+		ct = contentTypeJSON
+	}
 	if how != "" {
 		w.Header().Set("X-Geoalign-Cache", how)
 	}
-	w.Header().Set("X-Geoalign-Batch", e.batchedStr)
-	if binary {
-		w.Header().Set("Content-Type", contentTypeBinary)
-		w.Write(e.bin)
-	} else {
-		w.Header().Set("Content-Type", contentTypeJSON)
-		w.Write(e.json)
-	}
+	w.Header().Set("X-Geoalign-Batch", strconv.Itoa(e.batched))
+	w.Header().Set("Content-Type", ct)
+	w.Write(body)
 	s.metrics.ok.Add(1)
 }
 

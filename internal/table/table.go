@@ -10,6 +10,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 
@@ -121,7 +122,22 @@ func (a *Aggregate) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
+// parseValue parses one CSV value cell. Aggregates and crosswalk
+// entries count a non-negative measure, so NaN, ±Inf and negative
+// values are rejected along with unparsable ones, naming the line.
+func parseValue(line int, cell string) (float64, error) {
+	v, err := strconv.ParseFloat(cell, 64)
+	if err != nil {
+		return 0, fmt.Errorf("table: line %d: bad value %q: %w", line, cell, err)
+	}
+	if !(v >= 0) || math.IsInf(v, 1) {
+		return 0, fmt.Errorf("table: line %d: value %q is not a finite non-negative number", line, cell)
+	}
+	return v, nil
+}
+
 // ReadAggregateCSV parses a two-column CSV with header [unit, <name>].
+// Values must be finite and non-negative.
 func ReadAggregateCSV(r io.Reader) (*Aggregate, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 2
@@ -140,9 +156,9 @@ func ReadAggregateCSV(r io.Reader) (*Aggregate, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table: line %d: %w", line, err)
 		}
-		v, err := strconv.ParseFloat(rec[1], 64)
+		v, err := parseValue(line, rec[1])
 		if err != nil {
-			return nil, fmt.Errorf("table: line %d: bad value %q: %w", line, rec[1], err)
+			return nil, err
 		}
 		keys = append(keys, rec[0])
 		values = append(values, v)
@@ -287,7 +303,7 @@ func (c *Crosswalk) WriteCSV(w io.Writer) error {
 }
 
 // ReadCrosswalkCSV parses a three-column CSV with header
-// [source, target, <name>].
+// [source, target, <name>]. Values must be finite and non-negative.
 func ReadCrosswalkCSV(r io.Reader) (*Crosswalk, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = 3
@@ -305,9 +321,9 @@ func ReadCrosswalkCSV(r io.Reader) (*Crosswalk, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table: line %d: %w", line, err)
 		}
-		v, err := strconv.ParseFloat(rec[2], 64)
+		v, err := parseValue(line, rec[2])
 		if err != nil {
-			return nil, fmt.Errorf("table: line %d: bad value %q: %w", line, rec[2], err)
+			return nil, err
 		}
 		triplets = append(triplets, Triplet{Source: rec[0], Target: rec[1], Value: v})
 	}

@@ -249,3 +249,39 @@ func TestCheckConsistency(t *testing.T) {
 		t.Errorf("missing table unit not flagged: %+v", bad2)
 	}
 }
+
+// TestReadAggregateCSVRejectsNonFinite: NaN, ±Inf and negative values
+// are refused, and the error names the offending line.
+func TestReadAggregateCSVRejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "-1", "-0.5"} {
+		src := "unit,x\na,1\nb," + bad + "\n"
+		_, err := ReadAggregateCSV(strings.NewReader(src))
+		if err == nil {
+			t.Fatalf("value %q accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("value %q: error %q does not name line 3", bad, err)
+		}
+	}
+	if _, err := ReadAggregateCSV(strings.NewReader("unit,x\na,0\nb,-0\nc,2.5\n")); err != nil {
+		t.Fatalf("finite non-negative values rejected: %v", err)
+	}
+}
+
+// TestReadCrosswalkCSVRejectsNonFinite mirrors the aggregate test for
+// crosswalk relationship files.
+func TestReadCrosswalkCSVRejectsNonFinite(t *testing.T) {
+	for _, bad := range []string{"NaN", "nan", "Inf", "+Inf", "-Inf", "-1", "-0.5"} {
+		src := "source,target,x\na,b,1\nc,d," + bad + "\n"
+		_, err := ReadCrosswalkCSV(strings.NewReader(src))
+		if err == nil {
+			t.Fatalf("value %q accepted", bad)
+		}
+		if !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("value %q: error %q does not name line 3", bad, err)
+		}
+	}
+	if _, err := ReadCrosswalkCSV(strings.NewReader("source,target,x\na,b,0\nc,d,1e300\n")); err != nil {
+		t.Fatalf("finite non-negative values rejected: %v", err)
+	}
+}
