@@ -50,10 +50,10 @@ func engineOptions(opts *AlignerOptions) (core.Options, int) {
 // normal equations of the Eq. 15 design matrix), so each Align call
 // runs only the per-attribute work: one O(ns·k) reduction c = Aᵀb, a
 // weight-learning solve entirely in k-dimensional space, and the
-// redistribution (Eq. 14/17) in one transpose-form pass over the
-// crosswalks. AlignAll additionally batches the reductions into one
-// blocked AᵀB product and warm-starts each solver from the previous
-// attribute's weights.
+// redistribution (Eq. 14/17) in one pass over the target-major
+// crosswalks. AlignAll runs exactly that per attribute across a worker
+// pool, warm-starting each solver from the previous attribute's
+// weights.
 //
 // An Aligner is immutable after construction and safe for concurrent
 // use from multiple goroutines. It snapshots the reference crosswalks
@@ -155,9 +155,9 @@ func (a *Aligner) AlignAll(objectives [][]float64) ([]*Result, error) {
 }
 
 // AlignAllContext is AlignAll with cancellation. The context is checked
-// between worker chunks; once it is cancelled no further chunk starts
-// and the call returns ctx.Err() with no results, since a partially
-// aligned batch is not meaningful.
+// before each attribute; once it is cancelled no further attribute
+// starts and the call returns ctx.Err() with no results, since a
+// partially aligned batch is not meaningful.
 func (a *Aligner) AlignAllContext(ctx context.Context, objectives [][]float64) ([]*Result, error) {
 	coreResults, err := a.engine.AlignAllContext(ctx, objectives, a.workers)
 	results := make([]*Result, len(coreResults))

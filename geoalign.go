@@ -37,8 +37,8 @@
 // per-attribute Align calls would, in input order. Weight learning on
 // an Aligner runs through cached normal equations of the fixed design
 // matrix — per attribute only an O(sourceUnits·references) reduction
-// plus a solve in reference-count dimensions, batched and warm-started
-// across the attributes of an AlignAll call.
+// plus a solve in reference-count dimensions, warm-started across the
+// attributes of an AlignAll call.
 //
 // Aggregate interpolation is dimension-independent: the same call
 // realigns 1-D histograms, 2-D map layers, or n-D space–time grids —

@@ -5,20 +5,18 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"geoalign/internal/sparse"
 )
 
-// TestEngineBatchBitIdentical pins the serving contract: without a
-// retained DM or fallback the fused batch redistribution must be
-// bitwise identical to per-call Align — including partial tail chunks,
-// multiple workers, and chunk counts around the redistChunk boundary.
+// TestEngineBatchBitIdentical pins the serving contract: AlignAll must
+// be bitwise identical to per-call Align, for one and several workers
+// and batch sizes on both sides of sixteen.
 func TestEngineBatchBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	for _, n := range []int{1, redistChunk - 1, redistChunk, redistChunk + 1, 3*redistChunk + 5} {
+	for _, n := range []int{1, 15, 16, 17, 53} {
 		for _, workers := range []int{1, 3} {
 			p := engineProblem(rng, 60, 13, 5)
 			e, err := NewEngine(p.References, Options{})
@@ -88,7 +86,7 @@ func TestEngineAlignAllContextCancelled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objectives := make([][]float64, 6*redistChunk)
+	objectives := make([][]float64, 96)
 	for a := range objectives {
 		obj := make([]float64, 200)
 		for i := range obj {
@@ -135,9 +133,9 @@ func TestEngineAlignAllContextCancelled(t *testing.T) {
 	}
 }
 
-// TestEngineAlignAllFastPathErrors mirrors TestEngineAlignAllError on
-// the fused path with a tail chunk: invalid objectives are reported in
-// input order while valid ones still align.
+// TestEngineAlignAllFastPathErrors mirrors TestEngineAlignAllError on a
+// batch of nineteen over two workers: invalid objectives are reported
+// in input order while valid ones still align.
 func TestEngineAlignAllFastPathErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	p := engineProblem(rng, 30, 8, 3)
@@ -145,12 +143,12 @@ func TestEngineAlignAllFastPathErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	objectives := make([][]float64, redistChunk+3)
+	objectives := make([][]float64, 19)
 	for a := range objectives {
 		objectives[a] = p.Objective
 	}
 	objectives[2] = make([]float64, 5) // wrong length
-	objectives[redistChunk+1] = nil    // empty
+	objectives[17] = nil               // empty
 
 	results, err := e.AlignAll(objectives, 2)
 	if err == nil {
@@ -164,7 +162,7 @@ func TestEngineAlignAllFastPathErrors(t *testing.T) {
 		t.Fatal(err2)
 	}
 	for a, r := range results {
-		if a == 2 || a == redistChunk+1 {
+		if a == 2 || a == 17 {
 			if r != nil {
 				t.Errorf("invalid objective %d produced a result", a)
 			}
@@ -177,19 +175,14 @@ func TestEngineAlignAllFastPathErrors(t *testing.T) {
 	}
 }
 
-// TestEngineAlignAllChunkRouting pins how AlignAll routes its chunks: a
-// chunk with fewer than fuseMinLive live attributes runs Align's kernel
-// once per attribute, more run the fused pass, and both are
-// bit-identical to per-objective Align. It covers batch sizes on both
-// sides of the crossover and around the chunk width (a lone request, a
-// pair, one below and at fuseMinLive, a full chunk, a one-attribute
-// and a fuseMinLive-1 tail after a full chunk, a one-attribute tail
-// after two), one and two workers, a chunk whose other fifteen
-// objectives are rejected, and a fallback crosswalk over degenerate
-// rows, where the target mass must equal the objective mass minus the
-// rows nothing supports. Only chunks that run the fused pass may take
-// the pooled batch scratch.
-func TestEngineAlignAllChunkRouting(t *testing.T) {
+// TestEngineAlignAllPerObjective pins AlignAll against per-objective
+// Align: every result must be bit-identical, and with a fallback
+// crosswalk over degenerate rows the target mass must equal the
+// objective mass minus the rows nothing supports. It covers batch sizes
+// from a lone request to two workers' worth of uneven chains (1, 2, 3,
+// 4, 15, 16, 17 and 33 objectives), one and two workers, and a batch
+// of sixteen whose other fifteen objectives are rejected.
+func TestEngineAlignAllPerObjective(t *testing.T) {
 	const ns, nt = 90, 14
 	rng := rand.New(rand.NewSource(15))
 	p := engineProblem(rng, ns, nt, 4)
@@ -217,7 +210,7 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 	fb := fbCOO.ToCSR()
 	fbSums := fb.RowSums()
 
-	objectives := make([][]float64, 3*redistChunk+1)
+	objectives := make([][]float64, 33)
 	for a := range objectives {
 		obj := make([]float64, ns)
 		for i := range obj {
@@ -225,9 +218,9 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 		}
 		objectives[a] = obj
 	}
-	// A full chunk with one live attribute: the rest are rejected.
+	// Sixteen objectives with one live: the rest are rejected.
 	const loneAt = 7
-	rejected := make([][]float64, redistChunk)
+	rejected := make([][]float64, 16)
 	for a := range rejected {
 		switch {
 		case a == loneAt:
@@ -241,20 +234,6 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 		}
 	}
 
-	// newEngine builds a fresh engine (so its batch pool starts empty)
-	// that counts the batch scratches it allocates.
-	newEngine := func(t *testing.T, opts Options) (*Engine, *atomic.Int64) {
-		e, err := NewEngine(p.References, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		taken := new(atomic.Int64)
-		e.batch.New = func() any {
-			taken.Add(1)
-			return newBatchScratch(e)
-		}
-		return e, taken
-	}
 	check := func(t *testing.T, tag string, e *Engine, got *Result, obj []float64) {
 		t.Helper()
 		want, err := e.Align(obj)
@@ -294,9 +273,12 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 		{"fallback", Options{FallbackDM: fb}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			e, err := NewEngine(p.References, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
 			for _, workers := range []int{1, 2} {
-				for _, n := range []int{1, 2, fuseMinLive - 1, fuseMinLive, redistChunk, redistChunk + 1, redistChunk + fuseMinLive - 1, 2*redistChunk + 1} {
-					e, taken := newEngine(t, tc.opts)
+				for _, n := range []int{1, 2, 3, 4, 15, 16, 17, 33} {
 					batch, err := e.AlignAll(objectives[:n], workers)
 					if err != nil {
 						t.Fatal(err)
@@ -304,28 +286,18 @@ func TestEngineAlignAllChunkRouting(t *testing.T) {
 					for a, obj := range objectives[:n] {
 						check(t, fmt.Sprintf("n=%d workers=%d objective %d", n, workers, a), e, batch[a], obj)
 					}
-					if n < fuseMinLive && taken.Load() != 0 {
-						t.Errorf("n=%d workers=%d: a chunk below fuseMinLive took %d batch scratches", n, workers, taken.Load())
-					}
-					if n >= fuseMinLive && taken.Load() == 0 {
-						t.Errorf("n=%d workers=%d: no fused chunk took a batch scratch", n, workers)
-					}
 				}
 
-				e, taken := newEngine(t, tc.opts)
 				results, err := e.AlignAll(rejected, workers)
 				if err == nil || !contains(err.Error(), "objective 0") {
-					t.Fatalf("workers=%d: rejected chunk err = %v, want objective 0", workers, err)
+					t.Fatalf("workers=%d: rejected batch err = %v, want objective 0", workers, err)
 				}
 				for a, r := range results {
 					if a != loneAt && r != nil {
 						t.Errorf("workers=%d: rejected objective %d produced a result", workers, a)
 					}
 				}
-				check(t, fmt.Sprintf("rejected chunk workers=%d", workers), e, results[loneAt], rejected[loneAt])
-				if taken.Load() != 0 {
-					t.Errorf("workers=%d: a chunk with one live attribute took %d batch scratches", workers, taken.Load())
-				}
+				check(t, fmt.Sprintf("rejected batch workers=%d", workers), e, results[loneAt], rejected[loneAt])
 			}
 		})
 	}

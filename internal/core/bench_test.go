@@ -11,14 +11,15 @@ import (
 // BenchmarkEngineAlignAll times AlignAll on a warm engine at the size
 // of the paper's "Eastern Time Zone States" universe (12486 sources,
 // 1052 targets, 7 references), the engine the serving benchmark
-// serves, without the HTTP stack:
+// serves, without the HTTP stack, on one worker:
 //
 //   - lone: one objective, the request a coalescer mostly hands the
-//     engine; it takes the single-attribute kernel;
+//     engine;
 //   - pair, quad, eight, sixteen: 2, 4, 8 and 16 objectives in one
-//     chunk; per attribute, these against lone locate the live count
-//     below which processChunk runs attributes one at a time
-//     (fuseMinLive) instead of through the fused 16-lane pass;
+//     call; per attribute, these against lone show what a coalesced
+//     batch saves (AlignAll runs Align's solve and redistribution per
+//     objective, so only the warm-started solver chain and the call's
+//     fixed cost are shared);
 //   - align: the same objective through Align, for comparison with
 //     lone.
 func BenchmarkEngineAlignAll(b *testing.B) {

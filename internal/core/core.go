@@ -11,8 +11,8 @@
 // aggregate, except for rows where every reference is zero, which the
 // paper defines to be zero (Eq. 14, second case).
 //
-// GeoAlign fuses the two steps: an Engine accumulates the re-aggregated
-// target in transpose form and never builds the estimated matrix.
+// GeoAlign fuses the two steps: an Engine sums the re-aggregated target
+// from target-major crosswalks and never builds the estimated matrix.
 // EstimatedDM builds it on demand from the learned weights for callers
 // that want the crosswalk itself.
 package core
@@ -62,6 +62,10 @@ var (
 	// the max-normalisation of Eq. 15 would turn it into a silent
 	// wrong answer.
 	ErrNonFiniteObjective = errors.New("core: objective is not finite")
+	// ErrBadReference rejects a reference NewEngine cannot trust: a
+	// malformed crosswalk CSR, or a crosswalk or Source value that is
+	// NaN, ±Inf or negative.
+	ErrBadReference = errors.New("core: bad reference")
 )
 
 // Options tunes GeoAlign behaviour. The zero value reproduces the

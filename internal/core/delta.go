@@ -23,12 +23,12 @@ import (
 // Three maintenance tiers, in increasing cost:
 //
 //   - value-only crosswalk patches (the row's column set is unchanged)
-//     share the reference's row pointers and column indices and
+//     share the reference's target pointers and source-row indices and
 //     replace only its value array;
 //   - structural patches (columns added or removed, rows deleted)
-//     rebuild the patched reference's arrays with unaffected row spans
-//     block-copied, and adjust a counted PatternNNZ by re-counting only
-//     the affected rows;
+//     rebuild the patched reference's target-major arrays in one merge
+//     pass, and adjust a counted PatternNNZ by re-checking only the
+//     entries the patched rows held or now hold;
 //   - a revision that moves a design column's max-normaliser rescales
 //     the whole column, so that column's Gram row/column is recomputed
 //     by exact dot products and the Cholesky factor refactorised —
@@ -186,7 +186,11 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 	}
 
 	// 1. Patch reference crosswalks and the Eq. 14 row-sum normalisers.
-	structRows := make(map[int]bool)
+	// touched collects the (row, target) entries structural patches
+	// removed or added, the only places the union pattern can change.
+	var touched [][2]int
+	counts := e.rowCounts()
+	ne.rowNNZ = append([][]int32(nil), counts...)
 	ne.rowSums = make([][]float64, k)
 	ne.maxRow = append([]float64(nil), e.maxRow...)
 	for r := 0; r < k; r++ {
@@ -202,12 +206,15 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 			}
 			continue
 		}
-		dm, structural := spliceCSR(e.refs[r].DM, patches, deep)
+		dm, moved := patchTargetMajor(e.refs[r].DM, counts[r], patches, deep)
 		ne.refs[r].DM = dm
-		if structural {
+		touched = append(touched, moved...)
+		if moved != nil {
+			n := append([]int32(nil), counts[r]...)
 			for _, p := range patches {
-				structRows[p.Row] = true
+				n[p.Row] = int32(len(p.Cols))
 			}
+			ne.rowNNZ[r] = n
 		}
 		if deep && e.refs[r].Source != nil {
 			ne.refs[r].Source = append([]float64(nil), e.refs[r].Source...)
@@ -281,15 +288,22 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 	e.applyColumnPlans(ne, plans, deep)
 
 	// 4. Hand on the union-pattern count if the parent has taken it (0
-	// means not yet counted): only rows whose column sets changed can
-	// move it.
+	// means not yet counted): only entries structural patches touched
+	// can move it.
 	nnz := e.patNNZ.Load()
-	if nnz > 0 && len(structRows) > 0 {
-		mark := make([]int, e.nt)
-		stamp := 0
-		for i := range structRows {
-			stamp += 2
-			nnz += int64(unionRowNNZ(ne.refs, i, mark, stamp) - unionRowNNZ(e.refs, i, mark, stamp-1))
+	if nnz > 0 && len(touched) > 0 {
+		seen := make(map[[2]int]bool, len(touched))
+		for _, rc := range touched {
+			if seen[rc] {
+				continue
+			}
+			seen[rc] = true
+			if inPattern(ne.refs, rc[1], rc[0]) {
+				nnz++
+			}
+			if inPattern(e.refs, rc[1], rc[0]) {
+				nnz--
+			}
 		}
 	}
 	ne.patNNZ.Store(nnz)
@@ -385,61 +399,183 @@ func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
 	ne.weightMat, ne.gram = wm, gs
 }
 
-// spliceCSR applies one reference's row patches, returning the patched
-// crosswalk and whether any patch was structural (changed a row's
-// column set). Value-only patch sets share IndPtr/ColIdx with the old
-// matrix (copied when deep) and replace only the value array;
-// structural sets rebuild all three arrays with unaffected row spans
-// block-copied.
-func spliceCSR(old *sparse.CSR, patches []RowPatch, deep bool) (*sparse.CSR, bool) {
-	structural := false
-	for _, p := range patches {
-		cols, _ := old.Row(p.Row)
-		if !intsEqual(cols, p.Cols) {
-			structural = true
-			break
+// rowCounts returns each reference's stored entries per source row,
+// counting them on first use unless ApplyDelta handed them on.
+func (e *Engine) rowCounts() [][]int32 {
+	e.rowNNZOnce.Do(func() {
+		if e.rowNNZ != nil {
+			return
 		}
-	}
-	if !structural {
-		val := append([]float64(nil), old.Val...)
-		for _, p := range patches {
-			copy(val[old.IndPtr[p.Row]:], p.Vals)
+		counts := make([][]int32, len(e.refs))
+		for k, r := range e.refs {
+			n := make([]int32, e.ns)
+			for _, i := range r.DM.ColIdx {
+				n[i]++
+			}
+			counts[k] = n
 		}
-		indptr, colIdx := old.IndPtr, old.ColIdx
+		e.rowNNZ = counts
+	})
+	return e.rowNNZ
+}
+
+// patchTargetMajor applies one reference's row patches to its
+// target-major crosswalk xt (nt × ns), whose stored entries per source
+// row are rowNNZ. It returns the patched crosswalk and, when some patch
+// was structural (changed its row's target set), the (row, target)
+// entries the patched rows held before or hold now; nil when every
+// patch was value-only.
+//
+// A patch is value-only when its row stores as many entries as the
+// patch lists and every listed target unit holds the row, found by
+// binary search in that unit's ascending source rows. A value-only set
+// shares IndPtr/ColIdx with xt (copied when deep) and writes the new
+// values into a copy of Val at the entries' places. A structural set
+// finds the patched rows' old entries in one pass over the source-row
+// indices (a range check against the patched rows keeps it a compare
+// per entry) and rebuilds all three arrays in one merge of the kept
+// entries with the patched rows' new ones, in O(nnz + nt),
+// block-copying every target unit no patch touched.
+func patchTargetMajor(xt *sparse.CSR, rowNNZ []int32, patches []RowPatch, deep bool) (*sparse.CSR, [][2]int) {
+	nt := xt.Rows
+	if at := valueOnlyPlaces(xt, rowNNZ, patches); at != nil {
+		val := append([]float64(nil), xt.Val...)
+		for t, p := range patches {
+			for q, j := range at[t] {
+				val[j] = p.Vals[q]
+			}
+		}
+		indptr, rowIdx := xt.IndPtr, xt.ColIdx
 		if deep {
 			indptr = append([]int(nil), indptr...)
-			colIdx = append([]int(nil), colIdx...)
+			rowIdx = append([]int(nil), rowIdx...)
 		}
-		return &sparse.CSR{Rows: old.Rows, Cols: old.Cols, IndPtr: indptr, ColIdx: colIdx, Val: val}, false
+		return &sparse.CSR{Rows: nt, Cols: xt.Cols, IndPtr: indptr, ColIdx: rowIdx, Val: val}, nil
 	}
 
 	sorted := append([]RowPatch(nil), patches...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Row < sorted[j].Row })
-	nnz := old.NNZ()
-	for _, p := range sorted {
-		nnz += len(p.Cols) - (old.IndPtr[p.Row+1] - old.IndPtr[p.Row])
+	prows := make([]int, len(sorted))
+	for t, p := range sorted {
+		prows[t] = p.Row
 	}
-	indptr := make([]int, old.Rows+1)
-	colIdx := make([]int, nnz)
-	val := make([]float64, nnz)
-	pos, pi := 0, 0
-	for i := 0; i < old.Rows; i++ {
-		indptr[i] = pos
-		if pi < len(sorted) && sorted[pi].Row == i {
-			p := sorted[pi]
-			pi++
-			copy(colIdx[pos:], p.Cols)
-			copy(val[pos:], p.Vals)
-			pos += len(p.Cols)
+	minRow, maxRow := prows[0], prows[len(prows)-1]
+	// patchOf returns the index into sorted of the patch for source row
+	// i, or -1.
+	patchOf := func(i int) int {
+		if i < minRow || i > maxRow {
+			return -1
+		}
+		if t := sort.SearchInts(prows, i); prows[t] == i {
+			return t
+		}
+		return -1
+	}
+
+	old := make([][]int, len(sorted)) // previous target units per patch
+	span := uint(maxRow - minRow)
+	for j, i := range xt.ColIdx {
+		if uint(i-minRow) > span {
 			continue
 		}
-		lo, hi := old.IndPtr[i], old.IndPtr[i+1]
-		copy(colIdx[pos:], old.ColIdx[lo:hi])
-		copy(val[pos:], old.Val[lo:hi])
-		pos += hi - lo
+		if t := patchOf(i); t >= 0 {
+			old[t] = append(old[t], sort.SearchInts(xt.IndPtr, j+1)-1)
+		}
 	}
-	indptr[old.Rows] = pos
-	return &sparse.CSR{Rows: old.Rows, Cols: old.Cols, IndPtr: indptr, ColIdx: colIdx, Val: val}, true
+	var touched [][2]int
+	for t, p := range sorted {
+		for _, c := range old[t] {
+			touched = append(touched, [2]int{p.Row, c})
+		}
+		for _, c := range p.Cols {
+			touched = append(touched, [2]int{p.Row, c})
+		}
+	}
+
+	// The patched rows' new entries, grouped by target unit with rows
+	// ascending (a counting sort over the patches in row order), and the
+	// target units that lose an entry.
+	addPtr := make([]int, nt+1)
+	for _, p := range sorted {
+		for _, c := range p.Cols {
+			addPtr[c+1]++
+		}
+	}
+	for c := 0; c < nt; c++ {
+		addPtr[c+1] += addPtr[c]
+	}
+	addRow := make([]int, addPtr[nt])
+	addVal := make([]float64, addPtr[nt])
+	fill := append([]int(nil), addPtr[:nt]...)
+	for _, p := range sorted {
+		for q, c := range p.Cols {
+			addRow[fill[c]], addVal[fill[c]] = p.Row, p.Vals[q]
+			fill[c]++
+		}
+	}
+	nnz := xt.NNZ() + addPtr[nt]
+	loses := make([]bool, nt)
+	for _, cols := range old {
+		nnz -= len(cols)
+		for _, c := range cols {
+			loses[c] = true
+		}
+	}
+
+	indptr := make([]int, nt+1)
+	rowIdx := make([]int, nnz)
+	val := make([]float64, nnz)
+	pos := 0
+	for c := 0; c < nt; c++ {
+		indptr[c] = pos
+		lo, hi := xt.IndPtr[c], xt.IndPtr[c+1]
+		a, aEnd := addPtr[c], addPtr[c+1]
+		if a == aEnd && !loses[c] {
+			pos += copy(rowIdx[pos:], xt.ColIdx[lo:hi])
+			copy(val[pos-(hi-lo):], xt.Val[lo:hi])
+			continue
+		}
+		for j := lo; j < hi; j++ {
+			i := xt.ColIdx[j]
+			if patchOf(i) >= 0 {
+				continue
+			}
+			for ; a < aEnd && addRow[a] < i; a++ {
+				rowIdx[pos], val[pos] = addRow[a], addVal[a]
+				pos++
+			}
+			rowIdx[pos], val[pos] = i, xt.Val[j]
+			pos++
+		}
+		for ; a < aEnd; a++ {
+			rowIdx[pos], val[pos] = addRow[a], addVal[a]
+			pos++
+		}
+	}
+	indptr[nt] = pos
+	return &sparse.CSR{Rows: nt, Cols: xt.Cols, IndPtr: indptr, ColIdx: rowIdx, Val: val}, touched
+}
+
+// valueOnlyPlaces returns, per patch, the positions in xt of the
+// entries a value-only patch set overwrites, or nil when some patch
+// changes its row's target set.
+func valueOnlyPlaces(xt *sparse.CSR, rowNNZ []int32, patches []RowPatch) [][]int {
+	at := make([][]int, len(patches))
+	for t, p := range patches {
+		if int(rowNNZ[p.Row]) != len(p.Cols) {
+			return nil
+		}
+		at[t] = make([]int, len(p.Cols))
+		for q, c := range p.Cols {
+			lo, hi := xt.IndPtr[c], xt.IndPtr[c+1]
+			k := lo + sort.SearchInts(xt.ColIdx[lo:hi], p.Row)
+			if k == hi || xt.ColIdx[k] != p.Row {
+				return nil
+			}
+			at[t][q] = k
+		}
+	}
+	return at
 }
 
 // maxOf mirrors maxNormalise's normaliser: the maximum entry (the

@@ -553,3 +553,68 @@ func TestNormSrcExtractionRace(t *testing.T) {
 	}
 	wg2.Wait()
 }
+
+// TestPatternNNZAfterDeltas: the union-pattern count a counted parent
+// hands on through value-only and structural deltas equals a fresh
+// count of the derived engine's crosswalks, including patches that move
+// the same source row in two references at once, delete rows, and add
+// or drop entries other references still hold.
+func TestPatternNNZAfterDeltas(t *testing.T) {
+	rng := rand.New(rand.NewSource(404))
+	const ns, nt, k = 40, 9, 3
+	refs := randDeltaRefs(rng, ns, nt, k)
+	row := func(r, i int) ([]int, []float64) {
+		cols, vals := refs[r].DM.Row(i)
+		return append([]int(nil), cols...), append([]float64(nil), vals...)
+	}
+	c0, v0 := row(0, 5)
+	for q := range v0 {
+		v0[q] *= 2
+	}
+	deltas := map[string]Delta{
+		"value-only": {RowPatches: []RowPatch{{Ref: 0, Row: 5, Cols: c0, Vals: v0}}},
+		"structural, one row in two references": {RowPatches: []RowPatch{
+			{Ref: 0, Row: 7, Cols: []int{0, 3, 8}, Vals: []float64{1, 2, 3}},
+			{Ref: 2, Row: 7, Cols: []int{3}, Vals: []float64{4}},
+		}},
+		"deletes": {RowPatches: []RowPatch{
+			{Ref: 1, Row: 0, Delete: true},
+			{Ref: 1, Row: ns - 1, Delete: true},
+			{Ref: 2, Row: 12, Delete: true},
+		}},
+		"mixed": {RowPatches: []RowPatch{
+			{Ref: 0, Row: 5, Cols: c0, Vals: v0},
+			{Ref: 1, Row: 20, Cols: []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, Vals: []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}},
+			{Ref: 2, Row: 21},
+		}},
+	}
+	for name, d := range deltas {
+		t.Run(name, func(t *testing.T) {
+			parent, err := NewEngine(refs, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			parent.PatternNNZ()
+			child, err := parent.ApplyDelta(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if child.patNNZ.Load() == 0 {
+				t.Fatal("counted parent did not hand its pattern count on")
+			}
+			fresh, err := NewEngine(applyToRefs(refs, d), Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := child.PatternNNZ(), fresh.PatternNNZ(); got != want {
+				t.Fatalf("PatternNNZ after delta = %d, fresh count %d", got, want)
+			}
+			// The child's own recount agrees with what it was handed.
+			handed := child.PatternNNZ()
+			child.patNNZ.Store(0)
+			if got := child.PatternNNZ(); got != handed {
+				t.Fatalf("recount %d, handed on %d", got, handed)
+			}
+		})
+	}
+}

@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"geoalign/internal/linalg"
 	"geoalign/internal/snapshot"
+	"geoalign/internal/sparse"
 )
 
 // Engine is a reusable GeoAlign aligner for crosswalking many
@@ -28,9 +30,10 @@ import (
 //     crosswalks.
 //
 // Redistribution never forms the estimated disaggregation matrix: the
-// target is accumulated in transpose form (see redistributeTargets),
-// with degenerate source units optionally redistributed by
-// Options.FallbackDM (see addFallbackRows).
+// engine keeps each reference crosswalk target-major (DMᵀ, one row per
+// target unit) and sums every target unit's re-aggregated estimate in
+// a register (see redistributeTargets), with degenerate source units
+// optionally redistributed by Options.FallbackDM (see addFallbackRows).
 //
 // After construction an Engine is immutable and safe for concurrent
 // use: Align may be called from many goroutines, and AlignAll fans a
@@ -38,7 +41,7 @@ import (
 // pooled scratch buffers; no two concurrent calls share mutable data.
 type Engine struct {
 	ns, nt int
-	refs   []Reference
+	refs   []Reference // each DM holds the target-major crosswalk DMᵀ (nt × ns, source rows ascending)
 	opts   Options
 
 	weightMat *linalg.Matrix     // Eq. 15 design matrix (ns × k)
@@ -50,6 +53,13 @@ type Engine struct {
 	maxRow    []float64          // max |row sum| per reference crosswalk
 	patNNZ    atomic.Int64       // PatternNNZ()+1 once counted; 0 until then
 
+	// rowNNZ counts each reference's stored entries per source row, so
+	// ApplyDelta can tell a value-only row patch without scanning the
+	// target-major arrays. It is counted on the first delta (or handed
+	// on by the parent engine) and read only through rowCounts.
+	rowNNZ     [][]int32
+	rowNNZOnce sync.Once
+
 	// snap owns the mapped snapshot file for snapshot-loaded engines
 	// (nil for freshly built ones): the hot arrays above alias the
 	// mapping, so it must stay mapped until Close.
@@ -59,7 +69,6 @@ type Engine struct {
 	fbSums []float64 // cached FallbackDM.RowSums(), computed on first degenerate row
 
 	scratch sync.Pool
-	batch   sync.Pool // *batchScratch for the fused AlignAll chunks
 }
 
 // engineScratch is the per-call mutable state of one Align solve.
@@ -68,13 +77,15 @@ type engineScratch struct {
 	scale  []float64 // per-row disaggregation factor
 	w      []float64 // β scaled by the per-reference normaliser
 	b      []float64 // max-normalised objective
-	y      []float64 // one reference's re-aggregated column (DMᵀ·scale)
 	fbRows []int     // degenerate rows handed to the fallback
 }
 
 // NewEngine validates the references and precomputes the shared
-// crosswalk structure. The references' matrices are captured by
-// reference and must not be mutated while the engine is in use.
+// crosswalk structure. Every reference crosswalk must be a well-formed
+// CSR matrix with finite, non-negative values, and every Source vector
+// finite and non-negative; a reference that is not fails with an error
+// wrapping ErrBadReference. The engine keeps its own target-major copy
+// of each crosswalk, so the caller's matrices are not retained.
 func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 	if len(refs) == 0 {
 		return nil, ErrNoReferences
@@ -102,15 +113,29 @@ func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 		opts: opts,
 	}
 
-	// Eq. 15 design matrix and Eq. 14 normalisers.
+	// Target-major crosswalks, Eq. 15 design matrix and Eq. 14 normalisers.
 	k := len(refs)
 	e.normSrc = make([][]float64, k)
 	e.rowSums = make([][]float64, k)
 	e.maxRow = make([]float64, k)
 	for i, r := range refs {
-		e.normSrc[i] = maxNormalise(referenceSource(r))
-		e.rowSums[i] = r.DM.RowSums()
+		what := fmt.Sprintf("reference %d (%s)", i, r.Name)
+		if err := checkCSRShape(ErrBadReference, what, r.DM.IndPtr, r.DM.ColIdx, r.DM.Val, ns, nt); err != nil {
+			return nil, err
+		}
+		if err := checkNonNegative(what+" source", r.Source); err != nil {
+			return nil, err
+		}
+		var err error
+		if e.refs[i].DM, e.rowSums[i], err = targetMajor(ErrBadReference, what, r.DM); err != nil {
+			return nil, err
+		}
 		e.maxRow[i] = linalg.MaxAbs(e.rowSums[i])
+		src := r.Source
+		if src == nil {
+			src = e.rowSums[i]
+		}
+		e.normSrc[i] = maxNormalise(src)
 	}
 	var err error
 	e.weightMat, err = linalg.MatrixFromColumns(e.normSrc)
@@ -123,7 +148,54 @@ func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 	return e, nil
 }
 
-// initPools installs the scratch-buffer pool factories; called once the
+// targetMajor returns the target-major form of a validated |U^s|×|U^t|
+// crosswalk — DMᵀ, one row per target unit listing its source rows in
+// ascending order — together with DM's row sums, both in one pass over
+// the entries. A row's entries are summed in stored order, as
+// sparse.CSR.RowSums does, so the sums are bit-identical to it. A value
+// that is NaN, ±Inf or negative fails with an error wrapping bad.
+func targetMajor(bad error, what string, dm *sparse.CSR) (*sparse.CSR, []float64, error) {
+	ns, nt := dm.Rows, dm.Cols
+	ptr := make([]int, nt+1)
+	for _, c := range dm.ColIdx {
+		ptr[c+1]++
+	}
+	for c := 0; c < nt; c++ {
+		ptr[c+1] += ptr[c]
+	}
+	next := append([]int(nil), ptr[:nt]...)
+	rows := make([]int, len(dm.ColIdx))
+	vals := make([]float64, len(dm.ColIdx))
+	sums := make([]float64, ns)
+	for i := 0; i < ns; i++ {
+		var s float64
+		for j := dm.IndPtr[i]; j < dm.IndPtr[i+1]; j++ {
+			v := dm.Val[j]
+			if !(v >= 0) || math.IsInf(v, 1) {
+				return nil, nil, badf(bad, "%s row %d holds %v, want a finite non-negative value", what, i, v)
+			}
+			c := dm.ColIdx[j]
+			rows[next[c]], vals[next[c]] = i, v
+			next[c]++
+			s += v
+		}
+		sums[i] = s
+	}
+	return &sparse.CSR{Rows: nt, Cols: ns, IndPtr: ptr, ColIdx: rows, Val: vals}, sums, nil
+}
+
+// checkNonNegative rejects a vector entry that is NaN, ±Inf or negative,
+// wrapping ErrBadReference.
+func checkNonNegative(what string, v []float64) error {
+	for i, x := range v {
+		if !(x >= 0) || math.IsInf(x, 1) {
+			return badf(ErrBadReference, "%s entry %d is %v, want a finite non-negative value", what, i, x)
+		}
+	}
+	return nil
+}
+
+// initPools installs the scratch-buffer pool factory; called once the
 // dimensions are final (from NewEngine, ApplyDelta and the snapshot
 // loader).
 func (e *Engine) initPools() {
@@ -133,10 +205,8 @@ func (e *Engine) initPools() {
 			scale: make([]float64, e.ns),
 			w:     make([]float64, len(e.refs)),
 			b:     make([]float64, e.ns),
-			y:     make([]float64, e.nt),
 		}
 	}
-	e.batch.New = func() any { return newBatchScratch(e) }
 }
 
 // Close releases the mapped snapshot backing a snapshot-loaded engine.
@@ -284,37 +354,40 @@ func (e *Engine) LearnWeightsResidual(objective []float64) ([]float64, float64, 
 
 // PatternNNZ reports the nonzero count of the references' union
 // sparsity pattern — the crosswalk density numerator the alignment
-// catalog records per engine edge. The count is taken on first use and
-// cached; ApplyDelta hands it on to derived engines, re-counting only
-// the rows a structural patch touched.
+// catalog records per engine edge: per target unit, the distinct source
+// rows any reference stores there. The count is taken on first use and
+// cached; ApplyDelta hands it on to derived engines, re-checking only
+// the entries a structural patch touched.
 func (e *Engine) PatternNNZ() int {
 	if v := e.patNNZ.Load(); v > 0 {
 		return int(v - 1)
 	}
-	mark := make([]int, e.nt)
+	mark := make([]int, e.ns)
 	n := 0
-	for i := 0; i < e.ns; i++ {
-		n += unionRowNNZ(e.refs, i, mark, i+1)
+	for c := 0; c < e.nt; c++ {
+		for _, r := range e.refs {
+			for _, i := range r.DM.ColIdx[r.DM.IndPtr[c]:r.DM.IndPtr[c+1]] {
+				if mark[i] != c+1 {
+					mark[i] = c + 1
+					n++
+				}
+			}
+		}
 	}
 	e.patNNZ.Store(int64(n) + 1)
 	return n
 }
 
-// unionRowNNZ counts the distinct target units source unit i stores
-// across the references. mark is scratch of length nt; stamp must
-// differ from every value already in it.
-func unionRowNNZ(refs []Reference, i int, mark []int, stamp int) int {
-	n := 0
+// inPattern reports whether any reference stores an entry at source
+// row i of target unit c.
+func inPattern(refs []Reference, c, i int) bool {
 	for _, r := range refs {
-		cols, _ := r.DM.Row(i)
-		for _, c := range cols {
-			if mark[c] != stamp {
-				mark[c] = stamp
-				n++
-			}
+		rows := r.DM.ColIdx[r.DM.IndPtr[c]:r.DM.IndPtr[c+1]]
+		if p := sort.SearchInts(rows, i); p < len(rows) && rows[p] == i {
+			return true
 		}
 	}
-	return n
+	return false
 }
 
 // Align crosswalks one objective attribute. Safe for concurrent use.
@@ -361,14 +434,14 @@ func (e *Engine) alignWithSourcesContext(ctx context.Context, objective []float6
 
 // redistribute runs the disaggregation (Eq. 14) and re-aggregation
 // (Eq. 17) steps for an already-learned β, using the caller's scratch.
-// The target is computed directly in transpose form (see
+// The target is summed straight from the target-major crosswalks (see
 // redistributeTargets), which never materialises the per-entry values;
 // degenerate rows then go to the fallback crosswalk, if one is set.
 func (e *Engine) redistribute(objective, beta []float64, s *engineScratch) (*Result, error) {
 	res := &Result{Weights: beta, Target: make([]float64, e.nt)}
 	e.scaledWeights(s.w, beta)
 	e.rowScales(s.scale, s.den, objective, s.w)
-	e.redistributeTargets(s.w, s.scale, s.y, res.Target)
+	e.redistributeTargets(s.w, s.scale, res.Target)
 	if e.opts.FallbackDM != nil {
 		s.fbRows = s.fbRows[:0]
 		for i, d := range s.den {
@@ -423,42 +496,38 @@ func (e *Engine) rowScales(scale, den, objective, w []float64) {
 	}
 }
 
-// redistributeTargets accumulates the re-aggregated estimate directly:
+// redistributeTargets writes the re-aggregated estimate directly:
 //
-//	target = Σ_k w_k · (DM_kᵀ · scale)
+//	target[c] = Σ_k w_k · Σ_{i stored in DM_k column c} DM_k[i,c]·scale[i]
 //
 // which is Eq. 17 applied to the Eq. 14 estimate without forming the
-// disaggregation matrix. Each reference's transpose product y is
-// computed with rows ascending and combined in reference order; the
-// batch path (batch.go) uses the same accumulation orders, so single
-// and batched alignment stay bitwise identical. It runs for Align and
-// for a fused chunk left with one live attribute. The product walks
-// the CSR arrays with one running entry index (a CSR stores its rows
-// back to back), sliced once per reference, instead of slicing out
-// each of the ~ns short rows. target must be zero-initialised; y is
-// scratch of length nt.
-func (e *Engine) redistributeTargets(w, scale, y, target []float64) {
-	for k, r := range e.refs {
-		wk := w[k]
-		if wk == 0 {
-			continue
-		}
-		for c := range y {
-			y[c] = 0
-		}
-		ends := r.DM.IndPtr[1 : e.ns+1]
-		cols := r.DM.ColIdx
-		vals := r.DM.Val[:len(cols)]
-		j := r.DM.IndPtr[0]
-		for i, end := range ends {
-			si := scale[i]
-			for ; j < end; j++ {
-				y[cols[j]] += vals[j] * si
+// disaggregation matrix. Each target unit is one short pass over its
+// entries in every reference's target-major crosswalk: the inner sum
+// runs over the source rows in ascending order in a register, and the
+// references combine in index order. Those are the orders of a
+// row-by-row scatter of DM_kᵀ·scale folded into the target reference by
+// reference, so the result is bit-identical to that formulation. The
+// snapshot loader and NewEngine validate every stored row index as
+// below ns, so scale[i] never leaves its slice.
+func (e *Engine) redistributeTargets(w, scale, target []float64) {
+	for c := range target {
+		var t float64
+		for k, r := range e.refs {
+			wk := w[k]
+			if wk == 0 {
+				continue
 			}
+			lo, hi := r.DM.IndPtr[c], r.DM.IndPtr[c+1]
+			rows := r.DM.ColIdx[lo:hi]
+			vals := r.DM.Val[lo:hi]
+			vals = vals[:len(rows)]
+			var acc float64
+			for j, i := range rows {
+				acc += vals[j] * scale[i]
+			}
+			t += wk * acc
 		}
-		for c, v := range y {
-			target[c] += wk * v
-		}
+		target[c] = t
 	}
 }
 
@@ -469,8 +538,7 @@ func (e *Engine) redistributeTargets(w, scale, y, target []float64) {
 //
 // Rows the fallback does not support either stay dropped. The shape
 // check is lazy: a mis-shaped fallback is an error only when some row
-// needs it. Align and the fused batch path both call this after the
-// reference pass, so their targets stay bitwise identical.
+// needs it. redistribute calls this after the reference pass.
 func (e *Engine) addFallbackRows(target, objective []float64, rows []int) error {
 	if len(rows) == 0 {
 		return nil
@@ -503,22 +571,6 @@ func (e *Engine) fallbackSums() []float64 {
 		}
 	})
 	return e.fbSums
-}
-
-// AlignAll crosswalks a batch of objectives, fanning the per-attribute
-// solves across a pool of workers (0 ⇒ runtime.NumCPU()). The batch
-// shares the engine's normal-equations precomputation: all c = Aᵀb
-// columns are computed up front as one blocked, parallel AᵀB product
-// (bit-identical per column to the single-call path), each worker
-// warm-starts its active-set solves from the previous objective's β,
-// and attributes redistribute in fused chunks that read every
-// reference crosswalk row once per chunk instead of once per
-// attribute (see batch.go). Results are written to disjoint slots, so
-// the output order matches the input order and is independent of
-// scheduling. On error the first failure in input order is returned
-// alongside the results computed so far.
-func (e *Engine) AlignAll(objectives [][]float64, workers int) ([]*Result, error) {
-	return e.AlignAllContext(context.Background(), objectives, workers)
 }
 
 func (e *Engine) checkObjective(objective []float64) error {

@@ -447,3 +447,51 @@ func TestEngineValidation(t *testing.T) {
 		t.Error("objective length mismatch accepted")
 	}
 }
+
+// TestEngineRejectsUntrustedReferences: NewEngine validates every value
+// and index it later reads without checks. A crosswalk or Source value
+// that is NaN, ±Inf or negative, a column index out of range, or row
+// pointers that decrease fail with ErrBadReference instead of
+// panicking in the transpose or poisoning every estimate.
+func TestEngineRejectsUntrustedReferences(t *testing.T) {
+	// valid is a 3×2 crosswalk: rows {0:1, 1:2}, {1:3}, {}.
+	valid := func() *sparse.CSR {
+		return &sparse.CSR{Rows: 3, Cols: 2, IndPtr: []int{0, 2, 3, 3}, ColIdx: []int{0, 1, 1}, Val: []float64{1, 2, 3}}
+	}
+	cases := []struct {
+		name   string
+		mutate func(r *Reference)
+	}{
+		{"value NaN", func(r *Reference) { r.DM.Val[1] = math.NaN() }},
+		{"value +Inf", func(r *Reference) { r.DM.Val[2] = math.Inf(1) }},
+		{"value -1", func(r *Reference) { r.DM.Val[0] = -1 }},
+		{"source NaN", func(r *Reference) { r.Source = []float64{1, math.NaN(), 0} }},
+		{"source +Inf", func(r *Reference) { r.Source = []float64{math.Inf(1), 1, 0} }},
+		{"source -1", func(r *Reference) { r.Source = []float64{1, 1, -1} }},
+		{"column out of range", func(r *Reference) { r.DM.ColIdx[2] = 2 }},
+		{"columns not increasing", func(r *Reference) { r.DM.ColIdx[0], r.DM.ColIdx[1] = 1, 0 }},
+		{"indptr not monotone", func(r *Reference) { r.DM.IndPtr[1], r.DM.IndPtr[2] = 3, 2 }},
+		{"indptr length", func(r *Reference) { r.DM.IndPtr = r.DM.IndPtr[:3] }},
+		{"value count", func(r *Reference) { r.DM.Val = r.DM.Val[:2] }},
+	}
+	if _, err := NewEngine([]Reference{{Name: "ok", DM: valid()}}, Options{}); err != nil {
+		t.Fatalf("valid reference rejected: %v", err)
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := Reference{Name: "bad", DM: valid()}
+			tc.mutate(&bad)
+			// The bad reference sits second, behind a valid one.
+			e, err := NewEngine([]Reference{{Name: "ok", DM: valid()}, bad}, Options{})
+			if !errors.Is(err, ErrBadReference) {
+				t.Fatalf("err = %v, want ErrBadReference", err)
+			}
+			if e != nil {
+				t.Fatal("rejected references produced an engine")
+			}
+			if !contains(err.Error(), "reference 1 (bad)") {
+				t.Errorf("err = %v, want it to name reference 1 (bad)", err)
+			}
+		})
+	}
+}

@@ -13,21 +13,27 @@ import (
 // container knows only typed sections; the engine schema lives here.
 //
 // A snapshot stores every attribute-independent precompute NewEngine
-// derives from raw crosswalks — the reference CSRs, the Eq. 15 design
-// matrix, its Gram system (with the Cholesky factor when it has been
-// computed) and the Eq. 14 row-sum normalisers — so loading rebuilds
-// the Engine by wiring views over the mapped file instead of re-running
-// the build pipeline. Options are deliberately NOT stored: they are
-// caller policy, supplied again at load time.
+// derives from raw crosswalks — the target-major reference crosswalks,
+// the Eq. 15 design matrix, its Gram system (with the Cholesky factor
+// when it has been computed) and the Eq. 14 row-sum normalisers — so
+// loading rebuilds the Engine by wiring views over the mapped file
+// instead of re-running the build pipeline. Options are deliberately
+// NOT stored: they are caller policy, supplied again at load time.
 //
-// Snapshots written by earlier versions also carry a union sparsity
-// pattern, a zero-support mask, per-reference slot maps and a
-// Lipschitz constant. The loader ignores them, so those files still
-// open and align bit-identically; their section ids and flag bit stay
-// reserved.
+// The per-reference sections live under xwSectionBase. Snapshots
+// written by earlier versions keep them under refSectionBase with each
+// crosswalk stored row-major; the loader transposes those once at open
+// (the engine then owns the transposed copy), and they align
+// bit-identically. Because the new layout moved every per-reference
+// section, an earlier binary refuses a new file with a missing-section
+// error instead of misreading it. Earlier files may also carry a union
+// sparsity pattern, a zero-support mask, per-reference slot maps and a
+// Lipschitz constant. The loader ignores them; their section ids and
+// flag bit stay reserved.
 
 // Fixed section ids. Per-reference sections live at
-// refSectionBase + ref*refSectionStride + field.
+// xwSectionBase + ref*refSectionStride + field (refSectionBase in
+// row-major files written by earlier versions).
 const (
 	secMeta       = 1  // ints: ns, nt, k, flags
 	secScalars    = 2  // f64: ‖A‖∞ (legacy files append a Lipschitz constant)
@@ -38,10 +44,11 @@ const (
 	secSourceKeys = 10 // strings, optional: source unit keys
 	secTargetKeys = 11 // strings, optional: target unit keys
 
-	refSectionBase   = 1000
+	xwSectionBase    = 1 << 24 // above every refSectionBase id for maxSnapshotRefs references
+	refSectionBase   = 1000    // row-major files of earlier versions
 	refSectionStride = 8
-	refDMIndPtr      = 0 // ints, ns+1
-	refDMColIdx      = 1 // ints, nnz
+	refDMIndPtr      = 0 // ints: nt+1 target pointers (row-major files: ns+1 row pointers)
+	refDMColIdx      = 1 // ints, nnz: source rows (row-major files: target columns)
 	refDMVal         = 2 // f64, nnz
 	refSource        = 3 // f64, ns; present only when the reference had one
 	refRowSums       = 4 // f64, ns: DM row sums (Eq. 14 denominator basis)
@@ -77,7 +84,11 @@ type SnapshotMeta struct {
 }
 
 func corruptf(format string, args ...any) error {
-	return fmt.Errorf("%w: %s", snapshot.ErrCorrupt, fmt.Sprintf(format, args...))
+	return badf(snapshot.ErrCorrupt, format, args...)
+}
+
+func badf(sentinel error, format string, args ...any) error {
+	return fmt.Errorf("%w: %s", sentinel, fmt.Sprintf(format, args...))
 }
 
 // WriteSnapshot serialises the engine's full precompute to w. meta may
@@ -139,7 +150,7 @@ func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 		w.Strings(secTargetKeys, meta.TargetKeys)
 	}
 	for i, r := range e.refs {
-		base := uint32(refSectionBase + i*refSectionStride)
+		base := uint32(xwSectionBase + i*refSectionStride)
 		w.Ints(base+refDMIndPtr, r.DM.IndPtr)
 		w.Ints(base+refDMColIdx, r.DM.ColIdx)
 		w.F64(base+refDMVal, r.DM.Val)
@@ -261,13 +272,19 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		maxRow:    make([]float64, k),
 		snap:      f,
 	}
+	// The layout is per file: target-major sections, or the row-major
+	// ones of earlier versions, transposed here.
+	base0, rowMajor := uint32(xwSectionBase), !f.Has(xwSectionBase+refDMIndPtr)
+	if rowMajor {
+		base0 = refSectionBase
+	}
 	for i := 0; i < k; i++ {
-		base := uint32(refSectionBase + i*refSectionStride)
+		base := base0 + uint32(i*refSectionStride)
 		indptr, err := f.Ints(base + refDMIndPtr)
 		if err != nil {
 			return nil, nil, err
 		}
-		colIdx, err := f.Ints(base + refDMColIdx)
+		idx, err := f.Ints(base + refDMColIdx)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -276,10 +293,21 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 			return nil, nil, err
 		}
 		what := fmt.Sprintf("reference %d (%s)", i, names[i])
-		if err := checkCSRShape(what, indptr, colIdx, val, ns, nt); err != nil {
-			return nil, nil, err
+		r := Reference{Name: names[i]}
+		if rowMajor {
+			if err := checkCSRShape(snapshot.ErrCorrupt, what, indptr, idx, val, ns, nt); err != nil {
+				return nil, nil, err
+			}
+			r.DM, _, err = targetMajor(snapshot.ErrCorrupt, what, &sparse.CSR{Rows: ns, Cols: nt, IndPtr: indptr, ColIdx: idx, Val: val})
+			if err != nil {
+				return nil, nil, err
+			}
+		} else {
+			if err := checkCSRShape(snapshot.ErrCorrupt, what, indptr, idx, val, nt, ns); err != nil {
+				return nil, nil, err
+			}
+			r.DM = &sparse.CSR{Rows: nt, Cols: ns, IndPtr: indptr, ColIdx: idx, Val: val}
 		}
-		r := Reference{Name: names[i], DM: &sparse.CSR{Rows: ns, Cols: nt, IndPtr: indptr, ColIdx: colIdx, Val: val}}
 		if f.Has(base + refSource) {
 			src, err := f.F64(base + refSource)
 			if err != nil {
@@ -318,23 +346,26 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 	return e, &meta, nil
 }
 
-// checkCSRShape validates the structural invariants every loaded
-// reference crosswalk must satisfy before the engine's unchecked hot
-// loops (the transpose-form scatter) may index into it: correct pointer array length, monotone row pointers covering
-// exactly the stored entries, and strictly increasing in-range column
-// indices per row (the documented CSR invariant).
-func checkCSRShape(what string, indptr, colIdx []int, val []float64, rows, cols int) error {
+// checkCSRShape validates the structural invariants of a rows×cols
+// CSR matrix before the engine's unchecked hot loops may index into
+// it: correct pointer array length, monotone row pointers covering
+// exactly the stored entries, one value per entry, and strictly
+// increasing in-range column indices per row (the documented CSR
+// invariant). It checks loaded crosswalks (target-major ones as nt×ns,
+// so every stored source row indexes the per-row scales safely) and
+// caller-built references alike; failures wrap bad.
+func checkCSRShape(bad error, what string, indptr, colIdx []int, val []float64, rows, cols int) error {
 	if len(indptr) != rows+1 {
-		return corruptf("%s has %d row pointers, want %d", what, len(indptr), rows+1)
+		return badf(bad, "%s has %d row pointers, want %d", what, len(indptr), rows+1)
 	}
 	if indptr[0] != 0 {
-		return corruptf("%s row pointers start at %d, want 0", what, indptr[0])
+		return badf(bad, "%s row pointers start at %d, want 0", what, indptr[0])
 	}
 	if indptr[rows] != len(colIdx) {
-		return corruptf("%s row pointers end at %d, but %d entries are stored", what, indptr[rows], len(colIdx))
+		return badf(bad, "%s row pointers end at %d, but %d entries are stored", what, indptr[rows], len(colIdx))
 	}
-	if val != nil && len(val) != len(colIdx) {
-		return corruptf("%s has %d values for %d column indices", what, len(val), len(colIdx))
+	if len(val) != len(colIdx) {
+		return badf(bad, "%s has %d values for %d column indices", what, len(val), len(colIdx))
 	}
 	n := len(colIdx)
 	for i := 0; i < rows; i++ {
@@ -344,13 +375,13 @@ func checkCSRShape(what string, indptr, colIdx []int, val []float64, rows, cols 
 		// every prefix in range, and the entry loop must never index
 		// past the section.
 		if lo > hi || hi > n {
-			return corruptf("%s row %d pointers decrease or overshoot (%d, %d of %d)", what, i, lo, hi, n)
+			return badf(bad, "%s row %d pointers decrease or overshoot (%d, %d of %d)", what, i, lo, hi, n)
 		}
 		prev := -1
 		for p := lo; p < hi; p++ {
 			c := colIdx[p]
 			if c <= prev || c >= cols {
-				return corruptf("%s row %d column indices are not strictly increasing in [0,%d)", what, i, cols)
+				return badf(bad, "%s row %d column indices are not strictly increasing in [0,%d)", what, i, cols)
 			}
 			prev = c
 		}

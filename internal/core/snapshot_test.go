@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math"
+	"math/rand"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -293,6 +294,7 @@ type tinySections struct {
 	dmColIdx []int
 	dmVal    []float64
 	rowSums  []float64
+	base     uint32 // per-reference section base; 0 means refSectionBase
 
 	legacy    bool
 	patIndPtr []int
@@ -336,10 +338,14 @@ func (s *tinySections) encode(t *testing.T) []byte {
 	w.F64(secWeightMat, s.wm)
 	w.F64(secGram, s.gram)
 	w.Strings(secRefNames, s.names)
-	w.Ints(refSectionBase+refDMIndPtr, s.dmIndPtr)
-	w.Ints(refSectionBase+refDMColIdx, s.dmColIdx)
-	w.F64(refSectionBase+refDMVal, s.dmVal)
-	w.F64(refSectionBase+refRowSums, s.rowSums)
+	base := s.base
+	if base == 0 {
+		base = refSectionBase
+	}
+	w.Ints(base+refDMIndPtr, s.dmIndPtr)
+	w.Ints(base+refDMColIdx, s.dmColIdx)
+	w.F64(base+refDMVal, s.dmVal)
+	w.F64(base+refRowSums, s.rowSums)
 	if s.legacy {
 		w.Ints(secLegacyPatIndPtr, s.patIndPtr)
 		w.Ints(secLegacyPatColIdx, s.patColIdx)
@@ -491,5 +497,190 @@ func TestFallbackSumsCached(t *testing.T) {
 	}
 	if !bitEqual(first.Target, second.Target) {
 		t.Fatal("cached fallback sums changed the result")
+	}
+}
+
+// writeRowMajorSnapshot encodes e in the layout earlier versions wrote:
+// every per-reference section under refSectionBase, each crosswalk
+// row-major as the caller built it (refs). The engine-level sections are
+// e's own, so the file is what an earlier build of e would have written.
+func writeRowMajorSnapshot(t *testing.T, e *Engine, refs []Reference) []byte {
+	t.Helper()
+	w := snapshot.NewWriter()
+	w.Ints(secMeta, []int{e.ns, e.nt, len(refs), 0})
+	w.F64(secScalars, []float64{e.gram.AInf})
+	w.F64(secWeightMat, e.weightMat.Data)
+	w.F64(secGram, e.gram.Gram().Data)
+	names := make([]string, len(refs))
+	for i, r := range refs {
+		names[i] = r.Name
+	}
+	w.Strings(secRefNames, names)
+	for i, r := range refs {
+		base := uint32(refSectionBase + i*refSectionStride)
+		w.Ints(base+refDMIndPtr, r.DM.IndPtr)
+		w.Ints(base+refDMColIdx, r.DM.ColIdx)
+		w.F64(base+refDMVal, r.DM.Val)
+		if r.Source != nil {
+			w.F64(base+refSource, r.Source)
+		}
+		w.F64(base+refRowSums, r.DM.RowSums())
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotRowMajorCompat: a snapshot in the row-major layout of
+// earlier versions still loads — transposed once at open — and aligns
+// bit-identically to a freshly built engine, alone and in a batch,
+// with and without a fallback. New snapshots store no section under
+// the old per-reference ids, so an earlier binary refuses them.
+func TestSnapshotRowMajorCompat(t *testing.T) {
+	rng := rand.New(rand.NewSource(71))
+	const ns, nt = 70, 12
+	p := engineProblem(rng, ns, nt, 5)
+	fbCOO := sparse.NewCOO(ns, nt)
+	for i := 0; i < ns; i++ {
+		fbCOO.Add(i, rng.Intn(nt), 1+rng.Float64())
+	}
+	for _, opts := range []Options{{}, {FallbackDM: fbCOO.ToCSR()}} {
+		fresh, err := NewEngine(p.References, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		old, _, err := LoadSnapshotBytes(writeRowMajorSnapshot(t, fresh, p.References), opts)
+		if err != nil {
+			t.Fatalf("row-major snapshot rejected: %v", err)
+		}
+		objectives := make([][]float64, 5)
+		for a := range objectives {
+			obj := make([]float64, ns)
+			for i := range obj {
+				obj[i] = rng.Float64() * 100
+			}
+			objectives[a] = obj
+		}
+		for a, obj := range objectives {
+			want, err := fresh.Align(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := old.Align(obj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bitEqual(got.Target, want.Target) || !bitEqual(got.Weights, want.Weights) {
+				t.Fatalf("objective %d: row-major snapshot aligns differently from a fresh engine", a)
+			}
+		}
+		batch, err := old.AlignAll(objectives, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a, obj := range objectives {
+			want, _ := fresh.Align(obj)
+			if !bitEqual(batch[a].Target, want.Target) {
+				t.Fatalf("objective %d: row-major snapshot batch differs", a)
+			}
+		}
+		if old.PatternNNZ() != fresh.PatternNNZ() {
+			t.Fatalf("PatternNNZ: row-major snapshot %d, fresh %d", old.PatternNNZ(), fresh.PatternNNZ())
+		}
+		old.Close()
+
+		var buf bytes.Buffer
+		if _, err := fresh.WriteSnapshot(&buf, nil); err != nil {
+			t.Fatal(err)
+		}
+		f, err := snapshot.OpenBytes(buf.Bytes())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range f.SectionIDs() {
+			if id >= refSectionBase && id < xwSectionBase {
+				t.Fatalf("new snapshot stores section %d under the row-major ids", id)
+			}
+		}
+		f.Close()
+	}
+}
+
+// tinyTargetMajor is the sections of a freshly built 3-source,
+// 2-target, 1-reference engine in the target-major layout. It is not
+// square, so a crosswalk validated with its dimensions swapped fails.
+func tinyTargetMajor(t *testing.T) (*tinySections, *Engine) {
+	t.Helper()
+	dm := &sparse.CSR{Rows: 3, Cols: 2, IndPtr: []int{0, 2, 3, 4}, ColIdx: []int{0, 1, 1, 0}, Val: []float64{1, 1, 2, 3}}
+	e, err := NewEngine([]Reference{{Name: "ref", DM: dm}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	xt := e.refs[0].DM
+	return &tinySections{
+		meta:     []int{3, 2, 1, 0},
+		scalars:  []float64{e.gram.AInf},
+		wm:       e.weightMat.Data,
+		gram:     e.gram.Gram().Data,
+		names:    []string{"ref"},
+		dmIndPtr: append([]int(nil), xt.IndPtr...), // {0, 2, 4}
+		dmColIdx: append([]int(nil), xt.ColIdx...), // {0, 2, 0, 1}
+		dmVal:    append([]float64(nil), xt.Val...),
+		rowSums:  append([]float64(nil), e.rowSums[0]...),
+		base:     xwSectionBase,
+	}, e
+}
+
+// TestSnapshotTargetMajorCorrupt: the loader validates a target-major
+// crosswalk as an nt×ns matrix before the redistribution kernel indexes
+// the per-source scales with its stored rows. A corrupted pointer or
+// source-row index is rejected as ErrCorrupt.
+func TestSnapshotTargetMajorCorrupt(t *testing.T) {
+	s, fresh := tinyTargetMajor(t)
+	e, _, err := LoadSnapshotBytes(s.encode(t), Options{})
+	if err != nil {
+		t.Fatalf("valid target-major snapshot rejected: %v", err)
+	}
+	obj := []float64{3, 5, 7}
+	want, _ := fresh.Align(obj)
+	got, err := e.Align(obj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(got.Target, want.Target) {
+		t.Fatalf("target-major tiny snapshot aligns to %v, want %v", got.Target, want.Target)
+	}
+	e.Close()
+
+	cases := []struct {
+		name   string
+		mutate func(s *tinySections)
+	}{
+		{"pointers sized for source rows", func(s *tinySections) { s.dmIndPtr = []int{0, 2, 4, 4} }},
+		{"pointers start", func(s *tinySections) { s.dmIndPtr[0] = 1 }},
+		{"pointers end", func(s *tinySections) { s.dmIndPtr[2] = 3 }},
+		{"pointers decreasing", func(s *tinySections) { s.dmIndPtr[1] = 5; s.dmIndPtr[2] = 4 }},
+		{"pointers interior overshoot", func(s *tinySections) { s.dmIndPtr[1] = 5 }},
+		{"source row out of range", func(s *tinySections) { s.dmColIdx[1] = 3 }},
+		{"source row negative", func(s *tinySections) { s.dmColIdx[0] = -1 }},
+		{"source rows unsorted", func(s *tinySections) { s.dmColIdx[2], s.dmColIdx[3] = 1, 0 }},
+		{"value count", func(s *tinySections) { s.dmVal = s.dmVal[:3] }},
+		{"row sums length", func(s *tinySections) { s.rowSums = s.rowSums[:2] }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, _ := tinyTargetMajor(t)
+			tc.mutate(s)
+			e, _, err := LoadSnapshotBytes(s.encode(t), Options{})
+			if err == nil {
+				e.Close()
+				t.Fatal("corrupt target-major snapshot accepted")
+			}
+			if !errors.Is(err, snapshot.ErrCorrupt) {
+				t.Fatalf("err = %v, want errors.Is(err, snapshot.ErrCorrupt)", err)
+			}
+		})
 	}
 }

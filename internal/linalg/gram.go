@@ -326,56 +326,6 @@ func ParallelGram(a *Matrix) *Matrix {
 	return g
 }
 
-// MulATB computes AᵀB for a batch of right-hand sides: cols[o] is the
-// o-th column of B (each of length a.Rows) and the result is k×len(cols)
-// with column o equal to Aᵀ·cols[o]. The product is blocked over A's
-// rows and runs in parallel; per-column results are bit-identical to
-// ApplyTInto on the same column.
-func MulATB(a *Matrix, cols [][]float64) *Matrix {
-	n := len(cols)
-	k := a.Cols
-	out := NewMatrix(k, n)
-	if n == 0 {
-		return out
-	}
-	for o, col := range cols {
-		if len(col) != a.Rows {
-			panic(fmt.Sprintf("linalg: MulATB column %d has length %d, want %d", o, len(col), a.Rows))
-		}
-	}
-	nb := numBlocks(a.Rows)
-	if nb == 0 {
-		return out
-	}
-	part := make([]float64, nb*k*n)
-	forEachBlock(a.Rows, func(bi, lo, hi int) {
-		local := part[bi*k*n : (bi+1)*k*n]
-		for o, col := range cols {
-			dst := local[o*k : (o+1)*k]
-			for i := lo; i < hi; i++ {
-				xi := col[i]
-				if xi == 0 {
-					continue
-				}
-				row := a.Row(i)
-				for j, v := range row {
-					dst[j] += v * xi
-				}
-			}
-		}
-	})
-	for bi := 0; bi < nb; bi++ {
-		local := part[bi*k*n : (bi+1)*k*n]
-		for o := 0; o < n; o++ {
-			src := local[o*k : (o+1)*k]
-			for j, v := range src {
-				out.Data[j*n+o] += v
-			}
-		}
-	}
-	return out
-}
-
 // GramTolerance reproduces the dense NNLS dual tolerance
 // 10·ε·n·‖A‖∞·(‖b‖₂+1) for callers driving NNLSGram directly.
 func GramTolerance(ainf, bnorm float64, n int) float64 {

@@ -365,49 +365,6 @@ func TestApplyTIntoMatchesMulVecT(t *testing.T) {
 	}
 }
 
-func TestMulATBMatchesApplyTInto(t *testing.T) {
-	rng := rand.New(rand.NewSource(79))
-	for _, m := range []int{1, 64, gramBlockRows + 11, gramParallelMin + 77} {
-		k := 1 + rng.Intn(6)
-		n := 1 + rng.Intn(9)
-		a := NewMatrix(m, k)
-		for i := range a.Data {
-			a.Data[i] = rng.NormFloat64()
-		}
-		gs := NewGramSystem(a)
-		cols := make([][]float64, n)
-		for o := range cols {
-			col := make([]float64, m)
-			for i := range col {
-				col[i] = rng.NormFloat64()
-				if rng.Intn(6) == 0 {
-					col[i] = 0
-				}
-			}
-			cols[o] = col
-		}
-		prod := MulATB(a, cols)
-		if prod.Rows != k || prod.Cols != n {
-			t.Fatalf("MulATB shape %dx%d, want %dx%d", prod.Rows, prod.Cols, k, n)
-		}
-		single := make([]float64, k)
-		for o := 0; o < n; o++ {
-			gs.ApplyTInto(single, cols[o])
-			for j := 0; j < k; j++ {
-				// Bit-identical: MulATB runs the same block
-				// decomposition and per-row arithmetic per column.
-				if prod.At(j, o) != single[j] {
-					t.Fatalf("m=%d col %d row %d: MulATB %v ApplyTInto %v",
-						m, o, j, prod.At(j, o), single[j])
-				}
-			}
-		}
-	}
-	if out := MulATB(NewMatrix(3, 2), nil); out.Rows != 2 || out.Cols != 0 {
-		t.Fatalf("MulATB with no columns: got %dx%d", out.Rows, out.Cols)
-	}
-}
-
 func TestGramSystemSimplexLS(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	for trial := 0; trial < 20; trial++ {

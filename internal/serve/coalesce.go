@@ -25,9 +25,11 @@ var ErrShuttingDown = errors.New("serve: shutting down")
 //
 // No timer is involved, so an idle server adds no wait to a request,
 // and the load sets the batch size: one at light load, growing as
-// arrivals outpace solves, which is where the fused chunk pass pays
-// (see fuseMinLive in internal/core). Batches are keyed by *Instance,
-// so a hot swap splits traffic cleanly between generations.
+// arrivals outpace solves. A batch costs the engine about what its
+// objectives cost alone, since AlignAll runs Align's solve and
+// redistribution per objective; what coalescing buys is a bound on the
+// solves running per instance and a warm-started solver chain. Batches are keyed by *Instance, so a hot swap splits
+// traffic cleanly between generations.
 //
 // Coalescing does not change results: AlignAll is bitwise identical to
 // per-call Align, with or without a fallback crosswalk.

@@ -4,11 +4,9 @@
 //
 // The interesting piece is the coalescer. The paper's repeated-query
 // workload (many attributes crossing the same pair of unit systems)
-// arrives at a server as concurrent single-attribute requests; solving
-// them one by one under load forfeits the batching wins the engine was
-// built for (the shared AᵀB preparation, warm-started solvers and the
-// fused chunk redistribution). The coalescer batches while busy: a
-// request that finds one of its engine instance's GOMAXPROCS solve
+// arrives at a server as concurrent single-attribute requests. The
+// coalescer batches while busy: a request that finds one of its engine
+// instance's GOMAXPROCS solve
 // slots free solves at once, alone, and requests that arrive while
 // every slot is busy are merged into one AlignAllContext call that
 // runs as soon as a slot frees. No timer is involved, so an idle server
