@@ -52,8 +52,8 @@ func engineOptions(opts *AlignerOptions) (core.Options, int) {
 // weight-learning solve entirely in k-dimensional space, and the
 // redistribution (Eq. 14/17) in one pass over the target-major
 // crosswalks. AlignAll runs exactly that per attribute across a worker
-// pool, warm-starting each solver from the previous attribute's
-// weights.
+// pool. Every solve starts from the weights its pooled scratch solved
+// last, which changes the iteration count, not the result.
 //
 // An Aligner is immutable after construction and safe for concurrent
 // use from multiple goroutines. It snapshots the reference crosswalks

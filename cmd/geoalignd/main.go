@@ -1,8 +1,10 @@
 // Command geoalignd serves GeoAlign alignments over HTTP: a registry of
 // named engines (each one fixed pair of unit systems with its reference
-// crosswalks precomputed), request coalescing that merges concurrent
-// single-attribute requests into one warm-started batch solve, and
-// bounded-concurrency load shedding.
+// crosswalks precomputed), an optional result cache, and an admission
+// gate that bounds concurrent solves and sheds load with 429. Each
+// single-attribute request that misses the cache solves alone under its
+// own request context, warm-started from the engine's pooled solver
+// state.
 //
 // Engines are loaded from reference crosswalk CSVs at startup:
 //
@@ -88,7 +90,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		addr        = fs.String("addr", ":8417", "listen address")
 		engineSpecs cliflag.Repeated
 		demo        = fs.Bool("demo", false, "register a synthetic \"demo\" engine (500 sources, 40 targets, 3 references)")
-		maxBatch    = fs.Int("max-batch", 32, "max requests per coalesced batch; <=1 disables coalescing")
 		maxInflight = fs.Int("max-inflight", 256, "max admitted requests before shedding")
 		queueWait   = fs.Duration("queue-wait", 100*time.Millisecond, "how long an arrival may wait for admission before a 429")
 		reqTimeout  = fs.Duration("request-timeout", 0, "per-request deadline plumbed into the engine (0 = none)")
@@ -184,7 +185,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	}
 
 	cfg := serve.Config{
-		MaxBatch:         *maxBatch,
 		MaxInFlight:      *maxInflight,
 		QueueWait:        *queueWait,
 		RequestTimeout:   *reqTimeout,
@@ -276,9 +276,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return err
 	case <-ctx.Done():
 	}
-	// Graceful shutdown: stop accepting, let in-flight handlers (and the
-	// coalesced batches they wait on) finish, then drain the serving
-	// layer.
+	// Graceful shutdown: stop accepting, let in-flight handlers and the
+	// solves they run finish, then drain the serving layer.
 	fmt.Fprintln(stderr, "geoalignd: shutting down")
 	shutCtx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()

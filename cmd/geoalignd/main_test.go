@@ -251,14 +251,13 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	var aligned struct {
 		Target  []float64 `json:"target"`
 		Weights []float64 `json:"weights"`
-		Batched int       `json:"batched"`
 	}
 	if err := json.Unmarshal(raw, &aligned); err != nil {
 		t.Fatal(err)
 	}
-	if len(aligned.Target) == 0 || len(aligned.Weights) != 3 || aligned.Batched < 1 {
-		t.Fatalf("response shape: %d targets, %d weights, batched %d",
-			len(aligned.Target), len(aligned.Weights), aligned.Batched)
+	if len(aligned.Target) == 0 || len(aligned.Weights) != 3 {
+		t.Fatalf("response shape: %d targets, %d weights",
+			len(aligned.Target), len(aligned.Weights))
 	}
 
 	cancel()

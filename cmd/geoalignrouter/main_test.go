@@ -34,7 +34,7 @@ func TestRunRoutesAndShutsDown(t *testing.T) {
 		})
 		mux.HandleFunc("POST /v1/align", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Type", "application/json")
-			fmt.Fprint(w, `{"engine":"demo","target":[1],"weights":[1],"batched":1}`)
+			fmt.Fprint(w, `{"engine":"demo","target":[1],"weights":[1]}`)
 		})
 		ts := httptest.NewServer(mux)
 		t.Cleanup(ts.Close)

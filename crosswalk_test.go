@@ -77,6 +77,48 @@ func TestCrosswalkFromDenseThenAdd(t *testing.T) {
 	}
 }
 
+// TestCrosswalkReopenKeepsAccumulatedValues: a read finalises the
+// crosswalk and releases its COO buffer, so the next Add reopens it from
+// the CSR. Entries accumulated across such reopenings must read back
+// bit for bit as in a crosswalk built without reads in between, for
+// cells summed from values whose float sum depends on grouping.
+func TestCrosswalkReopenKeepsAccumulatedValues(t *testing.T) {
+	entries := []struct {
+		i, j int
+		v    float64
+	}{
+		{0, 0, 0.1}, {1, 2, 1e16}, {0, 0, 0.2}, {1, 2, 1}, {2, 1, 3}, {0, 0, 0.3}, {1, 2, 1},
+	}
+	clean := NewCrosswalk(3, 3)
+	reopened := NewCrosswalk(3, 3)
+	for n, e := range entries {
+		if err := clean.Add(e.i, e.j, e.v); err != nil {
+			t.Fatal(err)
+		}
+		if err := reopened.Add(e.i, e.j, e.v); err != nil {
+			t.Fatal(err)
+		}
+		if n%2 == 0 {
+			reopened.NonZeros()
+		} else {
+			reopened.At(e.i, e.j)
+		}
+		if reopened.coo != nil {
+			t.Fatalf("after entry %d: COO buffer kept beside the built CSR", n)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		for j := 0; j < 3; j++ {
+			if got, want := reopened.At(i, j), clean.At(i, j); got != want {
+				t.Errorf("At(%d,%d) = %v after reopenings, want %v", i, j, got, want)
+			}
+		}
+	}
+	if got, want := reopened.NonZeros(), clean.NonZeros(); got != want {
+		t.Errorf("NonZeros = %d after reopenings, want %d", got, want)
+	}
+}
+
 // TestCrosswalkAddAfterReadAlignConsistent checks the property end to
 // end: a crosswalk built incrementally with reads interleaved must
 // align identically to one built in a single pass.

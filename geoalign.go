@@ -37,8 +37,8 @@
 // per-attribute Align calls would, in input order. Weight learning on
 // an Aligner runs through cached normal equations of the fixed design
 // matrix — per attribute only an O(sourceUnits·references) reduction
-// plus a solve in reference-count dimensions, warm-started across the
-// attributes of an AlignAll call.
+// plus a solve in reference-count dimensions, warm-started from the
+// weights the engine's pooled solver state found last.
 //
 // Aggregate interpolation is dimension-independent: the same call
 // realigns 1-D histograms, 2-D map layers, or n-D space–time grids —
@@ -63,7 +63,7 @@ import (
 // unit j. Build one with NewCrosswalk and Add, or FromDense.
 type Crosswalk struct {
 	rows, cols int
-	coo        *sparse.COO
+	coo        *sparse.COO // pending entries; nil once the CSR is built
 	csr        *sparse.CSR // built lazily; invalidated by Add
 }
 
@@ -137,12 +137,16 @@ func (c *Crosswalk) TargetTotals() []float64 { return c.matrix().ColSums() }
 // NonZeros returns the number of stored entries.
 func (c *Crosswalk) NonZeros() int { return c.matrix().NNZ() }
 
+// matrix returns the crosswalk as a CSR, building it on first use. The
+// COO buffer is dropped once the CSR holds its entries, so a finalised
+// crosswalk keeps one copy; a later Add reopens it from the CSR.
 func (c *Crosswalk) matrix() *sparse.CSR {
 	if c.csr == nil {
 		if c.coo == nil {
 			c.csr = sparse.NewEmptyCSR(c.rows, c.cols)
 		} else {
 			c.csr = c.coo.ToCSR()
+			c.coo = nil
 		}
 	}
 	return c.csr

@@ -127,7 +127,7 @@ func BenchmarkClusterServe(b *testing.B) {
 }
 
 // clusterServiceTime is the modeled per-align machine cost: roughly
-// one warm US-scale coalesced wave's per-request share on a production
+// one warm US-scale wave's per-request share on a production
 // core, and large enough to dominate the fixture's fixed per-wave HTTP
 // cost (~6ms on one host core) so the measured ratio reflects fleet
 // capacity, not harness overhead.

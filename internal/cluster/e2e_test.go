@@ -1,7 +1,7 @@
 package cluster_test
 
 // End-to-end fleet tests: real geoalignd serving stacks (registry,
-// coalescer, blob store) behind a real router, exercising the
+// admission gate, blob store) behind a real router, exercising the
 // paths the unit tests fake — digest pull, mmap warm-up, hot swap
 // under live traffic, and ring rebalance when a replica dies.
 

@@ -5,8 +5,7 @@
 //
 // Routing is by engine name. One engine's requests concentrate on one
 // replica, so that replica's page cache, solver warm starts, and
-// result cache all stay hot for the engines it owns — the same reason
-// the coalescer batches per engine, lifted to fleet scope. The ring
+// result cache all stay hot for the engines it owns. The ring
 // uses consistent hashing with bounded loads (Mirrokni et al.,
 // arXiv:1608.01350): a key's primary owner is the first virtual node
 // clockwise from its hash, but a request may spill to the next

@@ -37,7 +37,7 @@ func newFakeReplica(t *testing.T, handle func(w http.ResponseWriter, r *http.Req
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprint(w, `{"engine":"e","target":[1],"weights":[1],"batched":1}`)
+		fmt.Fprint(w, `{"engine":"e","target":[1],"weights":[1]}`)
 	}
 	mux.HandleFunc("POST /v1/align", serve)
 	mux.HandleFunc("POST /v1/align/batch", serve)

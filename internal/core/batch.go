@@ -10,13 +10,12 @@ import (
 
 // AlignAll crosswalks a batch of objectives, fanning them across a pool
 // of workers (0 ⇒ runtime.NumCPU()). Each objective runs exactly the
-// solve and redistribution of Align; a worker warm-starts each
-// active-set solve from the previous objective it solved, which never
-// changes the learned weights. Results are written to disjoint slots, so
-// the output order matches the input order and is independent of
-// scheduling, and every result is bit-identical to Align's. On error
-// the first failure in input order is returned alongside the results
-// computed so far.
+// solve and redistribution of Align on its worker's pooled scratch, so
+// each active-set solve starts from the β that worker solved last.
+// Results are written to disjoint slots, so the output order matches
+// the input order and is independent of scheduling, and every result
+// is bit-identical to Align's. On error the first failure in input
+// order is returned alongside the results computed so far.
 func (e *Engine) AlignAll(objectives [][]float64, workers int) ([]*Result, error) {
 	return e.AlignAllContext(context.Background(), objectives, workers)
 }
@@ -41,13 +40,12 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 	errs := make([]error, n)
 
 	// work runs one worker: it claims objectives in index order until
-	// none is left or the context is cancelled, keeping one scratch and
-	// its warm-start chain across them.
+	// none is left or the context is cancelled, keeping one scratch
+	// across them.
 	var next atomic.Int64
 	work := func() {
 		s := e.scratch.Get().(*engineScratch)
 		defer e.scratch.Put(s)
-		var warm []float64
 		for ctx.Err() == nil {
 			i := int(next.Add(1)) - 1
 			if i >= n {
@@ -57,12 +55,11 @@ func (e *Engine) AlignAllContext(ctx context.Context, objectives [][]float64, wo
 			if errs[i] = e.checkObjective(obj); errs[i] != nil {
 				continue
 			}
-			beta, err := e.learnWeights(obj, nil, s, warm)
+			beta, err := e.learnWeights(obj, nil, s)
 			if err != nil {
 				errs[i] = err
 				continue
 			}
-			warm = beta
 			results[i], errs[i] = e.redistribute(obj, beta, s)
 		}
 	}

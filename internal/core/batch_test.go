@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -43,6 +44,73 @@ func TestEngineBatchBitIdentical(t *testing.T) {
 				resultsClose(t, fmt.Sprintf("n=%d workers=%d objective %d", n, workers, a), batch[a], want, 0)
 			}
 		}
+	}
+}
+
+// TestEngineWarmStartResultNeutral pins the lone path's warm start: a
+// solve seeded from the β its pooled scratch kept from an earlier Align
+// matches a fresh engine's bit for bit, and neither a rejected
+// objective nor a source-override solve may replace the stored β.
+// References 0 and 1 are identical, so the optimum is not unique: a
+// cold solve puts the shared weight on reference 0, and one seeded from
+// a β that holds reference 1 instead (as a solve that overrides
+// reference 0's source returns) keeps it there. A stored override β
+// therefore changes the next plain result. The test runs on one P, so
+// a sequential Align takes back the scratch its predecessor returned,
+// and repeats the sequence because the race detector's pool randomly
+// drops a returned scratch.
+func TestEngineWarmStartResultNeutral(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	shared := mustCSR(t, [][]float64{{4, 1, 0}, {0, 3, 1}, {2, 0, 2}, {1, 1, 1}, {0, 0, 5}, {3, 2, 0}})
+	other := mustCSR(t, [][]float64{{1, 0, 0}, {0, 1, 0}, {0, 0, 1}, {1, 0, 0}, {0, 1, 0}, {0, 0, 1}})
+	refs := []Reference{{Name: "a", DM: shared}, {Name: "b", DM: shared}, {Name: "c", DM: other}}
+	objA := []float64{5.5, 4.5, 4, 3.5, 5, 5}
+	objB := []float64{10, 8, 8, 6, 10, 10} // twice the shared row sums: an exact fit
+	override := [][]float64{{0, 0, 0, 9, 0, 0}, nil, nil}
+
+	freshEngine, err := NewEngine(refs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := freshEngine.Align(objB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !(want.Weights[0] > 0) || want.Weights[1] != 0 {
+		t.Fatalf("cold weights %v: want the shared weight on reference 0", want.Weights)
+	}
+
+	e, err := NewEngine(refs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustAlign := func(obj []float64) *Result {
+		t.Helper()
+		res, err := e.Align(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	mustAlign(objA)
+	resultsClose(t, "Align(B) after Align(A)", mustAlign(objB), want, 0)
+
+	nan := append([]float64(nil), objB...)
+	nan[2] = math.NaN()
+	for round := 0; round < 8; round++ {
+		if _, err := e.Align(nan); err == nil {
+			t.Fatal("NaN objective accepted")
+		}
+		resultsClose(t, "Align(B) after a rejected objective", mustAlign(objB), want, 0)
+
+		ov, err := e.AlignWithSources(objB, override)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ov.Weights[0] != 0 || !(ov.Weights[1] > 0) {
+			t.Fatalf("override weights %v: want the shared weight on reference 1", ov.Weights)
+		}
+		resultsClose(t, "Align(B) after AlignWithSources", mustAlign(objB), want, 0)
 	}
 }
 

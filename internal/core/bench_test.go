@@ -13,13 +13,12 @@ import (
 // 1052 targets, 7 references), the engine the serving benchmark
 // serves, without the HTTP stack, on one worker:
 //
-//   - lone: one objective, the request a coalescer mostly hands the
-//     engine;
+//   - lone: one objective, what one /v1/align miss hands the engine;
 //   - pair, quad, eight, sixteen: 2, 4, 8 and 16 objectives in one
-//     call; per attribute, these against lone show what a coalesced
-//     batch saves (AlignAll runs Align's solve and redistribution per
-//     objective, so only the warm-started solver chain and the call's
-//     fixed cost are shared);
+//     call, as /v1/align/batch hands them; per attribute, these against
+//     lone show what a batch saves (AlignAll runs Align's solve and
+//     redistribution per objective on a pooled scratch, so only the
+//     call's fixed cost is shared);
 //   - align: the same objective through Align, for comparison with
 //     lone.
 func BenchmarkEngineAlignAll(b *testing.B) {

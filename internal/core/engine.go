@@ -78,6 +78,14 @@ type engineScratch struct {
 	w      []float64 // β scaled by the per-reference normaliser
 	b      []float64 // max-normalised objective
 	fbRows []int     // degenerate rows handed to the fallback
+
+	// warm is a copy of the last β solved on this scratch against the
+	// engine's own design matrix (nil until the first such solve). It
+	// seeds the next solve's active set, which changes how many
+	// iterations reach the learned weights, not the weights: warm and
+	// cold starts end on the same passive set whenever the optimum is
+	// unique.
+	warm []float64
 }
 
 // NewEngine validates the references and precomputes the shared
@@ -305,7 +313,7 @@ func (e *Engine) LearnWeights(objective []float64) ([]float64, error) {
 	}
 	s := e.scratch.Get().(*engineScratch)
 	defer e.scratch.Put(s)
-	return e.learnWeights(objective, nil, s, nil)
+	return e.learnWeights(objective, nil, s)
 }
 
 // LearnWeightsResidual is LearnWeights plus the relative residual
@@ -323,7 +331,7 @@ func (e *Engine) LearnWeightsResidual(objective []float64) ([]float64, float64, 
 	}
 	s := e.scratch.Get().(*engineScratch)
 	defer e.scratch.Put(s)
-	w, err := e.learnWeights(objective, nil, s, nil)
+	w, err := e.learnWeights(objective, nil, s)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -422,7 +430,7 @@ func (e *Engine) alignWithSourcesContext(ctx context.Context, objective []float6
 	}
 	s := e.scratch.Get().(*engineScratch)
 	defer e.scratch.Put(s)
-	beta, err := e.learnWeights(objective, sources, s, nil)
+	beta, err := e.learnWeights(objective, sources, s)
 	if err != nil {
 		return nil, err
 	}
@@ -595,36 +603,41 @@ func checkFinite(objective []float64) error {
 
 // learnWeights runs Eq. 15 using the cached normal equations of the
 // precomputed design matrix, or a per-call system when source overrides
-// are given. The objective is max-normalised into the scratch buffer,
-// and warm (optional) seeds the active-set solver from a previous β.
-func (e *Engine) learnWeights(objective []float64, sources [][]float64, s *engineScratch, warm []float64) ([]float64, error) {
-	gs := e.gram
-	if sources != nil {
-		if len(sources) != len(e.refs) {
-			return nil, fmt.Errorf("core: %d source overrides for %d references", len(sources), len(e.refs))
-		}
-		normSrc := e.normSrcCols()
-		cols := make([][]float64, len(e.refs))
-		for k := range e.refs {
-			if sources[k] == nil {
-				cols[k] = normSrc[k]
-				continue
-			}
-			if len(sources[k]) != e.ns {
-				return nil, fmt.Errorf("core: source override %d has length %d, want %d", k, len(sources[k]), e.ns)
-			}
-			cols[k] = maxNormalise(sources[k])
-		}
-		mat, err := linalg.MatrixFromColumns(cols)
-		if err != nil {
-			return nil, err
-		}
-		// Source overrides change the design matrix, so the cached Gram
-		// system does not apply; a single-use one keeps the solve in
-		// k-space and bit-identical to an engine with those sources
-		// baked in.
-		gs = linalg.NewGramSystem(mat)
-	}
+// are given. The objective is max-normalised into the scratch buffer.
+// A solve against the cached system starts from the scratch's last β
+// and, once it succeeds, leaves its own β there; a solve with source
+// overrides is a different problem, so it starts cold and leaves the
+// stored β alone.
+func (e *Engine) learnWeights(objective []float64, sources [][]float64, s *engineScratch) ([]float64, error) {
 	maxNormaliseInto(s.b, objective)
-	return gs.SimplexLS(s.b, warm)
+	if sources == nil {
+		beta, err := e.gram.SimplexLS(s.b, s.warm)
+		if err == nil {
+			s.warm = append(s.warm[:0], beta...)
+		}
+		return beta, err
+	}
+	if len(sources) != len(e.refs) {
+		return nil, fmt.Errorf("core: %d source overrides for %d references", len(sources), len(e.refs))
+	}
+	normSrc := e.normSrcCols()
+	cols := make([][]float64, len(e.refs))
+	for k := range e.refs {
+		if sources[k] == nil {
+			cols[k] = normSrc[k]
+			continue
+		}
+		if len(sources[k]) != e.ns {
+			return nil, fmt.Errorf("core: source override %d has length %d, want %d", k, len(sources[k]), e.ns)
+		}
+		cols[k] = maxNormalise(sources[k])
+	}
+	mat, err := linalg.MatrixFromColumns(cols)
+	if err != nil {
+		return nil, err
+	}
+	// Source overrides change the design matrix, so the cached Gram
+	// system does not apply; a single-use one keeps the solve in k-space
+	// and bit-identical to an engine with those sources baked in.
+	return linalg.NewGramSystem(mat).SimplexLS(s.b, nil)
 }

@@ -55,11 +55,10 @@ func benchEngine(b *testing.B) *geoalign.Aligner {
 // US-scale engine. One op is one wave: every client fires a request at
 // once and the op ends when all 32 responses are in — so ns/op is the
 // wall time to serve 32 concurrent requests, valid at any -benchtime
-// (divide by 32 for per-request cost). In the coalesced variant the
-// first arrivals of a wave take the instance's free solve slots and
-// the rest, arriving while those are busy, share one warm-started
-// batch solve; uncoalesced (MaxBatch=1) solves each request alone —
-// the gap is the serving layer's reason to exist.
+// (divide by 32 for per-request cost). Every request solves alone
+// behind the admission gate. The HTTP variant keeps its recorded name,
+// uncoalesced, so the benchmark gate still compares it with the
+// snapshots taken when a batching variant ran beside it.
 func BenchmarkServeAlign(b *testing.B) {
 	const clients = 32
 	al := benchEngine(b)
@@ -116,18 +115,15 @@ func BenchmarkServeAlign(b *testing.B) {
 	}
 
 	b.Run("uncoalesced", func(b *testing.B) {
-		run(b, Config{MaxBatch: 1, MaxInFlight: 64})
-	})
-	b.Run("coalesced", func(b *testing.B) {
-		run(b, Config{MaxBatch: clients, MaxInFlight: 64})
+		run(b, Config{MaxInFlight: 64})
 	})
 
 	// The cached/cold pair isolates the result cache's win from socket
 	// cost: both dispatch waves straight into the handler via ServeHTTP
-	// (no loopback HTTP), so cold is the in-process floor of the
-	// coalesced solve path and cached is the same wave answered entirely
-	// from stored bytes. Cold rewrites each payload's first float every
-	// wave to guarantee misses.
+	// (no loopback HTTP), so cold is the in-process floor of the solve
+	// path and cached is the same wave answered entirely from stored
+	// bytes. Cold rewrites each payload's first float every wave to
+	// guarantee misses.
 	runDirect := func(b *testing.B, cfg Config, perturb bool) {
 		reg := NewRegistry()
 		if err := reg.Register("us", al); err != nil {
@@ -180,10 +176,10 @@ func BenchmarkServeAlign(b *testing.B) {
 		}
 	}
 	b.Run("cold", func(b *testing.B) {
-		runDirect(b, Config{MaxBatch: clients, MaxInFlight: 64, ResultCacheBytes: 1 << 30}, true)
+		runDirect(b, Config{MaxInFlight: 64, ResultCacheBytes: 1 << 30}, true)
 	})
 	b.Run("cached", func(b *testing.B) {
-		runDirect(b, Config{MaxBatch: clients, MaxInFlight: 64, ResultCacheBytes: 1 << 30}, false)
+		runDirect(b, Config{MaxInFlight: 64, ResultCacheBytes: 1 << 30}, false)
 	})
 }
 
@@ -212,16 +208,15 @@ func BenchmarkResultCacheHit(b *testing.B) {
 	}
 	payload := appendFloats(nil, obj)
 
-	c := newResultCache(1<<30, newMetrics())
+	c := newResultCache(1<<30, new(Metrics))
 	key := cacheKeyBytes("us", 1, payload)
 	res, err := al.Align(obj)
 	if err != nil {
 		b.Fatal(err)
 	}
 	entry := &cacheEntry{
-		key:     key,
-		bin:     appendBinaryResult(nil, res.Target, res.Weights),
-		batched: 1,
+		key: key,
+		bin: appendBinaryResult(nil, res.Target, res.Weights),
 	}
 	entry.size = entrySize(key, entry.bin, entry.json)
 	_, f, leader := c.lookup(key)

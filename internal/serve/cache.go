@@ -29,8 +29,7 @@ import (
 // formatting, no allocation. Binary traffic never encodes JSON; the
 // JSON body is encoded once per entry, by the first JSON response that
 // needs it, and kept beside the binary one. Concurrent identical misses
-// collapse into one coalesced solve through a per-key singleflight
-// table.
+// collapse into one solve through a per-key singleflight table.
 
 // cacheShards is the shard count (power of two). Sharding keeps the
 // per-hit critical section (map lookup + LRU splice) from serialising
@@ -62,9 +61,8 @@ type resultKey struct {
 // cache's reference, so a concurrent writer can keep streaming an
 // evicted entry's bytes.
 type cacheEntry struct {
-	key     resultKey
-	bin     []byte // encodeBinaryResult framing
-	batched int    // size of the coalesced batch that solved it
+	key resultKey
+	bin []byte // encodeBinaryResult framing
 
 	// Guarded by the shard's mu.
 	json []byte // full JSON response body, trailing newline included; nil until first needed

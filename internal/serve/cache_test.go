@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"testing"
 	"time"
@@ -52,7 +53,7 @@ func TestDigestFormsAgree(t *testing.T) {
 // whose budget charge is 2*payload+len(name)+cacheEntryOverhead.
 func testCacheEntry(name string, gen int, h1 uint64, payload int) (resultKey, *cacheEntry) {
 	key := resultKey{name: name, gen: gen, dig: objDigest{h1: h1, h2: h1 ^ 0x9e3779b97f4a7c15}, n: payload}
-	e := &cacheEntry{key: key, bin: make([]byte, payload), json: make([]byte, payload), batched: 1}
+	e := &cacheEntry{key: key, bin: make([]byte, payload), json: make([]byte, payload)}
 	e.size = entrySize(key, e.bin, e.json)
 	return key, e
 }
@@ -76,7 +77,7 @@ func TestResultCacheAccounting(t *testing.T) {
 	const payload = 20
 	_, probe := testCacheEntry("e", 1, 0, payload)
 	size := probe.size // 2*payload + 1 + cacheEntryOverhead
-	m := newMetrics()
+	m := new(Metrics)
 	c := newResultCache(2*size*cacheShards, m) // shard budget = two entries
 
 	k1, e1 := testCacheEntry("e", 1, 0<<4, payload)
@@ -146,7 +147,7 @@ func TestResultCacheAccounting(t *testing.T) {
 // hook's eager invalidation: purge(name, keepGen) drops exactly the
 // displaced generations of that name and nothing else.
 func TestResultCachePurge(t *testing.T) {
-	m := newMetrics()
+	m := new(Metrics)
 	c := newResultCache(1<<20, m)
 	kA1, eA1 := testCacheEntry("a", 1, 1, 8)
 	kA2, eA2 := testCacheEntry("a", 2, 2, 8)
@@ -184,7 +185,7 @@ func TestResultCachePurge(t *testing.T) {
 // request misses and serves the new generation's result.
 func TestResultCacheSwapInvalidation(t *testing.T) {
 	al := testAligner(t, 47, 60, 12, 3)
-	s, hts := newTestServer(t, al, Config{MaxBatch: 1, ResultCacheBytes: 1 << 20})
+	s, hts := newTestServer(t, al, Config{ResultCacheBytes: 1 << 20})
 	client := hts.Client()
 	rng := rand.New(rand.NewSource(3))
 	obj := randObjective(rng, al.SourceUnits())
@@ -240,13 +241,13 @@ func TestResultCacheSwapInvalidation(t *testing.T) {
 
 // TestSingleflightStorm throws 64 concurrent identical binary requests
 // at a cold cache. Whatever the interleaving, exactly one may solve:
-// one cache miss, one coalesced engine call carrying one request, and
+// one cache miss, one engine call carrying one objective, and
 // the other 63 accounted as singleflight merges or cache hits — with
 // all 64 response bodies byte-identical.
 func TestSingleflightStorm(t *testing.T) {
 	const storm = 64
 	al := testAligner(t, 48, 60, 12, 3)
-	s, hts := newTestServer(t, al, Config{MaxBatch: 8, ResultCacheBytes: 1 << 20})
+	s, hts := newTestServer(t, al, Config{ResultCacheBytes: 1 << 20})
 	rng := rand.New(rand.NewSource(13))
 	payload := appendFloats(nil, randObjective(rng, al.SourceUnits()))
 
@@ -296,7 +297,7 @@ func TestSingleflightStorm(t *testing.T) {
 		t.Fatalf("hits %d + merged %d = %d, want %d", m.CacheHits(), m.SingleflightMerged(), got, storm-1)
 	}
 	if m.Batches() != 1 || m.BatchedRequests() != 1 {
-		t.Fatalf("engine saw %d batches / %d requests, want 1 / 1", m.Batches(), m.BatchedRequests())
+		t.Fatalf("engine saw %d calls / %d objectives, want 1 / 1", m.Batches(), m.BatchedRequests())
 	}
 	if s.cache.Len() != 1 {
 		t.Fatalf("cache len = %d, want 1", s.cache.Len())
@@ -305,13 +306,11 @@ func TestSingleflightStorm(t *testing.T) {
 
 // TestCacheByteIdentity is the transparency property: with the cache
 // on, every response — leader, hit, either protocol — is byte-for-byte
-// what a cache-off server returns. JSON runs under MaxBatch=1 so the
-// echoed "batched" field is deterministic; the binary framing has no
-// batch field, so its identity is unconditional.
+// what a cache-off server returns.
 func TestCacheByteIdentity(t *testing.T) {
 	al := testAligner(t, 49, 50, 10, 3)
-	_, htsOn := newTestServer(t, al, Config{MaxBatch: 1, ResultCacheBytes: 1 << 20})
-	_, htsOff := newTestServer(t, al, Config{MaxBatch: 1})
+	_, htsOn := newTestServer(t, al, Config{ResultCacheBytes: 1 << 20})
+	_, htsOff := newTestServer(t, al, Config{})
 	rng := rand.New(rand.NewSource(17))
 
 	fetch := func(hts string, ct string, body []byte) ([]byte, string) {
@@ -407,10 +406,7 @@ func TestResultCacheDeltaSwapGenerationExact(t *testing.T) {
 		align(g + 1)
 	}
 
-	s, hts := newTestServer(t, al, Config{
-		MaxBatch:         8,
-		ResultCacheBytes: 1 << 20,
-	})
+	s, hts := newTestServer(t, al, Config{ResultCacheBytes: 1 << 20})
 	client := hts.Client()
 
 	var wg sync.WaitGroup
@@ -481,7 +477,7 @@ func TestResultCacheDeltaSwapGenerationExact(t *testing.T) {
 
 type errStatus int
 
-func (e errStatus) Error() string { return "align status " + itoa(int(e)) }
+func (e errStatus) Error() string { return "align status " + strconv.Itoa(int(e)) }
 
 type sentinelErr string
 
@@ -538,33 +534,30 @@ func TestBufPoolHygiene(t *testing.T) {
 }
 
 // TestAlignNonFiniteObjective: a binary objective holding NaN or ±Inf
-// is a client error on the direct and the coalesced path alike, and the
-// cache never stores the failure — repeating the request solves (and
-// fails) again instead of hitting.
+// is a client error, and the cache never stores the failure — repeating
+// the request solves (and fails) again instead of hitting.
 func TestAlignNonFiniteObjective(t *testing.T) {
 	al := testAligner(t, 53, 40, 8, 3)
-	for _, maxBatch := range []int{1, 4} {
-		s, hts := newTestServer(t, al, Config{MaxBatch: maxBatch, ResultCacheBytes: 1 << 20})
-		obj := randObjective(rand.New(rand.NewSource(5)), al.SourceUnits())
-		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
-			obj[3] = bad
-			for attempt := 0; attempt < 2; attempt++ {
-				resp, err := http.DefaultClient.Post(hts.URL+"/v1/align?engine=test", contentTypeBinary, bytes.NewReader(appendFloats(nil, obj)))
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusBadRequest {
-					t.Fatalf("MaxBatch %d, %v, attempt %d: status %d, want 400", maxBatch, bad, attempt, resp.StatusCode)
-				}
-				if how := resp.Header.Get("X-Geoalign-Cache"); how != "" {
-					t.Fatalf("MaxBatch %d, %v, attempt %d: answered from cache (%q)", maxBatch, bad, attempt, how)
-				}
+	s, hts := newTestServer(t, al, Config{ResultCacheBytes: 1 << 20})
+	obj := randObjective(rand.New(rand.NewSource(5)), al.SourceUnits())
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		obj[3] = bad
+		for attempt := 0; attempt < 2; attempt++ {
+			resp, err := http.DefaultClient.Post(hts.URL+"/v1/align?engine=test", contentTypeBinary, bytes.NewReader(appendFloats(nil, obj)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%v, attempt %d: status %d, want 400", bad, attempt, resp.StatusCode)
+			}
+			if how := resp.Header.Get("X-Geoalign-Cache"); how != "" {
+				t.Fatalf("%v, attempt %d: answered from cache (%q)", bad, attempt, how)
 			}
 		}
-		if s.cache.Len() != 0 || s.metrics.CacheHits() != 0 {
-			t.Fatalf("MaxBatch %d: cache holds %d entries after %d hits", maxBatch, s.cache.Len(), s.metrics.CacheHits())
-		}
+	}
+	if s.cache.Len() != 0 || s.metrics.CacheHits() != 0 {
+		t.Fatalf("cache holds %d entries after %d hits", s.cache.Len(), s.metrics.CacheHits())
 	}
 }
 
@@ -576,8 +569,8 @@ func TestAlignNonFiniteObjective(t *testing.T) {
 // a second JSON hit reuses the attached bytes and charges nothing.
 func TestCacheJSONEncodedOncePerEntry(t *testing.T) {
 	al := testAligner(t, 57, 50, 10, 3)
-	s, htsOn := newTestServer(t, al, Config{MaxBatch: 1, ResultCacheBytes: 1 << 20})
-	_, htsOff := newTestServer(t, al, Config{MaxBatch: 1})
+	s, htsOn := newTestServer(t, al, Config{ResultCacheBytes: 1 << 20})
+	_, htsOff := newTestServer(t, al, Config{})
 	obj := randObjective(rand.New(rand.NewSource(23)), al.SourceUnits())
 	jsonReq := mustJSON(t, alignRequest{Engine: "test", Objective: obj})
 

@@ -68,7 +68,6 @@ type alignResponse struct {
 	Engine  string    `json:"engine"`
 	Target  []float64 `json:"target"`
 	Weights []float64 `json:"weights"`
-	Batched int       `json:"batched"` // size of the coalesced batch that carried it
 }
 
 // batchRequest is the JSON body of POST /v1/align/batch.

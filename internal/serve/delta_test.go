@@ -55,7 +55,7 @@ func TestDeltaEndpoint(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			al := testAligner(t, 41, 60, 12, 3)
-			_, hts := newTestServer(t, al, Config{MaxBatch: 1})
+			_, hts := newTestServer(t, al, Config{})
 			client := hts.Client()
 
 			rng := rand.New(rand.NewSource(99))
@@ -184,7 +184,7 @@ func TestDeltaSnapshotPersistPolicy(t *testing.T) {
 
 // TestDeltaSwapGenerationExact is the serving-layer race test: align
 // traffic runs concurrently with a stream of deltas, each published via
-// SwapOwned, under the coalescer. Every response must match one
+// SwapOwned. Every response must match one
 // published generation's result bit for bit — a response blending two
 // generations, or computed on a half-applied engine, fails the match.
 func TestDeltaSwapGenerationExact(t *testing.T) {
@@ -222,7 +222,7 @@ func TestDeltaSwapGenerationExact(t *testing.T) {
 		}
 	}
 
-	_, hts := newTestServer(t, al, Config{MaxBatch: 8})
+	_, hts := newTestServer(t, al, Config{})
 	client := hts.Client()
 
 	var wg sync.WaitGroup

@@ -8,11 +8,6 @@ import (
 	"geoalign/internal/catalog"
 )
 
-// batchBuckets are the inclusive upper bounds of the coalesced batch
-// size histogram; sizes above the last bound land in the overflow
-// bucket.
-var batchBuckets = []int{1, 2, 4, 8, 16, 32, 64}
-
 // stageLatency accumulates the latency of one request stage (parse,
 // queue wait, solve, encode) as a running count/sum/max in nanoseconds.
 type stageLatency struct {
@@ -59,9 +54,8 @@ type Metrics struct {
 	serverErrors atomic.Int64 // 5xx responses
 	cancelled    atomic.Int64 // requests dropped on client cancellation
 
-	batches   atomic.Int64 // coalesced AlignAll calls issued
-	batched   atomic.Int64 // requests served through those calls
-	batchHist []atomic.Int64
+	calls      atomic.Int64 // engine calls issued (one per solve or client batch)
+	objectives atomic.Int64 // objectives those calls carried
 
 	deltas        atomic.Int64 // deltas applied and published
 	deltaRejected atomic.Int64 // deltas rejected as malformed
@@ -97,21 +91,11 @@ type Metrics struct {
 	catalogStats func() catalog.Stats  // set when a catalog is configured
 }
 
-func newMetrics() *Metrics {
-	return &Metrics{batchHist: make([]atomic.Int64, len(batchBuckets)+1)}
-}
-
-// observeBatch records one coalesced engine call of the given size.
-func (m *Metrics) observeBatch(size int) {
-	m.batches.Add(1)
-	m.batched.Add(int64(size))
-	for i, b := range batchBuckets {
-		if size <= b {
-			m.batchHist[i].Add(1)
-			return
-		}
-	}
-	m.batchHist[len(batchBuckets)].Add(1)
+// observeSolve records one engine call carrying n objectives: 1 for a
+// /v1/align solve, the batch size for a /v1/align/batch call.
+func (m *Metrics) observeSolve(n int) {
+	m.calls.Add(1)
+	m.objectives.Add(int64(n))
 }
 
 // Requests reports the number of align requests received.
@@ -121,12 +105,13 @@ func (m *Metrics) Requests() int64 { return m.requests.Load() }
 // gate.
 func (m *Metrics) Shed() int64 { return m.shed.Load() }
 
-// Batches reports the number of coalesced engine calls issued.
-func (m *Metrics) Batches() int64 { return m.batches.Load() }
+// Batches reports the number of engine calls issued: one per
+// /v1/align solve and one per /v1/align/batch call.
+func (m *Metrics) Batches() int64 { return m.calls.Load() }
 
-// BatchedRequests reports the number of requests served through
-// coalesced engine calls.
-func (m *Metrics) BatchedRequests() int64 { return m.batched.Load() }
+// BatchedRequests reports the number of objectives those engine calls
+// solved, so BatchedRequests/Batches is the mean objectives per call.
+func (m *Metrics) BatchedRequests() int64 { return m.objectives.Load() }
 
 // DeltasApplied reports the number of deltas applied and published as
 // new engine generations.
@@ -168,14 +153,6 @@ func (m *Metrics) ManifestSwaps() int64 { return m.manifestSwaps.Load() }
 
 // Snapshot renders the metrics block as a JSON-encodable map.
 func (m *Metrics) Snapshot() map[string]any {
-	hist := make(map[string]int64, len(m.batchHist))
-	for i := range m.batchHist {
-		key := "inf"
-		if i < len(batchBuckets) {
-			key = itoa(batchBuckets[i])
-		}
-		hist["le_"+key] = m.batchHist[i].Load()
-	}
 	out := map[string]any{
 		"requests": map[string]any{
 			"total":         m.requests.Load(),
@@ -185,10 +162,9 @@ func (m *Metrics) Snapshot() map[string]any {
 			"server_errors": m.serverErrors.Load(),
 			"cancelled":     m.cancelled.Load(),
 		},
-		"coalescer": map[string]any{
-			"batches":          m.batches.Load(),
-			"batched_requests": m.batched.Load(),
-			"size_histogram":   hist,
+		"solves": map[string]any{
+			"engine_calls": m.calls.Load(),
+			"objectives":   m.objectives.Load(),
 		},
 		"deltas": map[string]any{
 			"applied":  m.deltas.Load(),
@@ -255,18 +231,4 @@ func (m *Metrics) Snapshot() map[string]any {
 // server does not publish automatically; the geoalignd binary does).
 func (m *Metrics) Var() expvar.Var {
 	return expvar.Func(func() any { return m.Snapshot() })
-}
-
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
-	}
-	var buf [8]byte
-	i := len(buf)
-	for n > 0 {
-		i--
-		buf[i] = byte('0' + n%10)
-		n /= 10
-	}
-	return string(buf[i:])
 }

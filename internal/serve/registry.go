@@ -88,10 +88,11 @@ type EngineInfo struct {
 	SnapshotDigest string `json:"snapshot_digest,omitempty"`
 }
 
-// Instance is one generation of a named engine. The coalescer keys its
-// micro-batches by *Instance, so a hot swap naturally splits traffic:
-// requests that leased the old generation finish on it while new
-// arrivals batch on the new one.
+// Instance is one generation of a named engine. A request leases the
+// instance it resolved, so a hot swap splits traffic cleanly: requests
+// that leased the old generation solve and finish on it while new
+// arrivals solve on the new one, and the result cache keys answers by
+// the instance's generation.
 type Instance struct {
 	name    string
 	gen     int
@@ -185,8 +186,7 @@ func (l *Lease) Release() {
 // Registry holds the named engines a server can route to. Engines are
 // registered at startup (or swapped in at runtime); lookups take a
 // ref-counted lease so replacement is race-free: Swap retires the old
-// instance and its Drained channel closes once the last lease and the
-// last straggling coalesced batch let go.
+// instance and its Drained channel closes once the last lease lets go.
 type Registry struct {
 	mu      sync.Mutex
 	engines map[string]*Instance

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -207,14 +206,13 @@ func TestGate(t *testing.T) {
 }
 
 // TestServeAlignMatchesSequential is the end-to-end bit-identity check:
-// responses served through the coalescer are byte-for-byte the numbers
-// sequential Align calls produce, for every one of a burst of
-// concurrent clients. Every solve is held at its start until the whole
-// burst has arrived, so the burst deterministically runs as lone
-// solves on the instance's slots plus shared batches.
+// for every one of a burst of concurrent clients, the response carries
+// exactly the numbers a sequential Align call produces, although the
+// burst's solves run side by side and each starts from whatever β its
+// pooled scratch last held.
 func TestServeAlignMatchesSequential(t *testing.T) {
 	al := testAligner(t, 11, 120, 15, 4)
-	s, hts, g := newHeldServer(t, al, Config{MaxBatch: 8}, func(*Instance, int) bool { return true })
+	s, hts := newTestServer(t, al, Config{})
 
 	const clients = 32
 	rng := rand.New(rand.NewSource(5))
@@ -232,7 +230,6 @@ func TestServeAlignMatchesSequential(t *testing.T) {
 	}
 
 	got := make([]alignResponse, clients)
-	batchSizes := make([]int, clients)
 	var wg sync.WaitGroup
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
@@ -244,29 +241,17 @@ func TestServeAlignMatchesSequential(t *testing.T) {
 				return
 			}
 			got[i] = resp
-			fmt.Sscan(httpResp.Header.Get("X-Geoalign-Batch"), &batchSizes[i])
 		}(i)
 	}
-	waitFor(t, "every client to reach a solve or a pending batch", func() bool {
-		return int(g.started.Load())+pendingObjectives(s.coal) == clients
-	})
-	g.open()
 	wg.Wait()
 
 	for i := range got {
 		if !floatsEqual(got[i].Target, want[i].Target) || !floatsEqual(got[i].Weights, want[i].Weights) {
-			t.Errorf("client %d: coalesced response differs from sequential Align", i)
-		}
-		if got[i].Batched != batchSizes[i] || batchSizes[i] < 1 {
-			t.Errorf("client %d: batched field %d vs header %d", i, got[i].Batched, batchSizes[i])
+			t.Errorf("client %d: response differs from sequential Align", i)
 		}
 	}
-	m := s.Metrics()
-	if m.BatchedRequests() != clients {
-		t.Errorf("BatchedRequests = %d, want %d", m.BatchedRequests(), clients)
-	}
-	if m.Batches() >= clients {
-		t.Errorf("Batches = %d: no coalescing happened across %d concurrent clients", m.Batches(), clients)
+	if m := s.Metrics(); m.Batches() != clients || m.BatchedRequests() != clients {
+		t.Errorf("engine calls %d carrying %d objectives, want %d lone solves", m.Batches(), m.BatchedRequests(), clients)
 	}
 }
 
@@ -274,7 +259,7 @@ func TestServeAlignMatchesSequential(t *testing.T) {
 // the same bits as Align.
 func TestServeBinary(t *testing.T) {
 	al := testAligner(t, 21, 60, 9, 3)
-	_, hts := newTestServer(t, al, Config{MaxBatch: 4})
+	_, hts := newTestServer(t, al, Config{})
 
 	rng := rand.New(rand.NewSource(1))
 	obj := randObjective(rng, 60)
@@ -306,65 +291,22 @@ func TestServeBinary(t *testing.T) {
 	}
 }
 
-// TestServeFullBatch pins the full-batch path: with every solve slot
-// of the instance held busy and MaxBatch=N, the N requests that arrive
-// meanwhile run as one batch the moment the Nth arrives, without
-// waiting for a slot, and every response reports N.
-func TestServeFullBatch(t *testing.T) {
-	al := testAligner(t, 31, 80, 10, 3)
-	s, hts, g := newHeldServer(t, al, Config{MaxBatch: 4}, func(_ *Instance, n int) bool { return n == 1 })
-
-	post := func(seed int64) (alignResponse, *http.Response) {
-		return postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: randObjective(rand.New(rand.NewSource(seed)), 80)})
-	}
-	held := g.fillSlots(t, s.coal, func(i int) { post(100 + int64(i)) })
-
-	var wg sync.WaitGroup
-	sizes := make([]int, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			resp, httpResp := post(int64(i))
-			if httpResp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", httpResp.StatusCode)
-				return
-			}
-			sizes[i] = resp.Batched
-		}(i)
-	}
-	wg.Wait() // returns while every slot is still held
-	for i, sz := range sizes {
-		if sz != 4 {
-			t.Errorf("request %d: batch size %d, want 4", i, sz)
-		}
-	}
-	g.open()
-	held.Wait()
-}
-
-// TestServeShed pins the load-shedding contract: with every admission
-// slot held by a request whose solve is blocked, a new request is
-// refused with 429 and Retry-After within the configured queue wait.
+// TestServeShed pins the load-shedding contract: with the only
+// admission slot held, a new request is refused with 429 and
+// Retry-After within the configured queue wait, and a request admitted
+// once the slot frees is served.
 func TestServeShed(t *testing.T) {
 	al := testAligner(t, 41, 80, 10, 3)
-	s, hts, g := newHeldServer(t, al, Config{
-		MaxBatch:    32,
+	s, hts := newTestServer(t, al, Config{
 		MaxInFlight: 1,
 		QueueWait:   20 * time.Millisecond,
-	}, func(*Instance, int) bool { return true })
+	})
+	if err := s.gate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
 
 	rng := rand.New(rand.NewSource(3))
 	obj := randObjective(rng, 80)
-	first := make(chan int, 1)
-	go func() {
-		_, resp := postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: obj})
-		first <- resp.StatusCode
-	}()
-	// The first request holds the only admission slot while its solve
-	// is blocked.
-	waitFor(t, "the first request to start solving", func() bool { return g.started.Load() == 1 })
-
 	_, resp := postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: obj})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
@@ -372,9 +314,9 @@ func TestServeShed(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Error("429 without Retry-After")
 	}
-	g.open()
-	if code := <-first; code != http.StatusOK {
-		t.Fatalf("first request status %d", code)
+	s.gate.release()
+	if _, resp := postAlign(t, hts.Client(), hts.URL, alignRequest{Engine: "test", Objective: obj}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d after the slot freed, want 200", resp.StatusCode)
 	}
 	if s.Metrics().Shed() != 1 {
 		t.Errorf("Shed() = %d, want 1", s.Metrics().Shed())
@@ -383,7 +325,7 @@ func TestServeShed(t *testing.T) {
 
 func TestServeErrors(t *testing.T) {
 	al := testAligner(t, 51, 50, 8, 3)
-	_, hts := newTestServer(t, al, Config{MaxBatch: 1})
+	_, hts := newTestServer(t, al, Config{})
 	client := hts.Client()
 
 	cases := []struct {
@@ -507,7 +449,7 @@ func TestServeStress(t *testing.T) {
 	if err := reg.Register("e", al1); err != nil {
 		t.Fatal(err)
 	}
-	s := NewServer(reg, Config{MaxBatch: 8, MaxInFlight: 16, QueueWait: 100 * time.Millisecond})
+	s := NewServer(reg, Config{MaxInFlight: 16, QueueWait: 100 * time.Millisecond})
 	hts := httptest.NewServer(s.Handler())
 	defer hts.Close()
 
@@ -565,7 +507,7 @@ func TestServeStress(t *testing.T) {
 
 	// Mid-flight shutdown: start a final wave, then gracefully stop the
 	// HTTP server while it is in the air. Requests must either complete
-	// normally or fail cleanly (connection refused / 503) — never hang.
+	// normally or fail cleanly (connection refused) — never hang.
 	var wave sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wave.Add(1)
@@ -589,8 +531,4 @@ func TestServeStress(t *testing.T) {
 	}
 	s.Shutdown()
 	wave.Wait()
-
-	if _, _, err := s.coal.Submit(context.Background(), nil, nil); err != ErrShuttingDown {
-		t.Errorf("Submit after Shutdown = %v, want ErrShuttingDown", err)
-	}
 }

@@ -1,22 +1,17 @@
 // Package serve is the geoalignd serving layer: an HTTP JSON/binary API
-// over a registry of named Aligner engines, with request coalescing and
-// bounded-concurrency load shedding.
+// over a registry of named Aligner engines, with a generation-keyed
+// result cache and bounded-concurrency load shedding.
 //
-// The interesting piece is the coalescer. The paper's repeated-query
+// A /v1/align request that misses the cache takes one path: it waits
+// for a slot of the admission gate (or is shed with 429 once the queue
+// wait elapses), solves alone through AlignContext under its own
+// request context, and frees the slot. The paper's repeated-query
 // workload (many attributes crossing the same pair of unit systems)
-// arrives at a server as concurrent single-attribute requests. The
-// coalescer batches while busy: a request that finds one of its engine
-// instance's GOMAXPROCS solve
-// slots free solves at once, alone, and requests that arrive while
-// every slot is busy are merged into one AlignAllContext call that
-// runs as soon as a slot frees. No timer is involved, so an idle server
-// adds no wait, and batches grow only when arrivals outpace solves: on
-// the repository benchmark's serve-miss load the light-phase median
-// latency fell from 6.7ms under the former fixed 2ms batching window
-// to 3.5ms (2-vCPU host).
-// AlignAll is bit-identical to per-request Align, so coalescing is
-// invisible in the response bytes, visible only in latency and
-// throughput.
+// arrives as concurrent single-attribute requests; batching them would
+// not save the engine work, since AlignAll runs Align's solve and
+// redistribution per objective. The engine warm-starts every solve
+// from the last β its pooled scratch solved, which does not change the
+// result.
 package serve
 
 import (
@@ -38,11 +33,6 @@ import (
 // Config tunes a Server. The zero value gives the defaults noted on
 // each field.
 type Config struct {
-	// MaxBatch caps how many requests one coalesced engine call may
-	// carry; a batch that fills runs at once. Values <= 1 disable
-	// coalescing: each request solves alone under its own context.
-	// Default 32.
-	MaxBatch int
 	// MaxInFlight bounds admitted requests; arrivals beyond it wait up
 	// to QueueWait and are then shed with 429. Default 256.
 	MaxInFlight int
@@ -100,9 +90,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.MaxBatch == 0 {
-		c.MaxBatch = 32
-	}
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 256
 	}
@@ -119,12 +106,9 @@ type Server struct {
 	cfg      Config
 	registry *Registry
 	metrics  *Metrics
-	coal     *Coalescer
 	gate     *gate
 	cache    *ResultCache // nil when ResultCacheBytes == 0
 	mux      *http.ServeMux
-	baseCtx  context.Context
-	cancel   context.CancelFunc
 
 	// blobClient issues peer blob fetches during manifest applies.
 	blobClient *http.Client
@@ -140,17 +124,13 @@ type Server struct {
 // take defaults; see Config.
 func NewServer(reg *Registry, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	m := newMetrics()
-	baseCtx, cancel := context.WithCancel(context.Background())
+	m := new(Metrics)
 	s := &Server{
 		cfg:      cfg,
 		registry: reg,
 		metrics:  m,
-		coal:     newCoalescer(cfg.MaxBatch, baseCtx, m),
 		gate:     newGate(cfg.MaxInFlight, cfg.QueueWait),
 		mux:      http.NewServeMux(),
-		baseCtx:  baseCtx,
-		cancel:   cancel,
 		deltas:   make(map[string]*deltaState),
 	}
 	m.queueDepth = s.gate.depth
@@ -197,14 +177,11 @@ func (s *Server) Registry() *Registry { return s.registry }
 // ResultCache returns the server's result cache, nil when disabled.
 func (s *Server) ResultCache() *ResultCache { return s.cache }
 
-// Shutdown drains the serving layer. Call it after http.Server.Shutdown
-// has returned (so no new requests are arriving): it runs every batch
-// still waiting for a solve slot so current waiters get answers, then
-// cancels the base context that in-flight solves run under.
-func (s *Server) Shutdown() {
-	s.coal.Shutdown()
-	s.cancel()
-}
+// Shutdown ends the serving layer. Call it after http.Server.Shutdown
+// has returned. Every solve runs inside its handler under that
+// request's context, so once the HTTP server has drained no solve
+// outlives its request and there is nothing left to stop.
+func (s *Server) Shutdown() {}
 
 // requestCtx applies the configured per-request deadline.
 func (s *Server) requestCtx(r *http.Request) (context.Context, context.CancelFunc) {
@@ -233,7 +210,7 @@ func (s *Server) writeError(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorResponse{Error: msg})
 }
 
-// solveError maps an engine/coalescer error to an HTTP status.
+// solveError maps an engine or admission error to an HTTP status.
 func solveError(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded):
@@ -242,8 +219,6 @@ func solveError(err error) int {
 		// Client went away; the status is never seen but keeps logs
 		// honest.
 		return http.StatusRequestTimeout
-	case errors.Is(err, ErrShuttingDown):
-		return http.StatusServiceUnavailable
 	case errors.Is(err, geoalign.ErrNoSourceUnits), errors.Is(err, geoalign.ErrNonFiniteObjective):
 		return http.StatusBadRequest
 	default:
@@ -352,8 +327,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		nObj = len(raw) / 8
 	}
 	if nObj != al.SourceUnits() {
-		// Validating here keeps malformed requests out of shared
-		// batches: co-batched requests never fail on a stranger's input.
 		if binary {
 			putBuf(raw)
 		}
@@ -440,14 +413,9 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	tAdmitted := time.Now()
 	s.metrics.queue.observe(tAdmitted.Sub(tParsed))
 
-	var res *geoalign.Result
-	batched := 1
-	if s.cfg.MaxBatch > 1 {
-		res, batched, err = s.coal.Submit(ctx, in, objective)
-	} else {
-		res, err = al.AlignContext(ctx, objective)
-	}
+	res, err := al.AlignContext(ctx, objective)
 	s.gate.release()
+	s.metrics.observeSolve(1)
 	s.metrics.solve.observe(time.Since(tAdmitted))
 	if err != nil {
 		if flight != nil {
@@ -465,14 +433,13 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 		// Encode the binary framing once, publish it to followers and the
 		// cache, and answer from the entry every later hit reuses; a JSON
 		// answer encodes the entry's JSON body here, once.
-		entry := newCacheEntry(key, res, batched)
+		entry := newCacheEntry(key, res)
 		s.cache.complete(key, flight, entry)
 		s.writeCached(w, entry, binary, "")
 		s.metrics.encode.observe(time.Since(tSolved))
 		return
 	}
 
-	w.Header().Set("X-Geoalign-Batch", strconv.Itoa(batched))
 	if binary {
 		w.Header().Set("Content-Type", contentTypeBinary)
 		if err := encodeBinaryResult(w, res.Target, res.Weights); err != nil {
@@ -483,7 +450,6 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 			Engine:  name,
 			Target:  res.Target,
 			Weights: res.Weights,
-			Batched: batched,
 		})
 	}
 	s.metrics.encode.observe(time.Since(tSolved))
@@ -493,11 +459,10 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 // newCacheEntry encodes a solved result into the binary framing the
 // cache stores; a JSON body is rendered from it only when a JSON
 // response needs one (see ResultCache.jsonBody).
-func newCacheEntry(key resultKey, res *geoalign.Result, batched int) *cacheEntry {
+func newCacheEntry(key resultKey, res *geoalign.Result) *cacheEntry {
 	e := &cacheEntry{
-		key:     key,
-		bin:     appendBinaryResult(make([]byte, 0, 8+8*(len(res.Target)+len(res.Weights))), res.Target, res.Weights),
-		batched: batched,
+		key: key,
+		bin: appendBinaryResult(make([]byte, 0, 8+8*(len(res.Target)+len(res.Weights))), res.Target, res.Weights),
 	}
 	e.size = entrySize(key, e.bin, nil)
 	return e
@@ -515,7 +480,6 @@ func (e *cacheEntry) renderJSON() ([]byte, error) {
 		Engine:  e.key.name,
 		Target:  target,
 		Weights: weights,
-		Batched: e.batched,
 	})
 }
 
@@ -537,7 +501,6 @@ func (s *Server) writeCached(w http.ResponseWriter, e *cacheEntry, binary bool, 
 	if how != "" {
 		w.Header().Set("X-Geoalign-Cache", how)
 	}
-	w.Header().Set("X-Geoalign-Batch", strconv.Itoa(e.batched))
 	w.Header().Set("Content-Type", ct)
 	w.Write(body)
 	s.metrics.ok.Add(1)
@@ -578,8 +541,8 @@ func (s *Server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 	tParsed := time.Now()
 	s.metrics.parse.observe(tParsed.Sub(t0))
 
-	// A client-assembled batch is already the engine's natural shape; it
-	// takes one admission slot and skips the coalescer.
+	// A client-assembled batch takes one admission slot for the whole
+	// engine call.
 	if err := s.gate.acquire(ctx); err != nil {
 		if errors.Is(err, ErrShed) {
 			s.writeError(w, http.StatusTooManyRequests, "server at capacity")
@@ -594,6 +557,7 @@ func (s *Server) handleAlignBatch(w http.ResponseWriter, r *http.Request) {
 
 	results, err := al.AlignAllContext(ctx, req.Objectives)
 	s.gate.release()
+	s.metrics.observeSolve(len(req.Objectives))
 	s.metrics.solve.observe(time.Since(tAdmitted))
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -164,52 +164,6 @@ func readSHPOriented(shp []byte) ([][]geom.Polygon, error) {
 	return out, nil
 }
 
-func parseOrientedRecord(b []byte) ([]geom.Polygon, error) {
-	if len(b) < 44 {
-		return nil, fmt.Errorf("shapefile: polygon record too short (%d bytes)", len(b))
-	}
-	le := binary.LittleEndian
-	if st := int32(le.Uint32(b[0:4])); st != shapePolygon {
-		return nil, fmt.Errorf("shapefile: record shape type %d unsupported", st)
-	}
-	numParts := int(int32(le.Uint32(b[36:40])))
-	numPoints := int(int32(le.Uint32(b[40:44])))
-	if numParts < 1 || numParts > numPoints || numPoints < 4 {
-		return nil, fmt.Errorf("shapefile: record with %d parts, %d points", numParts, numPoints)
-	}
-	ptsOff := 44 + 4*numParts
-	need := ptsOff + 16*numPoints
-	if need < 0 || len(b) < need {
-		return nil, fmt.Errorf("shapefile: record needs %d bytes, has %d", need, len(b))
-	}
-	starts := make([]int, numParts+1)
-	for p := 0; p < numParts; p++ {
-		starts[p] = int(int32(le.Uint32(b[44+4*p:])))
-	}
-	starts[numParts] = numPoints
-	rings := make([]geom.Polygon, 0, numParts)
-	for p := 0; p < numParts; p++ {
-		lo, hi := starts[p], starts[p+1]
-		if lo < 0 || hi > numPoints || hi-lo < 4 {
-			return nil, fmt.Errorf("shapefile: part %d spans [%d,%d) of %d points", p, lo, hi, numPoints)
-		}
-		pg := make(geom.Polygon, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			x := math.Float64frombits(le.Uint64(b[ptsOff+16*i:]))
-			y := math.Float64frombits(le.Uint64(b[ptsOff+16*i+8:]))
-			pg = append(pg, geom.Point{X: x, Y: y})
-		}
-		if len(pg) > 1 && pg[0] == pg[len(pg)-1] {
-			pg = pg[:len(pg)-1]
-		}
-		if len(pg) < 3 {
-			return nil, fmt.Errorf("shapefile: part %d has %d vertices", p, len(pg))
-		}
-		rings = append(rings, pg)
-	}
-	return rings, nil
-}
-
 // writeSHPRings serialises pre-oriented rings (no orientation fix-ups).
 func writeSHPRings(records [][]geom.Polygon) (shp, shx []byte, err error) {
 	var body, index []byte

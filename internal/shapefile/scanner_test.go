@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -225,6 +226,34 @@ func TestScannerMutations(t *testing.T) {
 				t.Fatalf("error %v matches %d sentinel classes", err, n)
 			}
 		})
+	}
+}
+
+// TestNonFiniteCoordinatesRejected: a record holding a NaN or ±Inf X or
+// Y fails with ErrFormat in the streaming scanner and in the hole-aware
+// reader alike, since both decode rings through one parser.
+func TestNonFiniteCoordinatesRejected(t *testing.T) {
+	shp, shx, dbf := sampleMultiLayer(t)
+	if _, err := scanAll(shp, shx, dbf); err != nil {
+		t.Fatalf("clean layer, scanner: %v", err)
+	}
+	if _, err := ReadHoled(shp, dbf); err != nil {
+		t.Fatalf("clean layer, holed reader: %v", err)
+	}
+	// Record 0 has one part, so its points start at content+48; point 1
+	// is not the closing vertex.
+	const pt1 = 108 + 48 + 16
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, off := range []int{pt1, pt1 + 8} {
+			m := append([]byte(nil), shp...)
+			binary.LittleEndian.PutUint64(m[off:], math.Float64bits(bad))
+			if _, err := scanAll(m, shx, dbf); !errors.Is(err, ErrFormat) {
+				t.Errorf("scanner, %v at byte %d: err %v, want ErrFormat", bad, off, err)
+			}
+			if _, err := ReadHoled(m, dbf); !errors.Is(err, ErrFormat) {
+				t.Errorf("holed reader, %v at byte %d: err %v, want ErrFormat", bad, off, err)
+			}
+		}
 	}
 }
 

@@ -255,9 +255,26 @@ func mainHeader(lengthWords int, bbox geom.BBox) []byte {
 	return h
 }
 
-// parsePolygonRecord decodes one Polygon-type record's content. It is
-// the shared kernel behind Scanner.Next and the collect-all readers.
+// parsePolygonRecord decodes one Polygon-type record's content with
+// every ring made counter-clockwise. It is the kernel behind
+// Scanner.Next and the collect-all readers.
 func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
+	rings, err := parseOrientedRecord(b)
+	if err != nil {
+		return nil, err
+	}
+	for i, pg := range rings {
+		rings[i] = pg.EnsureCCW()
+	}
+	return rings, nil
+}
+
+// parseOrientedRecord decodes one Polygon-type record's content, keeping
+// each ring in its file orientation (the hole-aware reader classifies
+// rings by it) and dropping the closing vertex. A record whose layout
+// is inconsistent, or that holds a NaN or ±Inf coordinate, fails with
+// ErrFormat; one shorter than its own counts fails with ErrTruncated.
+func parseOrientedRecord(b []byte) ([]geom.Polygon, error) {
 	if len(b) < 44 {
 		return nil, fmt.Errorf("shapefile: polygon record too short (%d bytes): %w", len(b), ErrTruncated)
 	}
@@ -267,11 +284,9 @@ func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
 	}
 	numParts := int(int32(le.Uint32(b[36:40])))
 	numPoints := int(int32(le.Uint32(b[40:44])))
-	if numParts < 1 || numParts > numPoints {
+	// Every part is at least a triangle plus the closing vertex.
+	if numParts < 1 || numParts > numPoints || numPoints < 4 {
 		return nil, fmt.Errorf("shapefile: record with %d parts, %d points: %w", numParts, numPoints, ErrFormat)
-	}
-	if numPoints < 4 { // at least a triangle plus the closing vertex
-		return nil, fmt.Errorf("shapefile: record with %d points: %w", numPoints, ErrFormat)
 	}
 	ptsOff := 44 + 4*numParts
 	need := ptsOff + 16*numPoints
@@ -283,7 +298,7 @@ func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
 		starts[p] = int(int32(le.Uint32(b[44+4*p:])))
 	}
 	starts[numParts] = numPoints
-	mp := make(geom.MultiPolygon, 0, numParts)
+	rings := make([]geom.Polygon, 0, numParts)
 	for p := 0; p < numParts; p++ {
 		lo, hi := starts[p], starts[p+1]
 		if lo < 0 || hi > numPoints || hi-lo < 4 {
@@ -293,6 +308,9 @@ func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
 		for i := lo; i < hi; i++ {
 			x := math.Float64frombits(le.Uint64(b[ptsOff+16*i:]))
 			y := math.Float64frombits(le.Uint64(b[ptsOff+16*i+8:]))
+			if math.IsNaN(x) || math.IsInf(x, 0) || math.IsNaN(y) || math.IsInf(y, 0) {
+				return nil, fmt.Errorf("shapefile: part %d point %d is (%v, %v), want finite coordinates: %w", p, i-lo, x, y, ErrFormat)
+			}
 			pg = append(pg, geom.Point{X: x, Y: y})
 		}
 		if len(pg) > 1 && pg[0] == pg[len(pg)-1] {
@@ -301,9 +319,9 @@ func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
 		if len(pg) < 3 {
 			return nil, fmt.Errorf("shapefile: part %d has %d vertices: %w", p, len(pg), ErrFormat)
 		}
-		mp = append(mp, pg.EnsureCCW())
+		rings = append(rings, pg)
 	}
-	return mp, nil
+	return rings, nil
 }
 
 // --- .dbf ---
