@@ -690,7 +690,6 @@ func BenchmarkEngineColdStart(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		al.PrecomputeSolverCaches()
 		return al
 	}
 

@@ -148,7 +148,6 @@ func applyDeltaOffline(snapPath, outPath string, d geoalign.Delta, stdout io.Wri
 	if err != nil {
 		return err
 	}
-	next.PrecomputeSolverCaches()
 	if err := next.WriteSnapshot(outPath, meta); err != nil {
 		return err
 	}

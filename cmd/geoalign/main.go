@@ -305,7 +305,6 @@ func runSnapshotBuild(args []string, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
-	al.PrecomputeSolverCaches()
 	meta := &geoalign.SnapshotMeta{SourceKeys: srcKeys, TargetKeys: tgtKeys}
 	if err := al.WriteSnapshot(*outPath, meta); err != nil {
 		return err

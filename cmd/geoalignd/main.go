@@ -199,7 +199,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		cfg.SnapshotEvery = *snapEvery
 		cfg.SnapshotPersist = func(name string, al *geoalign.Aligner) error {
 			path := filepath.Join(dir, name+".snap")
-			al.PrecomputeSolverCaches()
 			if err := al.WriteSnapshot(path, metas[name]); err != nil {
 				fmt.Fprintf(stderr, "geoalignd: engine %q: re-persisting snapshot: %v\n", name, err)
 				return err
@@ -330,7 +329,6 @@ func registerEngine(reg *serve.Registry, name, snapDir string, workers int, blob
 	snapPath := ""
 	if snapDir != "" {
 		path := filepath.Join(snapDir, name+".snap")
-		al.PrecomputeSolverCaches()
 		if werr := al.WriteSnapshot(path, meta); werr != nil {
 			fmt.Fprintf(stderr, "geoalignd: engine %q: persisting snapshot: %v\n", name, werr)
 		} else {

@@ -228,7 +228,6 @@ func BenchmarkClusterWarmup(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	al.PrecomputeSolverCaches()
 	snap := filepath.Join(dir, "us.snap")
 	if err := al.WriteSnapshot(snap, &geoalign.SnapshotMeta{}); err != nil {
 		b.Fatal(err)

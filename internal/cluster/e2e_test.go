@@ -64,7 +64,6 @@ func randObjective(rng *rand.Rand, ns int) []float64 {
 // publishSnapshot persists an engine and publishes it to a blob store.
 func publishSnapshot(tb testing.TB, store *blobstore.Store, al *geoalign.Aligner) string {
 	tb.Helper()
-	al.PrecomputeSolverCaches()
 	path := filepath.Join(tb.TempDir(), "engine.snap")
 	if err := al.WriteSnapshot(path, &geoalign.SnapshotMeta{}); err != nil {
 		tb.Fatal(err)

@@ -31,9 +31,9 @@ import (
 //     entries the patched rows held or now hold;
 //   - a revision that moves a design column's max-normaliser rescales
 //     the whole column, so that column's Gram row/column is recomputed
-//     by exact dot products and the Cholesky factor refactorised —
-//     the row-wise rank-one path applies only while column maxes hold
-//     (compared exactly: rebuild equivalence is bit-level there).
+//     by exact dot products — the row-wise Gram update applies only
+//     while column maxes hold (compared exactly: rebuild equivalence
+//     is bit-level there).
 
 // ErrBadDelta is the sentinel wrapped by every delta validation
 // failure, so callers (and the HTTP layer) can distinguish a malformed

@@ -440,7 +440,6 @@ func TestApplyDeltaSnapshotParent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.PrecomputeSolverCaches()
 	path := filepath.Join(t.TempDir(), "eng.snap")
 	if err := built.WriteSnapshotFile(path, nil); err != nil {
 		t.Fatal(err)

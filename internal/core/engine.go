@@ -21,7 +21,7 @@ import (
 //   - validated shapes (every reference |U^s|×|U^t|),
 //   - the Eq. 15 design matrix of max-normalised reference source
 //     aggregates, together with its normal-equations form (the k×k
-//     Gram matrix AᵀA, ‖A‖∞ and — lazily — its Cholesky factor), so
+//     Gram matrix AᵀA and ‖A‖∞), so
 //     each per-attribute solve only computes c = Aᵀb in O(ns·k) and
 //     then runs the active-set solver in k-dimensional space,
 //   - each reference crosswalk's row sums and their maximum (the
@@ -260,9 +260,6 @@ func (e *Engine) PrecomputeBytes() int64 {
 		}
 	}
 	n += int64(len(e.weightMat.Data)+len(e.gram.Gram().Data)+len(e.maxRow)) * wordSize
-	if chol, _ := e.gram.CachedCholesky(); chol != nil {
-		n += int64(len(chol.Data)) * wordSize
-	}
 	return n
 }
 

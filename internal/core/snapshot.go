@@ -14,8 +14,8 @@ import (
 //
 // A snapshot stores every attribute-independent precompute NewEngine
 // derives from raw crosswalks — the target-major reference crosswalks,
-// the Eq. 15 design matrix, its Gram system (with the Cholesky factor
-// when it has been computed) and the Eq. 14 row-sum normalisers — so
+// the Eq. 15 design matrix, its Gram matrix and ‖A‖∞, and the Eq. 14
+// row-sum normalisers — so
 // loading rebuilds the Engine by wiring views over the mapped file
 // instead of re-running the build pipeline. Options are deliberately
 // NOT stored: they are caller policy, supplied again at load time.
@@ -27,9 +27,9 @@ import (
 // bit-identically. Because the new layout moved every per-reference
 // section, an earlier binary refuses a new file with a missing-section
 // error instead of misreading it. Earlier files may also carry a union
-// sparsity pattern, a zero-support mask, per-reference slot maps and a
-// Lipschitz constant. The loader ignores them; their section ids and
-// flag bit stay reserved.
+// sparsity pattern, a zero-support mask, per-reference slot maps, a
+// Lipschitz constant and a Cholesky factor of G. The loader ignores
+// them; their section ids and flag bits stay reserved.
 
 // Fixed section ids. Per-reference sections live at
 // xwSectionBase + ref*refSectionStride + field (refSectionBase in
@@ -39,7 +39,6 @@ const (
 	secScalars    = 2  // f64: ‖A‖∞ (legacy files append a Lipschitz constant)
 	secWeightMat  = 5  // f64, ns×k row-major: Eq. 15 design matrix
 	secGram       = 6  // f64, k×k row-major: AᵀA
-	secCholesky   = 7  // f64, k×k row-major; present iff flagCholeskyPD
 	secRefNames   = 9  // strings, k
 	secSourceKeys = 10 // strings, optional: source unit keys
 	secTargetKeys = 11 // strings, optional: target unit keys
@@ -56,15 +55,17 @@ const (
 	// Reserved: written by earlier versions, ignored on load.
 	secLegacyPatIndPtr = 3 // ints: union pattern row pointers
 	secLegacyPatColIdx = 4 // ints: union pattern column indices
+	secLegacyCholesky  = 7 // f64, k×k: Cholesky factor of G, present iff flagLegacyCholeskyPD
 	secLegacyZeroRow   = 8 // bytes: zero-support mask
 	refLegacySlots     = 5 // ints: entry positions in the union pattern
 )
 
-// Meta flags.
+// Meta flags. Every bit is reserved: written by earlier versions,
+// ignored on load, and never written now.
 const (
-	flagLegacyLipschitz = 1 << 0 // reserved: earlier versions stored a Lipschitz constant
-	flagCholeskyPD      = 1 << 1 // Cholesky computed, factor stored in secCholesky
-	flagCholeskyFail    = 1 << 2 // Cholesky attempted, G not positive definite
+	flagLegacyLipschitz    = 1 << 0 // a Lipschitz constant follows ‖A‖∞ in secScalars
+	flagLegacyCholeskyPD   = 1 << 1 // Cholesky factor of G stored in secLegacyCholesky
+	flagLegacyCholeskyFail = 1 << 2 // Cholesky attempted, G not positive definite
 )
 
 // Plausibility bounds on the meta dimensions, checked before any
@@ -92,10 +93,8 @@ func badf(sentinel error, format string, args ...any) error {
 }
 
 // WriteSnapshot serialises the engine's full precompute to w. meta may
-// be nil when unit keys are not tracked. The lazily computed Cholesky
-// factor is written only if already computed — call
-// PrecomputeSolverCaches first to force it in, as `geoalign snapshot
-// build` does.
+// be nil when unit keys are not tracked. The file holds everything a
+// solve reads, so a loaded engine has no lazy state left to compute.
 func (e *Engine) WriteSnapshot(w io.Writer, meta *SnapshotMeta) (int64, error) {
 	return e.snapshotWriter(meta).WriteTo(w)
 }
@@ -111,33 +110,13 @@ func (e *Engine) SnapshotSize(meta *SnapshotMeta) int64 {
 	return e.snapshotWriter(meta).Layout()
 }
 
-// PrecomputeSolverCaches forces the lazily computed solver state — the
-// Gram Cholesky factor — so a subsequent WriteSnapshot persists it and
-// loaded engines never pay for it.
-func (e *Engine) PrecomputeSolverCaches() {
-	e.gram.CholeskyFactor()
-}
-
 func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 	k := len(e.refs)
-	flags := 0
-	chol, cholDone := e.gram.CachedCholesky()
-	if cholDone {
-		if chol != nil {
-			flags |= flagCholeskyPD
-		} else {
-			flags |= flagCholeskyFail
-		}
-	}
-
 	w := snapshot.NewWriter()
-	w.Ints(secMeta, []int{e.ns, e.nt, k, flags})
+	w.Ints(secMeta, []int{e.ns, e.nt, k, 0})
 	w.F64(secScalars, []float64{e.gram.AInf})
 	w.F64(secWeightMat, e.weightMat.Data)
 	w.F64(secGram, e.gram.Gram().Data)
-	if chol != nil {
-		w.F64(secCholesky, chol.Data)
-	}
 	names := make([]string, k)
 	for i, r := range e.refs {
 		names[i] = r.Name
@@ -203,7 +182,7 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 	if len(m) < 4 {
 		return nil, nil, corruptf("meta section has %d fields, want 4", len(m))
 	}
-	ns, nt, k, flags := m[0], m[1], m[2], m[3]
+	ns, nt, k := m[0], m[1], m[2]
 	if ns < 0 || nt < 0 || ns > maxSnapshotUnits || nt > maxSnapshotUnits {
 		return nil, nil, corruptf("implausible unit counts %d x %d", ns, nt)
 	}
@@ -236,19 +215,6 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		return nil, nil, corruptf("Gram matrix has %d values, want %d x %d", len(gData), k, k)
 	}
 	gram := linalg.RestoreGramSystem(weightMat, &linalg.Matrix{Rows: k, Cols: k, Data: gData}, scalars[0])
-	switch {
-	case flags&flagCholeskyPD != 0:
-		cData, err := f.F64(secCholesky)
-		if err != nil {
-			return nil, nil, err
-		}
-		if int64(len(cData)) != int64(k)*int64(k) {
-			return nil, nil, corruptf("Cholesky factor has %d values, want %d x %d", len(cData), k, k)
-		}
-		gram.PrimeCholesky(&linalg.Matrix{Rows: k, Cols: k, Data: cData})
-	case flags&flagCholeskyFail != 0:
-		gram.PrimeCholesky(nil)
-	}
 
 	names, err := f.Strings(secRefNames)
 	if err != nil {

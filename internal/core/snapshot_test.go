@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"geoalign/internal/linalg"
 	"geoalign/internal/snapshot"
 	"geoalign/internal/sparse"
 )
@@ -165,13 +166,50 @@ func TestEngineSnapshotFile(t *testing.T) {
 	}
 }
 
+// writeCholeskySnapshot encodes e in the target-major layout as the
+// version before this one wrote it: flags in the meta section and,
+// when chol is non-nil, the Cholesky factor of G in section 7.
+func writeCholeskySnapshot(t *testing.T, e *Engine, flags int, chol []float64) []byte {
+	t.Helper()
+	k := len(e.refs)
+	w := snapshot.NewWriter()
+	w.Ints(secMeta, []int{e.ns, e.nt, k, flags})
+	w.F64(secScalars, []float64{e.gram.AInf})
+	w.F64(secWeightMat, e.weightMat.Data)
+	w.F64(secGram, e.gram.Gram().Data)
+	if chol != nil {
+		w.F64(secLegacyCholesky, chol)
+	}
+	names := make([]string, k)
+	for i, r := range e.refs {
+		names[i] = r.Name
+	}
+	w.Strings(secRefNames, names)
+	for i, r := range e.refs {
+		base := uint32(xwSectionBase + i*refSectionStride)
+		w.Ints(base+refDMIndPtr, r.DM.IndPtr)
+		w.Ints(base+refDMColIdx, r.DM.ColIdx)
+		w.F64(base+refDMVal, r.DM.Val)
+		if r.Source != nil {
+			w.F64(base+refSource, r.Source)
+		}
+		w.F64(base+refRowSums, e.rowSums[i])
+	}
+	var buf bytes.Buffer
+	if _, err := w.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestSnapshotPersistsSolverCaches: the solver state a snapshot
+// carries — the Gram matrix G and ‖A‖∞ — loads bit-identically, so a
+// loaded engine solves from exactly the built engine's system.
 func TestSnapshotPersistsSolverCaches(t *testing.T) {
 	built, err := NewEngine(testRefs(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.PrecomputeSolverCaches()
-
 	var buf bytes.Buffer
 	if _, err := built.WriteSnapshot(&buf, nil); err != nil {
 		t.Fatal(err)
@@ -181,22 +219,83 @@ func TestSnapshotPersistsSolverCaches(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	wantChol, wantDone := built.gram.CachedCholesky()
-	gotChol, gotDone := loaded.gram.CachedCholesky()
-	if !wantDone || !gotDone {
-		t.Fatalf("Cholesky not cached: built=%v loaded=%v", wantDone, gotDone)
+	if !bitEqual(loaded.gram.Gram().Data, built.gram.Gram().Data) {
+		t.Fatal("Gram matrix did not round-trip bit-identically")
 	}
-	if (wantChol == nil) != (gotChol == nil) {
-		t.Fatalf("Cholesky PD state differs: built=%v loaded=%v", wantChol != nil, gotChol != nil)
-	}
-	if wantChol != nil && !bitEqual(gotChol.Data, wantChol.Data) {
-		t.Fatal("Cholesky factor did not round-trip bit-identically")
+	if math.Float64bits(loaded.gram.AInf) != math.Float64bits(built.gram.AInf) {
+		t.Fatalf("‖A‖∞ %v loaded, %v built", loaded.gram.AInf, built.gram.AInf)
 	}
 }
 
-// TestSnapshotWithoutSolverCaches: a snapshot written before the lazy
-// Cholesky factor exists must load with it unset, compute it on demand
-// and align bit-identically to the engine it was written from.
+// TestSnapshotCholeskyCompat: files that carry the Cholesky state
+// earlier versions persisted — a positive-definite factor in section 7,
+// or the flag recording a failed factorisation — still open, and align
+// bit-identically to a freshly built engine, alone and in a batch.
+func TestSnapshotCholeskyCompat(t *testing.T) {
+	rng := rand.New(rand.NewSource(73))
+	const ns, nt = 60, 10
+	p := engineProblem(rng, ns, nt, 4)
+	fresh, err := NewEngine(p.References, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := linalg.Cholesky(fresh.gram.Gram())
+	if err != nil {
+		t.Fatalf("test design should be positive definite: %v", err)
+	}
+	objectives := make([][]float64, 4)
+	for a := range objectives {
+		obj := make([]float64, ns)
+		for i := range obj {
+			obj[i] = rng.Float64() * 100
+		}
+		objectives[a] = obj
+	}
+	for _, tc := range []struct {
+		name  string
+		flags int
+		chol  []float64
+	}{
+		{"factor", flagLegacyCholeskyPD, l.Data},
+		{"not positive definite", flagLegacyCholeskyFail, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			old, _, err := LoadSnapshotBytes(writeCholeskySnapshot(t, fresh, tc.flags, tc.chol), Options{})
+			if err != nil {
+				t.Fatalf("snapshot with Cholesky state rejected: %v", err)
+			}
+			defer old.Close()
+			for a, obj := range objectives {
+				want, err := fresh.Align(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := old.Align(obj)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bitEqual(got.Target, want.Target) || !bitEqual(got.Weights, want.Weights) {
+					t.Fatalf("objective %d: loaded engine aligns differently from a fresh one", a)
+				}
+			}
+			batch, err := old.AlignAll(objectives, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, obj := range objectives {
+				want, _ := fresh.Align(obj)
+				if !bitEqual(batch[a].Target, want.Target) || !bitEqual(batch[a].Weights, want.Weights) {
+					t.Fatalf("objective %d: loaded engine's batch differs from a fresh Align", a)
+				}
+			}
+		})
+	}
+}
+
+// TestSnapshotWithoutSolverCaches: a newly written snapshot carries no
+// solver state beyond G and ‖A‖∞ — no flag bit, no Cholesky section —
+// and loads to an engine that aligns bit-identically to the one it was
+// written from.
 func TestSnapshotWithoutSolverCaches(t *testing.T) {
 	built, err := NewEngine(testRefs(), Options{})
 	if err != nil {
@@ -206,20 +305,27 @@ func TestSnapshotWithoutSolverCaches(t *testing.T) {
 	if _, err := built.WriteSnapshot(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
+	f, err := snapshot.OpenBytes(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Has(secLegacyCholesky) {
+		t.Fatal("new snapshot stores a Cholesky section")
+	}
+	m, err := f.Ints(secMeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m[3] != 0 {
+		t.Fatalf("new snapshot sets meta flags %#x, want 0", m[3])
+	}
+	f.Close()
+
 	loaded, _, err := LoadSnapshotBytes(buf.Bytes(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer loaded.Close()
-	if _, done := loaded.gram.CachedCholesky(); done {
-		t.Fatal("Cholesky unexpectedly cached")
-	}
-	loaded.PrecomputeSolverCaches()
-	wantChol, _ := built.gram.CholeskyFactor()
-	gotChol, _ := loaded.gram.CachedCholesky()
-	if (wantChol == nil) != (gotChol == nil) || (wantChol != nil && !bitEqual(gotChol.Data, wantChol.Data)) {
-		t.Fatal("on-demand Cholesky factor differs from the built engine's")
-	}
 	obj := []float64{2, 4, 6, 8}
 	want, err := built.Align(obj)
 	if err != nil {
@@ -282,8 +388,8 @@ func TestSnapshotFallbackOption(t *testing.T) {
 // minimal 1-reference engine; tests mutate individual sections to prove
 // the loader rejects structurally inconsistent files. legacy adds the
 // sections and flag that earlier versions wrote (union pattern,
-// zero-support mask, slot map, Lipschitz constant), which the loader
-// must ignore.
+// zero-support mask, slot map, Lipschitz constant, Cholesky factor),
+// which the loader must ignore.
 type tinySections struct {
 	meta     []int
 	scalars  []float64
@@ -301,6 +407,7 @@ type tinySections struct {
 	patColIdx []int
 	zero      []byte
 	slots     []int
+	chol      []float64
 }
 
 func validTiny() *tinySections {
@@ -320,13 +427,14 @@ func validTiny() *tinySections {
 // legacyTiny is validTiny as earlier versions wrote it.
 func legacyTiny() *tinySections {
 	s := validTiny()
-	s.meta[3] = flagLegacyLipschitz
+	s.meta[3] = flagLegacyLipschitz | flagLegacyCholeskyPD
 	s.scalars = []float64{1, 2}
 	s.legacy = true
 	s.patIndPtr = []int{0, 2, 3}
 	s.patColIdx = []int{0, 1, 1}
 	s.zero = []byte{0, 0}
 	s.slots = []int{0, 1, 2}
+	s.chol = []float64{math.Sqrt2}
 	return s
 }
 
@@ -351,6 +459,7 @@ func (s *tinySections) encode(t *testing.T) []byte {
 		w.Ints(secLegacyPatColIdx, s.patColIdx)
 		w.Bytes(secLegacyZeroRow, s.zero)
 		w.Ints(refSectionBase+refLegacySlots, s.slots)
+		w.F64(secLegacyCholesky, s.chol)
 	}
 	var buf bytes.Buffer
 	if _, err := w.WriteTo(&buf); err != nil {
@@ -414,7 +523,8 @@ func TestSnapshotStructuralValidation(t *testing.T) {
 	}
 
 	// Snapshots written by earlier versions carry a union pattern, a
-	// zero-support mask, slot maps and a Lipschitz constant. The loader
+	// zero-support mask, slot maps, a Lipschitz constant and a Cholesky
+	// factor. The loader
 	// never reads them: such files load and align bit-identically, and
 	// even a malformed legacy section cannot fail or perturb the load.
 	legacyCases := []struct {
@@ -435,6 +545,7 @@ func TestSnapshotStructuralValidation(t *testing.T) {
 		{"slot out of file range", func(s *tinySections) { s.slots[2] = 9 }},
 		{"slot in wrong row", func(s *tinySections) { s.slots[2] = 1 }},
 		{"slot on wrong column", func(s *tinySections) { s.slots[0] = 1 }},
+		{"cholesky size", func(s *tinySections) { s.chol = []float64{1, 0} }},
 	}
 	for _, tc := range legacyCases {
 		t.Run(tc.name, func(t *testing.T) {

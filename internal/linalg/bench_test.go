@@ -47,16 +47,6 @@ func BenchmarkSimplexLSSolverAblation(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gram-projected-gradient", func(b *testing.B) {
-		gs := NewGramSystem(a)
-		gs.Lipschitz()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := gs.SimplexLSPG(rhs, 500, 1e-10); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 func BenchmarkNNLS(b *testing.B) {

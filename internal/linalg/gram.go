@@ -15,13 +15,11 @@ import (
 //
 //   - G = AᵀA, a k×k Gram matrix, built blocked and in parallel over
 //     the ns rows;
-//   - ‖A‖∞, which scales the solvers' tolerances;
-//   - the largest eigenvalue of G (the projected-gradient Lipschitz
-//     constant), computed lazily and cached.
+//   - ‖A‖∞, which scales the solver's tolerances.
 //
 // A per-attribute solve then needs only c = Aᵀb — O(ns·k), blocked and
-// parallel with pooled scratch — after which the active-set and FISTA
-// solvers run entirely in k-dimensional space: each Lawson–Hanson
+// parallel with pooled scratch — after which the active-set solver
+// runs entirely in k-dimensional space: each Lawson–Hanson
 // iteration costs one |P|³ Cholesky factorisation instead of the
 // O(ns·|P|²) tall factorisation of the dense path.
 
@@ -36,25 +34,14 @@ const gramBlockRows = 2048
 const gramParallelMin = 8192
 
 // GramSystem caches the normal-equations form of a fixed design matrix.
-// It is immutable after construction (the lazy Lipschitz/Cholesky
-// caches are internally synchronised) and safe for concurrent use.
-// Incremental maintenance goes through MutableClone (cholupdate.go),
+// It is immutable after construction and safe for concurrent use.
+// Incremental maintenance goes through MutableClone (gramupdate.go),
 // which derives a single-owner writable copy and leaves the original
 // untouched.
 type GramSystem struct {
 	a    *Matrix
 	G    *Matrix // k×k Gram matrix AᵀA
 	AInf float64 // matInfNorm(a): scales solver tolerances and μ
-
-	mu       sync.Mutex
-	lipDone  bool
-	lip      float64
-	cholDone bool
-	chol     *Matrix // lower Cholesky factor of G; nil after cholDone ⇒ not PD
-
-	// cholUpdates counts rank-one ops applied to chol since the last
-	// full factorisation; see cholRefactorEvery in cholupdate.go.
-	cholUpdates int
 }
 
 // NewGramSystem precomputes the Gram matrix and norm of a. The matrix
@@ -81,58 +68,6 @@ func (gs *GramSystem) Cols() int { return gs.a.Cols }
 // Gram returns the cached k×k Gram matrix AᵀA. Callers must not mutate
 // it.
 func (gs *GramSystem) Gram() *Matrix { return gs.G }
-
-// Lipschitz returns the largest eigenvalue of G — the gradient
-// Lipschitz constant of ½‖Aβ−b‖² — computing it on first use and
-// caching it for every later call.
-func (gs *GramSystem) Lipschitz() float64 {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if !gs.lipDone {
-		gs.lip = powerIterSym(gs.G, 200)
-		gs.lipDone = true
-	}
-	return gs.lip
-}
-
-// CholeskyFactor returns the lower Cholesky factor of G, computing it
-// on first use and caching it (a failed factorisation — G not
-// numerically positive definite, as happens for rank-deficient designs
-// — is cached too). ok is false in the failure case. The factor feeds
-// unconstrained k-space solves and is persisted in engine snapshots so
-// restored engines skip the factorisation.
-func (gs *GramSystem) CholeskyFactor() (*Matrix, bool) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if !gs.cholDone {
-		if l, err := Cholesky(gs.G); err == nil {
-			gs.chol = l
-		}
-		gs.cholDone = true
-	}
-	return gs.chol, gs.chol != nil
-}
-
-// CachedCholesky returns the cached Cholesky state without computing
-// anything: done reports whether a factorisation was attempted, and l
-// is nil when it was attempted and failed.
-func (gs *GramSystem) CachedCholesky() (l *Matrix, done bool) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	return gs.chol, gs.cholDone
-}
-
-// PrimeCholesky installs a previously computed Cholesky factor (nil to
-// record that the factorisation was attempted and G is not positive
-// definite). It has no effect if the factor was already computed.
-func (gs *GramSystem) PrimeCholesky(l *Matrix) {
-	gs.mu.Lock()
-	defer gs.mu.Unlock()
-	if !gs.cholDone {
-		gs.chol = l
-		gs.cholDone = true
-	}
-}
 
 // ApplyTInto computes dst = Aᵀb in O(ns·k), blocked over row chunks and
 // fanned across goroutines for large ns. dst must have length k, b
@@ -204,24 +139,6 @@ func (gs *GramSystem) SimplexLS(b, warm []float64) ([]float64, error) {
 	c := make([]float64, k)
 	gs.ApplyTInto(c, b)
 	return SimplexLeastSquaresGramWarm(gs.G, c, gs.AInf, Norm2(b), warm)
-}
-
-// SimplexLSPG solves the same problem with the Gram-form FISTA solver,
-// reusing the cached Lipschitz constant.
-func (gs *GramSystem) SimplexLSPG(b []float64, maxIter int, tol float64) ([]float64, error) {
-	k := gs.a.Cols
-	if k == 0 {
-		return nil, ErrNoColumns
-	}
-	if len(b) != gs.a.Rows {
-		return nil, fmt.Errorf("linalg: simplex LS vector length %d != rows %d", len(b), gs.a.Rows)
-	}
-	if k == 1 {
-		return []float64{1}, nil
-	}
-	c := make([]float64, k)
-	gs.ApplyTInto(c, b)
-	return SimplexLeastSquaresPGGram(gs.G, c, gs.Lipschitz(), maxIter, tol)
 }
 
 var gramScratchPool = sync.Pool{New: func() any {
@@ -327,12 +244,12 @@ func ParallelGram(a *Matrix) *Matrix {
 }
 
 // GramTolerance reproduces the dense NNLS dual tolerance
-// 10·ε·n·‖A‖∞·(‖b‖₂+1) for callers driving NNLSGram directly.
+// 10·ε·n·‖A‖∞·(‖b‖₂+1) for callers driving NNLSGramWarm directly.
 func GramTolerance(ainf, bnorm float64, n int) float64 {
 	return 10 * machEps * float64(n) * ainf * (bnorm + 1)
 }
 
-// NNLSGram solves min ‖A·x − b‖₂ s.t. x ≥ 0 given only the normal
+// NNLSGramWarm solves min ‖A·x − b‖₂ s.t. x ≥ 0 given only the normal
 // equations: g = AᵀA and c = Aᵀb. It runs the same Lawson–Hanson
 // active-set iteration as NNLS, but the dual vector is c − G·x (O(k²))
 // and each passive-set solve is a |P|×|P| Cholesky factorisation —
@@ -342,23 +259,20 @@ func GramTolerance(ainf, bnorm float64, n int) float64 {
 // When a passive-set Gram block is not numerically positive definite
 // the offending column is dropped, matching the dense solver's
 // behaviour on rank-deficient passive sets.
-func NNLSGram(g *Matrix, c []float64, tol float64) ([]float64, error) {
-	return NNLSGramWarm(g, c, tol, nil)
-}
-
-// NNLSGramWarm is NNLSGram seeded with a previous solution: the passive
-// set starts at warm's support and x at warm clipped to it, which makes
-// repeated solves against slowly varying right-hand sides converge in
-// one or two active-set iterations. warm may be nil (cold start) and is
-// never mutated. The result is a KKT point of the same problem; for a
-// unique optimum it is identical to the cold-start solution.
+//
+// warm, when non-nil, seeds the solve with a previous solution: the
+// passive set starts at warm's support and x at warm clipped to it,
+// which makes repeated solves against slowly varying right-hand sides
+// converge in one or two active-set iterations. warm is never mutated.
+// The result is a KKT point of the same problem; for a unique optimum
+// it is identical to the cold-start (nil warm) solution.
 func NNLSGramWarm(g *Matrix, c []float64, tol float64, warm []float64) ([]float64, error) {
 	n := g.Rows
 	if g.Cols != n {
-		return nil, fmt.Errorf("linalg: NNLSGram needs a square Gram matrix, got %dx%d", g.Rows, g.Cols)
+		return nil, fmt.Errorf("linalg: NNLSGramWarm needs a square Gram matrix, got %dx%d", g.Rows, g.Cols)
 	}
 	if len(c) != n {
-		return nil, fmt.Errorf("linalg: NNLSGram vector length %d != order %d", len(c), n)
+		return nil, fmt.Errorf("linalg: NNLSGramWarm vector length %d != order %d", len(c), n)
 	}
 	if n == 0 {
 		return nil, nil
@@ -516,19 +430,14 @@ func solvePassiveGram(g *Matrix, c []float64, passive []bool, z []float64) bool 
 	return true
 }
 
-// SimplexLeastSquaresGram solves GeoAlign's Eq. 15 weight-learning
+// SimplexLeastSquaresGramWarm solves GeoAlign's Eq. 15 weight-learning
 // problem given only the normal equations of the design matrix:
 // g = AᵀA, c = Aᵀb, ainf = ‖A‖∞ and bnorm = ‖b‖₂. It reproduces
 // SimplexLeastSquares exactly — the same μ-weighted equality
 // augmentation, here as a rank-one update G + μ²·11ᵀ and c + μ²·1, the
 // same NNLS iteration, the same renormalisation and degenerate-case
-// fallbacks — with per-solve cost independent of the row count.
-func SimplexLeastSquaresGram(g *Matrix, c []float64, ainf, bnorm float64) ([]float64, error) {
-	return SimplexLeastSquaresGramWarm(g, c, ainf, bnorm, nil)
-}
-
-// SimplexLeastSquaresGramWarm is SimplexLeastSquaresGram with an
-// optional warm start (a previous β) seeding the active-set solver.
+// fallbacks — with per-solve cost independent of the row count. warm,
+// when non-nil, is a previous β seeding the active-set solver.
 func SimplexLeastSquaresGramWarm(g *Matrix, c []float64, ainf, bnorm float64, warm []float64) ([]float64, error) {
 	k := g.Rows
 	if k == 0 {
@@ -584,77 +493,4 @@ func SimplexLeastSquaresGramWarm(g *Matrix, c []float64, ainf, bnorm float64, wa
 	}
 	Scale(1/s, beta)
 	return beta, nil
-}
-
-// SimplexLeastSquaresPGGram is the Gram-form FISTA solver: identical
-// iteration to SimplexLeastSquaresPG with the gradient computed as
-// G·y − c and the Lipschitz constant supplied by the caller (pass
-// lip <= 0 to estimate it by power iteration on g).
-func SimplexLeastSquaresPGGram(g *Matrix, c []float64, lip float64, maxIter int, tol float64) ([]float64, error) {
-	k := g.Rows
-	if k == 0 {
-		return nil, ErrNoColumns
-	}
-	if g.Cols != k {
-		return nil, fmt.Errorf("linalg: simplex LS Gram matrix is %dx%d, want square", g.Rows, g.Cols)
-	}
-	if len(c) != k {
-		return nil, fmt.Errorf("linalg: simplex LS Gram vector length %d != order %d", len(c), k)
-	}
-	if k == 1 {
-		return []float64{1}, nil
-	}
-	if maxIter <= 0 {
-		maxIter = 2000
-	}
-	if tol <= 0 {
-		tol = 1e-12
-	}
-	if lip <= 0 {
-		lip = powerIterSym(g, 200)
-	}
-	if lip <= 0 {
-		beta := make([]float64, k)
-		for j := range beta {
-			beta[j] = 1 / float64(k)
-		}
-		return beta, nil
-	}
-	step := 1 / lip
-
-	x := make([]float64, k)
-	for j := range x {
-		x[j] = 1 / float64(k)
-	}
-	y := make([]float64, k)
-	copy(y, x)
-	t := 1.0
-	prev := make([]float64, k)
-	grad := make([]float64, k)
-	proj := make([]float64, k)
-	for iter := 0; iter < maxIter; iter++ {
-		copy(prev, x)
-		// grad = G·y − c.
-		g.MulVecInto(grad, y)
-		for j := range grad {
-			grad[j] -= c[j]
-		}
-		for j := range x {
-			x[j] = y[j] - step*grad[j]
-		}
-		projectSimplexInto(x, proj)
-		tNext := (1 + math.Sqrt(1+4*t*t)) / 2
-		for j := range y {
-			y[j] = x[j] + (t-1)/tNext*(x[j]-prev[j])
-		}
-		t = tNext
-		var diff float64
-		for j := range x {
-			diff += math.Abs(x[j] - prev[j])
-		}
-		if diff < tol {
-			break
-		}
-	}
-	return x, nil
 }

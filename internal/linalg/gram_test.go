@@ -58,9 +58,9 @@ func TestNNLSGramMatchesDenseTall(t *testing.T) {
 		g := a.Gram()
 		c := a.MulVecT(b)
 		tol := GramTolerance(matInfNorm(a), Norm2(b), k)
-		gram, err := NNLSGram(g, c, tol)
+		gram, err := NNLSGramWarm(g, c, tol, nil)
 		if err != nil {
-			t.Fatalf("trial %d: NNLSGram: %v", trial, err)
+			t.Fatalf("trial %d: NNLSGramWarm: %v", trial, err)
 		}
 		scale := 1 + MaxAbs(dense)
 		for j := range dense {
@@ -89,9 +89,9 @@ func TestNNLSGramIllConditioned(t *testing.T) {
 			t.Fatalf("trial %d: dense NNLS: %v", trial, err)
 		}
 		tol := GramTolerance(matInfNorm(a), Norm2(b), k)
-		gram, err := NNLSGram(a.Gram(), a.MulVecT(b), tol)
+		gram, err := NNLSGramWarm(a.Gram(), a.MulVecT(b), tol, nil)
 		if err != nil {
-			t.Fatalf("trial %d: NNLSGram: %v", trial, err)
+			t.Fatalf("trial %d: NNLSGramWarm: %v", trial, err)
 		}
 		// Near-duplicate columns make individual coefficients
 		// non-unique; the objective value is the well-posed quantity.
@@ -118,7 +118,7 @@ func TestSimplexLSGramMatchesDenseTall(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		gram, err := SimplexLeastSquaresGram(a.Gram(), a.MulVecT(b), matInfNorm(a), Norm2(b))
+		gram, err := SimplexLeastSquaresGramWarm(a.Gram(), a.MulVecT(b), matInfNorm(a), Norm2(b), nil)
 		if err != nil {
 			t.Fatalf("trial %d: gram: %v", trial, err)
 		}
@@ -148,7 +148,7 @@ func TestSimplexLSGramIllConditioned(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: dense: %v", trial, err)
 		}
-		gram, err := SimplexLeastSquaresGram(a.Gram(), a.MulVecT(b), matInfNorm(a), Norm2(b))
+		gram, err := SimplexLeastSquaresGramWarm(a.Gram(), a.MulVecT(b), matInfNorm(a), Norm2(b), nil)
 		if err != nil {
 			t.Fatalf("trial %d: gram: %v", trial, err)
 		}
@@ -173,7 +173,7 @@ func TestSimplexLSGramWarmMatchesCold(t *testing.T) {
 		c := a.MulVecT(b)
 		ainf, bnorm := matInfNorm(a), Norm2(b)
 
-		cold, err := SimplexLeastSquaresGram(g, c, ainf, bnorm)
+		cold, err := SimplexLeastSquaresGramWarm(g, c, ainf, bnorm, nil)
 		if err != nil {
 			t.Fatalf("trial %d: cold: %v", trial, err)
 		}
@@ -228,7 +228,7 @@ func TestGramDegenerateCases(t *testing.T) {
 			if err != nil {
 				t.Fatalf("dense: %v", err)
 			}
-			gram, err := SimplexLeastSquaresGram(tc.a.Gram(), tc.a.MulVecT(tc.b), matInfNorm(tc.a), Norm2(tc.b))
+			gram, err := SimplexLeastSquaresGramWarm(tc.a.Gram(), tc.a.MulVecT(tc.b), matInfNorm(tc.a), Norm2(tc.b), nil)
 			if err != nil {
 				t.Fatalf("gram: %v", err)
 			}
@@ -245,44 +245,14 @@ func TestGramDegenerateCases(t *testing.T) {
 		})
 	}
 
-	if _, err := SimplexLeastSquaresGram(NewMatrix(0, 0), nil, 0, 0); err != ErrNoColumns {
+	if _, err := SimplexLeastSquaresGramWarm(NewMatrix(0, 0), nil, 0, 0, nil); err != ErrNoColumns {
 		t.Fatalf("k=0 should return ErrNoColumns, got %v", err)
 	}
-	if got, err := SimplexLeastSquaresGram(NewMatrix(1, 1), []float64{5}, 1, 1); err != nil || len(got) != 1 || got[0] != 1 {
+	if got, err := SimplexLeastSquaresGramWarm(NewMatrix(1, 1), []float64{5}, 1, 1, nil); err != nil || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("k=1 fast path: got %v, %v", got, err)
 	}
-	if x, err := NNLSGram(NewMatrix(0, 0), nil, 0); err != nil || x != nil {
-		t.Fatalf("empty NNLSGram: got %v, %v", x, err)
-	}
-}
-
-func TestSimplexLSPGGramMatchesPG(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 20; trial++ {
-		k := 2 + rng.Intn(6)
-		m := 20 + rng.Intn(100)
-		a, b := randTall(rng, m, k)
-
-		pg, err := SimplexLeastSquaresPG(a, b, 4000, 1e-13)
-		if err != nil {
-			t.Fatalf("trial %d: PG: %v", trial, err)
-		}
-		g := a.Gram()
-		c := a.MulVecT(b)
-		pgg, err := SimplexLeastSquaresPGGram(g, c, 0, 4000, 1e-13)
-		if err != nil {
-			t.Fatalf("trial %d: PGGram: %v", trial, err)
-		}
-		// Both run the identical FISTA recursion; the gradient is
-		// algebraically equal (Aᵀ(Ay−b) vs Gy−c) but rounded
-		// differently, so compare objective values.
-		op, og := lsObjective(a, b, pg), lsObjective(a, b, pgg)
-		if relDiff(op, og) > 1e-9 {
-			t.Fatalf("trial %d: objective mismatch: PG %.15g PGGram %.15g", trial, op, og)
-		}
-		if !onSimplex(pgg, 1e-9) {
-			t.Fatalf("trial %d: PGGram off simplex: %v", trial, pgg)
-		}
+	if x, err := NNLSGramWarm(NewMatrix(0, 0), nil, 0, nil); err != nil || x != nil {
+		t.Fatalf("empty NNLSGramWarm: got %v, %v", x, err)
 	}
 }
 
@@ -399,15 +369,15 @@ func TestGramSystemSimplexLS(t *testing.T) {
 			}
 		}
 
-		pg, err := gs.SimplexLSPG(b, 4000, 1e-13)
+		pg, err := SimplexLeastSquaresPG(a, b, 4000, 1e-13)
 		if err != nil {
-			t.Fatalf("trial %d: SimplexLSPG: %v", trial, err)
+			t.Fatalf("trial %d: SimplexLeastSquaresPG: %v", trial, err)
 		}
-		od, og := lsObjective(a, b, dense), lsObjective(a, b, pg)
+		of, og := lsObjective(a, b, fast), lsObjective(a, b, pg)
 		// FISTA converges to the same optimum but stops on a step-size
 		// criterion; allow a looser objective agreement.
-		if relDiff(od, og) > 1e-6 {
-			t.Fatalf("trial %d: PG objective %.15g vs dense %.15g", trial, og, od)
+		if relDiff(of, og) > 1e-6 {
+			t.Fatalf("trial %d: PG objective %.15g vs Gram active set %.15g", trial, og, of)
 		}
 	}
 
@@ -415,46 +385,12 @@ func TestGramSystemSimplexLS(t *testing.T) {
 	if _, err := gs.SimplexLS([]float64{1, 2, 3}, nil); err != ErrNoColumns {
 		t.Fatalf("k=0 SimplexLS: want ErrNoColumns, got %v", err)
 	}
-	if _, err := gs.SimplexLSPG([]float64{1, 2, 3}, 0, 0); err != ErrNoColumns {
-		t.Fatalf("k=0 SimplexLSPG: want ErrNoColumns, got %v", err)
-	}
 	gs1 := NewGramSystem(NewMatrix(4, 1))
 	if got, err := gs1.SimplexLS([]float64{1, 2, 3, 4}, nil); err != nil || len(got) != 1 || got[0] != 1 {
 		t.Fatalf("k=1 SimplexLS: got %v, %v", got, err)
 	}
 	if _, err := gs1.SimplexLS([]float64{1}, nil); err == nil {
 		t.Fatal("length mismatch should error")
-	}
-}
-
-func TestGramSystemLipschitzCached(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	a := NewMatrix(200, 4)
-	for i := range a.Data {
-		a.Data[i] = rng.Float64()
-	}
-	gs := NewGramSystem(a)
-	want := powerIterSym(a.Gram(), 200)
-	got := gs.Lipschitz()
-	if relDiff(want, got) > 1e-12 {
-		t.Fatalf("Lipschitz: want %v got %v", want, got)
-	}
-	// Concurrent first use must still produce one consistent value.
-	gs2 := NewGramSystem(a)
-	var wg sync.WaitGroup
-	vals := make([]float64, 8)
-	for i := range vals {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			vals[i] = gs2.Lipschitz()
-		}(i)
-	}
-	wg.Wait()
-	for _, v := range vals {
-		if v != got {
-			t.Fatalf("concurrent Lipschitz values diverge: %v vs %v", vals, got)
-		}
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 func publishTestSnapshot(t *testing.T, store *blobstore.Store, seed int64, ns, nt, k int) (string, *geoalign.Aligner) {
 	t.Helper()
 	al := testAligner(t, seed, ns, nt, k)
-	al.PrecomputeSolverCaches()
 	path := filepath.Join(t.TempDir(), "engine.snap")
 	if err := al.WriteSnapshot(path, &geoalign.SnapshotMeta{}); err != nil {
 		t.Fatal(err)

@@ -257,6 +257,52 @@ func TestNonFiniteCoordinatesRejected(t *testing.T) {
 	}
 }
 
+// zeroAreaLayers returns sampleMultiLayer's .shp with record 0's only
+// ring flattened to zero area in two ways: every vertex moved onto the
+// x axis (collinear), and every vertex moved to the origin (repeated).
+// The closing vertex still equals the first, so only the area is wrong.
+func zeroAreaLayers(t *testing.T) (bad map[string][]byte, shx, dbf []byte) {
+	t.Helper()
+	shp, shx, dbf := sampleMultiLayer(t)
+	// Record 0 has one part of 5 points starting at content+48.
+	const pts, n = 108 + 48, 5
+	bad = map[string][]byte{}
+	collinear := append([]byte(nil), shp...)
+	repeated := append([]byte(nil), shp...)
+	for i := 0; i < n; i++ {
+		binary.LittleEndian.PutUint64(collinear[pts+16*i+8:], math.Float64bits(0))
+		binary.LittleEndian.PutUint64(repeated[pts+16*i:], math.Float64bits(0))
+		binary.LittleEndian.PutUint64(repeated[pts+16*i+8:], math.Float64bits(0))
+	}
+	bad["collinear"], bad["repeated"] = collinear, repeated
+	return bad, shx, dbf
+}
+
+// TestScannerRejectsZeroAreaRing: a ring enclosing no area fails the
+// streaming scanner (and ReadMulti over it) with ErrFormat.
+func TestScannerRejectsZeroAreaRing(t *testing.T) {
+	bad, shx, dbf := zeroAreaLayers(t)
+	for name, shp := range bad {
+		if _, err := scanAll(shp, shx, dbf); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s ring, scanner: err %v, want ErrFormat", name, err)
+		}
+		if _, err := ReadMulti(shp, dbf); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s ring, ReadMulti: err %v, want ErrFormat", name, err)
+		}
+	}
+}
+
+// TestReadHoledRejectsZeroAreaRing: the hole-aware reader rejects a
+// ring enclosing no area with ErrFormat too.
+func TestReadHoledRejectsZeroAreaRing(t *testing.T) {
+	bad, _, dbf := zeroAreaLayers(t)
+	for name, shp := range bad {
+		if _, err := ReadHoled(shp, dbf); !errors.Is(err, ErrFormat) {
+			t.Errorf("%s ring, holed reader: err %v, want ErrFormat", name, err)
+		}
+	}
+}
+
 // TestScannerDBFSurplusRows pins the trailing-row check: a .dbf with
 // more live rows than geometries fails at end of scan.
 func TestScannerDBFSurplusRows(t *testing.T) {

@@ -272,8 +272,10 @@ func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
 // parseOrientedRecord decodes one Polygon-type record's content, keeping
 // each ring in its file orientation (the hole-aware reader classifies
 // rings by it) and dropping the closing vertex. A record whose layout
-// is inconsistent, or that holds a NaN or ±Inf coordinate, fails with
-// ErrFormat; one shorter than its own counts fails with ErrTruncated.
+// is inconsistent, that holds a NaN or ±Inf coordinate, or that has a
+// ring of zero shoelace area (every vertex collinear or repeated) fails
+// with ErrFormat; one shorter than its own counts fails with
+// ErrTruncated.
 func parseOrientedRecord(b []byte) ([]geom.Polygon, error) {
 	if len(b) < 44 {
 		return nil, fmt.Errorf("shapefile: polygon record too short (%d bytes): %w", len(b), ErrTruncated)
@@ -318,6 +320,9 @@ func parseOrientedRecord(b []byte) ([]geom.Polygon, error) {
 		}
 		if len(pg) < 3 {
 			return nil, fmt.Errorf("shapefile: part %d has %d vertices: %w", p, len(pg), ErrFormat)
+		}
+		if pg.SignedArea() == 0 {
+			return nil, fmt.Errorf("shapefile: part %d has zero area: %w", p, ErrFormat)
 		}
 		rings = append(rings, pg)
 	}

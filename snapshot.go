@@ -26,10 +26,8 @@ func (m *SnapshotMeta) toCore() *core.SnapshotMeta {
 // design matrix, Gram system, row-sum normalisers — to a versioned,
 // checksummed binary file that OpenSnapshot maps back at near-zero
 // cost. The write is atomic (temp file + rename). meta may be nil.
-//
-// Lazily computed solver state (the Gram Cholesky factor) is included
-// only if it has been computed; call PrecomputeSolverCaches first to
-// force it in, as `geoalign snapshot build` does.
+// The file holds everything a solve reads, so an aligner opened from it
+// has no lazily computed state left to pay for.
 func (a *Aligner) WriteSnapshot(path string, meta *SnapshotMeta) error {
 	return a.engine.WriteSnapshotFile(path, meta.toCore())
 }
@@ -40,10 +38,11 @@ func (a *Aligner) WriteSnapshotTo(w io.Writer, meta *SnapshotMeta) (int64, error
 	return a.engine.WriteSnapshot(w, meta.toCore())
 }
 
-// PrecomputeSolverCaches forces the lazily computed solver state so a
-// subsequent WriteSnapshot persists it and snapshot-loaded aligners
-// never pay for it.
-func (a *Aligner) PrecomputeSolverCaches() { a.engine.PrecomputeSolverCaches() }
+// PrecomputeSolverCaches does nothing. The aligner keeps no lazily
+// computed solver state: everything a solve reads is built by
+// NewAligner and stored by WriteSnapshot. It remains only for existing
+// callers and will be removed.
+func (a *Aligner) PrecomputeSolverCaches() {}
 
 // OpenSnapshot maps the snapshot at path and rebuilds an Aligner around
 // it: the precompute arrays alias the mapped file (zero-copy on

@@ -54,7 +54,6 @@ func TestOpenSnapshotBitIdenticalUSScale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	built.PrecomputeSolverCaches()
 
 	path := filepath.Join(t.TempDir(), "us.snap")
 	meta := &SnapshotMeta{SourceKeys: []string{"only", "spot", "checked"}}
