@@ -534,7 +534,8 @@ func BenchmarkPublicAlign(b *testing.B) {
 //
 //   - value-row: one crosswalk row re-valued on its existing column
 //     set — shares the row pointers and column indices, patches one
-//     value array, and rank-one-updates the Gram system;
+//     value array, and rank-one-updates the Gram system, copying one
+//     design-matrix block (the arm fails above 1 MB allocated per delta);
 //   - structural-row: the row's column set changes, so the patched
 //     reference's CSR is rebuilt around the affected row;
 //   - source-revision: one entry of a reference's source aggregate
@@ -586,9 +587,17 @@ func BenchmarkDeltaApply(b *testing.B) {
 			{Ref: 0, Row: row, Value: 1.01 * vals[0]},
 		}},
 	}
+	// An engine's first delta counts its per-row crosswalk entries once;
+	// take that here so every arm times a steady-state delta.
+	if _, err := al.ApplyDelta(deltas["value-row"]); err != nil {
+		b.Fatal(err)
+	}
 	for _, name := range []string{"value-row", "structural-row", "source-revision"} {
 		d := deltas[name]
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
 			for i := 0; i < b.N; i++ {
 				next, err := al.ApplyDelta(d)
 				if err != nil {
@@ -597,6 +606,12 @@ func BenchmarkDeltaApply(b *testing.B) {
 				if next.SourceUnits() != al.SourceUnits() {
 					b.Fatal("derived engine changed shape")
 				}
+			}
+			runtime.ReadMemStats(&m1)
+			// A value-row delta copies one design-matrix block, not the
+			// whole matrix: pin it under 1 MB per delta.
+			if perOp := (m1.TotalAlloc - m0.TotalAlloc) / uint64(b.N); name == "value-row" && perOp > 1_000_000 {
+				b.Fatalf("value-row delta allocates %d B/op, want <= 1 MB", perOp)
 			}
 		})
 	}

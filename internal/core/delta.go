@@ -193,6 +193,7 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 	ne.rowNNZ = append([][]int32(nil), counts...)
 	ne.rowSums = make([][]float64, k)
 	ne.maxRow = append([]float64(nil), e.maxRow...)
+	ne.srcMax = append([]float64(nil), e.srcMax...)
 	for r := 0; r < k; r++ {
 		patches := rowsByRef[r]
 		if len(patches) == 0 {
@@ -220,11 +221,13 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 			ne.refs[r].Source = append([]float64(nil), e.refs[r].Source...)
 		}
 		sums := append([]float64(nil), e.rowSums[r]...)
-		for _, p := range patches {
+		rows := make([]int, len(patches))
+		for t, p := range patches {
 			sums[p.Row] = linalg.Sum(p.Vals)
+			rows[t] = p.Row
 		}
 		ne.rowSums[r] = sums
-		ne.maxRow[r] = linalg.MaxAbs(sums)
+		ne.maxRow[r] = keptMax(e.maxRow[r], e.rowSums[r], sums, rows)
 	}
 
 	// 2. Materialise revised source vectors and plan the design-matrix
@@ -238,34 +241,42 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 		if len(src) == 0 && (!rowPatched || hadSource) {
 			continue // design column unchanged
 		}
-		oldRaw := e.rowSums[r]
+		// The column's max-normaliser before the delta: the Source max
+		// or, for a nil-Source reference, the row-sum max (the row sums
+		// are non-negative, so MaxAbs and maxOf agree on them).
+		oldMax := e.maxRow[r]
 		if hadSource {
-			oldRaw = e.refs[r].Source
+			oldMax = e.srcMax[r]
 		}
 		var newRaw []float64
+		var newMax float64
 		changed := make(map[int]bool)
 		if len(src) > 0 {
-			if hadSource {
-				newRaw = append([]float64(nil), e.refs[r].Source...)
-			} else {
+			base, baseMax := e.refs[r].Source, e.srcMax[r]
+			if !hadSource {
 				// Materialise the effective source (the patched row sums)
 				// as an explicit vector before overriding entries.
-				newRaw = append([]float64(nil), ne.rowSums[r]...)
+				base, baseMax = ne.rowSums[r], ne.maxRow[r]
 				if rowPatched {
 					for _, p := range rowsByRef[r] {
 						changed[p.Row] = true
 					}
 				}
 			}
-			for _, p := range src {
+			newRaw = append([]float64(nil), base...)
+			srcRows := make([]int, len(src))
+			for t, p := range src {
 				newRaw[p.Row] = p.Value
 				changed[p.Row] = true
+				srcRows[t] = p.Row
 			}
+			newMax = keptMax(baseMax, base, newRaw, srcRows)
 			ne.refs[r].Source = newRaw
+			ne.srcMax[r] = newMax
 		} else {
 			// nil-Source reference with crosswalk patches: the design
 			// column follows the patched row sums.
-			newRaw = ne.rowSums[r]
+			newRaw, newMax = ne.rowSums[r], ne.maxRow[r]
 			for _, p := range rowsByRef[r] {
 				changed[p.Row] = true
 			}
@@ -279,8 +290,8 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 			ref:    r,
 			raw:    newRaw,
 			rows:   rows,
-			oldMax: maxOf(oldRaw),
-			newMax: maxOf(newRaw),
+			oldMax: oldMax,
+			newMax: newMax,
 		})
 	}
 
@@ -315,20 +326,11 @@ func (e *Engine) ApplyDelta(d Delta) (*Engine, error) {
 // applyColumnPlans executes the design-matrix maintenance plans against
 // a mutable clone of the Gram system (or shares the parent's when no
 // column changed). Plans whose column max held use per-row rank-one
-// updates; plans whose max moved — or an oversized row batch — rewrite
-// the whole column and recompute its Gram row/column exactly.
+// updates, which copy only the design-matrix blocks they write; plans
+// whose max moved — or an oversized row batch — rewrite the whole
+// column and recompute its Gram row/column exactly. A snapshot-backed
+// parent's blocks alias its mapping, so a deep clone owns them all.
 func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
-	if len(plans) == 0 {
-		if !deep {
-			ne.weightMat = e.weightMat
-			ne.gram = e.gram
-			return
-		}
-		wm := e.weightMat.Clone()
-		ne.weightMat, ne.gram = wm, e.gram.MutableClone(wm)
-		return
-	}
-
 	var rowPlans, bulkPlans []colPlan
 	totalRows := 0
 	for _, pl := range plans {
@@ -347,16 +349,16 @@ func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
 		bulkPlans = append(bulkPlans, rowPlans...)
 		rowPlans = nil
 	}
-	if len(rowPlans) == 0 && len(bulkPlans) == 0 {
-		// Only max-zero no-op plans: design matrix is element-wise
-		// unchanged; share (or clone, when deep) like the no-plan case.
-		e.applyColumnPlans(ne, nil, deep)
+	if len(rowPlans) == 0 && len(bulkPlans) == 0 && !deep {
+		// The design matrix is element-wise unchanged.
+		ne.gram = e.gram
 		return
 	}
 
-	wm := e.weightMat.Clone()
-	gs := e.gram.MutableClone(wm)
-
+	gs := e.gram.MutableClone()
+	if deep {
+		gs.Own()
+	}
 	// Row path first: the rank-one updates write whole design rows, and
 	// any stale entries they carry in bulk columns are overwritten (and
 	// their Gram contributions recomputed) by the column path below.
@@ -372,9 +374,9 @@ func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
 			rows = append(rows, i)
 		}
 		sort.Ints(rows)
-		newRow := make([]float64, wm.Cols)
+		newRow := make([]float64, gs.Cols())
 		for _, i := range rows {
-			copy(newRow, wm.Row(i))
+			copy(newRow, gs.Row(i))
 			for _, pl := range edits[i] {
 				newRow[pl.ref] = pl.raw[i] / pl.newMax
 			}
@@ -382,21 +384,21 @@ func (e *Engine) applyColumnPlans(ne *Engine, plans []colPlan, deep bool) {
 		}
 	}
 	if len(bulkPlans) > 0 {
-		cols := make([]int, 0, len(bulkPlans))
-		for _, pl := range bulkPlans {
-			for i := 0; i < e.ns; i++ {
-				v := 0.0
-				if pl.newMax > 0 {
-					v = pl.raw[i] / pl.newMax
+		cols := make([]int, len(bulkPlans))
+		vals := make([][]float64, len(bulkPlans))
+		for t, pl := range bulkPlans {
+			col := make([]float64, e.ns)
+			if pl.newMax > 0 {
+				for i, v := range pl.raw {
+					col[i] = v / pl.newMax
 				}
-				wm.Data[i*wm.Cols+pl.ref] = v
 			}
-			cols = append(cols, pl.ref)
+			cols[t], vals[t] = pl.ref, col
 		}
-		gs.RecomputeColumns(cols)
+		gs.RecomputeColumns(cols, vals)
 	}
 	gs.RefreshInfNorm()
-	ne.weightMat, ne.gram = wm, gs
+	ne.gram = gs
 }
 
 // rowCounts returns each reference's stored entries per source row,
@@ -576,6 +578,31 @@ func valueOnlyPlaces(xt *sparse.CSR, rowNNZ []int32, patches []RowPatch) [][]int
 		}
 	}
 	return at
+}
+
+// keptMax returns maxOf(next), where next differs from prev only at
+// rows and mx is maxOf(prev): the larger of mx and the changed
+// entries, with a rescan of next only when a row that held mx changed
+// and none reached it again. The vectors are non-negative, so the
+// result also equals linalg.MaxAbs(next).
+func keptMax(mx float64, prev, next []float64, rows []int) float64 {
+	var hi float64
+	lost := false
+	for _, i := range rows {
+		if next[i] > hi {
+			hi = next[i]
+		}
+		if prev[i] == mx {
+			lost = true
+		}
+	}
+	switch {
+	case hi >= mx:
+		return hi
+	case !lost:
+		return mx
+	}
+	return maxOf(next)
 }
 
 // maxOf mirrors maxNormalise's normaliser: the maximum entry (the

@@ -6,10 +6,12 @@ import (
 	"math"
 	"math/rand"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
 
+	"geoalign/internal/linalg"
 	"geoalign/internal/sparse"
 )
 
@@ -169,7 +171,7 @@ func vecsClose(t *testing.T, what string, got, want []float64, tol float64) {
 // within 1e-9.
 func checkEquivalence(t *testing.T, trial int, inc, rebuilt *Engine, objective []float64) {
 	t.Helper()
-	if !bitEqual(inc.weightMat.Data, rebuilt.weightMat.Data) {
+	if !bitEqual(inc.gram.Design(), rebuilt.gram.Design()) {
 		t.Fatalf("trial %d: design matrices differ bitwise", trial)
 	}
 	if got, want := inc.PatternNNZ(), rebuilt.PatternNNZ(); got != want {
@@ -615,5 +617,160 @@ func TestPatternNNZAfterDeltas(t *testing.T) {
 				t.Fatalf("recount %d, handed on %d", got, handed)
 			}
 		})
+	}
+}
+
+// blockRevision returns a delta that revises rows of block b of the
+// design matrix: a value-row patch scaling row lo+off of nil-Source
+// reference 0 down by 10%, and a source patch halving row lo+off+1 of
+// explicit-Source reference 1. Neither row holds its column's maximum,
+// so both take the row-wise update path.
+func blockRevision(t *testing.T, e *Engine, refs []Reference, b, off int) Delta {
+	t.Helper()
+	pick := func(ok func(i int) bool) int {
+		for i := b*linalg.GramBlockRows + off; i < e.ns; i++ {
+			if ok(i) {
+				return i
+			}
+		}
+		t.Fatalf("block %d: no row to revise", b)
+		return -1
+	}
+	row := pick(func(i int) bool {
+		cols, _ := refs[0].DM.Row(i)
+		return len(cols) > 0 && e.rowSums[0][i] < e.maxRow[0]
+	})
+	cols, vals := refs[0].DM.Row(row)
+	scaled := make([]float64, len(vals))
+	for q, v := range vals {
+		scaled[q] = 0.9 * v
+	}
+	src := pick(func(i int) bool { return i > row && refs[1].Source[i] < e.srcMax[1] })
+	return Delta{
+		RowPatches:    []RowPatch{{Ref: 0, Row: row, Cols: append([]int(nil), cols...), Vals: scaled}},
+		SourcePatches: []SourcePatch{{Ref: 1, Row: src, Value: refs[1].Source[src] / 2}},
+	}
+}
+
+// TestApplyDeltaSiblingBlocks derives sibling engines from one parent
+// whose design matrix spans more than three row blocks, each sibling
+// revising rows in a different block. The parent must align
+// bit-identically before and after, each sibling must match a rebuild
+// from its patched references and keep its own results while later
+// siblings (and a grandchild) are derived, and every block a sibling
+// did not revise must still be the parent's. A write into a block
+// shared with the parent or a sibling fails here.
+func TestApplyDeltaSiblingBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(96))
+	ns, nt, k := 3*linalg.GramBlockRows+257, 40, 4
+	refs := randDeltaRefs(rng, ns, nt, k)
+	parent, err := NewEngine(refs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	objective := make([]float64, ns)
+	for i := range objective {
+		objective[i] = rng.Float64() * 1000
+	}
+	before, err := parent.Align(objective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	design := append([]float64(nil), parent.gram.Design()...)
+
+	type sibling struct {
+		e    *Engine
+		refs []Reference
+		res  *Result
+	}
+	var sibs []sibling
+	derive := func(trial int, from *Engine, fromRefs []Reference, b int) sibling {
+		t.Helper()
+		d := blockRevision(t, from, fromRefs, b, 11*trial)
+		child, err := from.ApplyDelta(d)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		childRefs := applyToRefs(fromRefs, d)
+		rebuilt, err := NewEngine(childRefs, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEquivalence(t, trial, child, rebuilt, objective)
+		for ob := 0; ob*linalg.GramBlockRows < ns; ob++ {
+			i := ob * linalg.GramBlockRows
+			if shared := &child.gram.Row(i)[0] == &from.gram.Row(i)[0]; shared != (ob != b) {
+				t.Fatalf("trial %d: block %d shared with the parent = %v after revising block %d", trial, ob, shared, b)
+			}
+		}
+		res, err := child.Align(objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sibling{child, childRefs, res}
+	}
+	for b := 0; b*linalg.GramBlockRows < ns; b++ {
+		sibs = append(sibs, derive(b, parent, refs, b))
+	}
+	sibs = append(sibs, derive(len(sibs), sibs[0].e, sibs[0].refs, 2))
+
+	for n, s := range sibs {
+		res, err := s.e.Align(objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bitEqual(res.Weights, s.res.Weights) || !bitEqual(res.Target, s.res.Target) {
+			t.Fatalf("sibling %d results changed after later siblings were derived", n)
+		}
+	}
+	after, err := parent.Align(objective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bitEqual(before.Weights, after.Weights) || !bitEqual(before.Target, after.Target) {
+		t.Fatal("parent results changed after deriving siblings")
+	}
+	if !bitEqual(parent.gram.Design(), design) {
+		t.Fatal("parent design matrix changed after deriving siblings")
+	}
+}
+
+// TestApplyDeltaValueRowAlloc pins what a value-row delta allocates on
+// a heap parent: one design-matrix block, the patched reference's row
+// sums and values, and a small fixed allowance — less than one copy of
+// the design matrix, which the delta no longer makes.
+func TestApplyDeltaValueRowAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(97))
+	ns, nt, k := 4*linalg.GramBlockRows, 64, 8
+	refs := randDeltaRefs(rng, ns, nt, k)
+	parent, err := NewEngine(refs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := blockRevision(t, parent, refs, 1, 0)
+	d.SourcePatches = nil
+	// The first delta counts the parent's per-row entries once.
+	if _, err := parent.ApplyDelta(d); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var m0, m1 runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&m0)
+	for r := 0; r < runs; r++ {
+		if _, err := parent.ApplyDelta(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&m1)
+	perOp := (m1.TotalAlloc - m0.TotalAlloc) / runs
+	const word = 8
+	block := uint64(linalg.GramBlockRows * k * word)
+	budget := block + uint64(ns*word+refs[0].DM.NNZ()*word) + 64<<10
+	if design := uint64(ns * k * word); budget >= design {
+		t.Fatalf("budget %d B does not sit below one design-matrix copy (%d B)", budget, design)
+	}
+	if perOp > budget {
+		t.Fatalf("value-row delta allocates %d B/op, budget %d B (one %d B block, row sums, values, 64 KiB)", perOp, budget, block)
 	}
 }

@@ -44,14 +44,14 @@ type Engine struct {
 	refs   []Reference // each DM holds the target-major crosswalk DMᵀ (nt × ns, source rows ascending)
 	opts   Options
 
-	weightMat *linalg.Matrix     // Eq. 15 design matrix (ns × k)
-	gram      *linalg.GramSystem // its cached normal equations
-	normSrc   [][]float64        // its columns: maxNormalise(source_k); nil until first use on snapshot- or delta-derived engines
-	nsOnce    sync.Once          // guards the lazy normSrc extraction
-	nsReady   atomic.Bool        // normSrc published; the only safe gate for readers outside nsOnce
-	rowSums   [][]float64        // row sums per reference crosswalk (the Eq. 14 denominator basis)
-	maxRow    []float64          // max |row sum| per reference crosswalk
-	patNNZ    atomic.Int64       // PatternNNZ()+1 once counted; 0 until then
+	gram    *linalg.GramSystem // Eq. 15 design matrix (ns × k, in row blocks) and its cached normal equations
+	normSrc [][]float64        // its columns: maxNormalise(source_k); nil until first use on snapshot- or delta-derived engines
+	nsOnce  sync.Once          // guards the lazy normSrc extraction
+	nsReady atomic.Bool        // normSrc published; the only safe gate for readers outside nsOnce
+	rowSums [][]float64        // row sums per reference crosswalk (the Eq. 14 denominator basis)
+	maxRow  []float64          // max |row sum| per reference crosswalk
+	srcMax  []float64          // max of each explicit Source (0 where Source is nil): the design column's normaliser
+	patNNZ  atomic.Int64       // PatternNNZ()+1 once counted; 0 until then
 
 	// rowNNZ counts each reference's stored entries per source row, so
 	// ApplyDelta can tell a value-only row patch without scanning the
@@ -126,6 +126,7 @@ func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 	e.normSrc = make([][]float64, k)
 	e.rowSums = make([][]float64, k)
 	e.maxRow = make([]float64, k)
+	e.srcMax = make([]float64, k)
 	for i, r := range refs {
 		what := fmt.Sprintf("reference %d (%s)", i, r.Name)
 		if err := checkCSRShape(ErrBadReference, what, r.DM.IndPtr, r.DM.ColIdx, r.DM.Val, ns, nt); err != nil {
@@ -142,16 +143,17 @@ func NewEngine(refs []Reference, opts Options) (*Engine, error) {
 		src := r.Source
 		if src == nil {
 			src = e.rowSums[i]
+		} else {
+			e.srcMax[i] = maxOf(src)
 		}
 		e.normSrc[i] = maxNormalise(src)
 	}
-	var err error
-	e.weightMat, err = linalg.MatrixFromColumns(e.normSrc)
+	weightMat, err := linalg.MatrixFromColumns(e.normSrc)
 	if err != nil {
 		return nil, err
 	}
 	e.nsReady.Store(true)
-	e.gram = linalg.NewGramSystem(e.weightMat)
+	e.gram = linalg.NewGramSystem(weightMat)
 	e.initPools()
 	return e, nil
 }
@@ -259,7 +261,7 @@ func (e *Engine) PrecomputeBytes() int64 {
 			n += int64(len(e.normSrc[i])) * wordSize
 		}
 	}
-	n += int64(len(e.weightMat.Data)+len(e.gram.Gram().Data)+len(e.maxRow)) * wordSize
+	n += int64(e.gram.Rows()*e.gram.Cols()+len(e.gram.Gram().Data)+len(e.maxRow)+len(e.srcMax)) * wordSize
 	return n
 }
 
@@ -279,13 +281,13 @@ func (e *Engine) normSrcCols() [][]float64 {
 		}
 		k := len(e.refs)
 		cols := make([][]float64, k)
-		data := e.weightMat.Data
-		for i := 0; i < k; i++ {
-			col := make([]float64, e.ns)
-			for row := 0; row < e.ns; row++ {
-				col[row] = data[row*k+i]
+		for i := range cols {
+			cols[i] = make([]float64, e.ns)
+		}
+		for row := 0; row < e.ns; row++ {
+			for i, v := range e.gram.Row(row) {
+				cols[i][row] = v
 			}
-			cols[i] = col
 		}
 		e.normSrc = cols
 		e.nsReady.Store(true)

@@ -115,7 +115,7 @@ func (e *Engine) snapshotWriter(meta *SnapshotMeta) *snapshot.Writer {
 	w := snapshot.NewWriter()
 	w.Ints(secMeta, []int{e.ns, e.nt, k, 0})
 	w.F64(secScalars, []float64{e.gram.AInf})
-	w.F64(secWeightMat, e.weightMat.Data)
+	w.F64(secWeightMat, e.gram.Design())
 	w.F64(secGram, e.gram.Gram().Data)
 	names := make([]string, k)
 	for i, r := range e.refs {
@@ -232,11 +232,11 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 		// normSrc stays nil: the design matrix columns hold the same
 		// bits, and only the source-override path reads it (extracted
 		// lazily by normSrcCols).
-		weightMat: weightMat,
-		gram:      gram,
-		rowSums:   make([][]float64, k),
-		maxRow:    make([]float64, k),
-		snap:      f,
+		gram:    gram,
+		rowSums: make([][]float64, k),
+		maxRow:  make([]float64, k),
+		srcMax:  make([]float64, k),
+		snap:    f,
 	}
 	// The layout is per file: target-major sections, or the row-major
 	// ones of earlier versions, transposed here.
@@ -283,6 +283,7 @@ func engineFromSnapshot(f *snapshot.File, opts Options) (*Engine, *SnapshotMeta,
 				return nil, nil, corruptf("%s source vector has %d entries, want %d", what, len(src), ns)
 			}
 			r.Source = src
+			e.srcMax[i] = maxOf(src)
 		}
 		e.refs[i] = r
 

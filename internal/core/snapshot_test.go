@@ -175,7 +175,7 @@ func writeCholeskySnapshot(t *testing.T, e *Engine, flags int, chol []float64) [
 	w := snapshot.NewWriter()
 	w.Ints(secMeta, []int{e.ns, e.nt, k, flags})
 	w.F64(secScalars, []float64{e.gram.AInf})
-	w.F64(secWeightMat, e.weightMat.Data)
+	w.F64(secWeightMat, e.gram.Design())
 	w.F64(secGram, e.gram.Gram().Data)
 	if chol != nil {
 		w.F64(secLegacyCholesky, chol)
@@ -620,7 +620,7 @@ func writeRowMajorSnapshot(t *testing.T, e *Engine, refs []Reference) []byte {
 	w := snapshot.NewWriter()
 	w.Ints(secMeta, []int{e.ns, e.nt, len(refs), 0})
 	w.F64(secScalars, []float64{e.gram.AInf})
-	w.F64(secWeightMat, e.weightMat.Data)
+	w.F64(secWeightMat, e.gram.Design())
 	w.F64(secGram, e.gram.Gram().Data)
 	names := make([]string, len(refs))
 	for i, r := range refs {
@@ -733,7 +733,7 @@ func tinyTargetMajor(t *testing.T) (*tinySections, *Engine) {
 	return &tinySections{
 		meta:     []int{3, 2, 1, 0},
 		scalars:  []float64{e.gram.AInf},
-		wm:       e.weightMat.Data,
+		wm:       e.gram.Design(),
 		gram:     e.gram.Gram().Data,
 		names:    []string{"ref"},
 		dmIndPtr: append([]int(nil), xt.IndPtr...), // {0, 2, 4}

@@ -23,10 +23,12 @@ import (
 // iteration costs one |P|³ Cholesky factorisation instead of the
 // O(ns·|P|²) tall factorisation of the dense path.
 
-// gramBlockRows is the row-block size of the blocked kernels. The
-// reduction over blocks is always performed in block order, so results
-// are bit-identical regardless of how many workers execute the blocks.
-const gramBlockRows = 2048
+// GramBlockRows is the row-block size of the blocked kernels and of
+// the design-matrix storage, so a copy-on-write block is also a unit of
+// the kernels' work. The reduction over blocks is always performed in
+// block order, so results are bit-identical regardless of how many
+// workers execute the blocks.
+const GramBlockRows = 2048
 
 // gramParallelMin is the minimum row count before the blocked kernels
 // fan out to goroutines; below it the blocks run on the calling
@@ -38,16 +40,42 @@ const gramParallelMin = 8192
 // Incremental maintenance goes through MutableClone (gramupdate.go),
 // which derives a single-owner writable copy and leaves the original
 // untouched.
+//
+// The design matrix is held as row blocks of GramBlockRows rows (the
+// last may be shorter), each row-major — the same partition the blocked
+// kernels reduce over. A built or restored system views one contiguous
+// array as its blocks without copying; a mutable clone shares its
+// parent's blocks and copies one only on its first write to it, so a
+// row revision costs one block, not the whole matrix.
 type GramSystem struct {
-	a    *Matrix
+	rows, cols int
+	blocks     [][]float64
+	// flat is the contiguous row-major array the blocks view, or nil
+	// once a clone has replaced one of them with a private copy.
+	flat []float64
+	// owned marks the blocks a mutable clone has made private; nil on
+	// built and restored systems, which are never written.
+	owned []bool
+
 	G    *Matrix // k×k Gram matrix AᵀA
-	AInf float64 // matInfNorm(a): scales solver tolerances and μ
+	AInf float64 // matInfNorm of the design matrix: scales solver tolerances and μ
+
+	// rowInf is the largest row abs-sum — AInf before matInfNorm's
+	// all-zero convention — unless infStale says it is unknown (after a
+	// column rewrite, when a row that held it shrank, or on a restored
+	// system whose AInf of 1 may stand for an all-zero matrix).
+	rowInf   float64
+	infStale bool
 }
 
 // NewGramSystem precomputes the Gram matrix and norm of a. The matrix
 // is captured by reference and must not be mutated afterwards.
 func NewGramSystem(a *Matrix) *GramSystem {
-	return &GramSystem{a: a, G: ParallelGram(a), AInf: matInfNorm(a)}
+	gs := viewBlocks(a)
+	gs.G = gramOf(gs)
+	gs.rowInf = gs.maxRowAbsSum()
+	gs.AInf = infNorm(gs.rowInf)
+	return gs
 }
 
 // RestoreGramSystem rebuilds a GramSystem from previously computed
@@ -56,35 +84,113 @@ func NewGramSystem(a *Matrix) *GramSystem {
 // snapshot loader; the caller vouches that the parts belong together.
 // Both matrices are captured by reference and must not be mutated.
 func RestoreGramSystem(a, g *Matrix, ainf float64) *GramSystem {
-	return &GramSystem{a: a, G: g, AInf: ainf}
+	gs := viewBlocks(a)
+	gs.G, gs.AInf = g, ainf
+	// ‖A‖∞ = 1 is also what an all-zero matrix reports, so the largest
+	// row sum behind it is unknown until a rescan.
+	gs.rowInf, gs.infStale = ainf, ainf == 1
+	return gs
+}
+
+// viewBlocks returns a system whose blocks alias a's rows.
+func viewBlocks(a *Matrix) *GramSystem {
+	k := a.Cols
+	nb := numBlocks(a.Rows)
+	blocks := make([][]float64, nb)
+	for bi := range blocks {
+		lo, hi := blockRange(bi, a.Rows)
+		blocks[bi] = a.Data[lo*k : hi*k : hi*k]
+	}
+	return &GramSystem{rows: a.Rows, cols: k, blocks: blocks, flat: a.Data}
+}
+
+// infNorm applies matInfNorm's convention to a largest row abs-sum: an
+// all-zero matrix reports 1.
+func infNorm(rowInf float64) float64 {
+	if rowInf == 0 {
+		return 1
+	}
+	return rowInf
+}
+
+// maxRowAbsSum returns the largest row abs-sum, each row summed in
+// column order as matInfNorm does.
+func (gs *GramSystem) maxRowAbsSum() float64 {
+	if gs.cols == 0 {
+		return 0
+	}
+	var mx float64
+	for _, blk := range gs.blocks {
+		for lo := 0; lo < len(blk); lo += gs.cols {
+			if s := absSum(blk[lo : lo+gs.cols]); s > mx {
+				mx = s
+			}
+		}
+	}
+	return mx
+}
+
+// absSum returns Σ|v_j| summed in index order.
+func absSum(v []float64) float64 {
+	var s float64
+	for _, x := range v {
+		s += math.Abs(x)
+	}
+	return s
 }
 
 // Rows returns the design matrix row count (|U^s|).
-func (gs *GramSystem) Rows() int { return gs.a.Rows }
+func (gs *GramSystem) Rows() int { return gs.rows }
 
 // Cols returns the design matrix column count (|A_r|).
-func (gs *GramSystem) Cols() int { return gs.a.Cols }
+func (gs *GramSystem) Cols() int { return gs.cols }
 
 // Gram returns the cached k×k Gram matrix AᵀA. Callers must not mutate
 // it.
 func (gs *GramSystem) Gram() *Matrix { return gs.G }
+
+// Row returns row i of the design matrix. It aliases the system's
+// storage: callers must not mutate it.
+func (gs *GramSystem) Row(i int) []float64 {
+	bi := i / GramBlockRows
+	off := (i - bi*GramBlockRows) * gs.cols
+	return gs.blocks[bi][off : off+gs.cols : off+gs.cols]
+}
+
+// Design returns the design matrix as one row-major array. It aliases
+// the system's storage when the blocks still view one array, and is a
+// fresh copy otherwise; callers must not mutate it either way.
+func (gs *GramSystem) Design() []float64 {
+	if gs.flat != nil {
+		return gs.flat
+	}
+	out := make([]float64, 0, gs.rows*gs.cols)
+	for _, blk := range gs.blocks {
+		out = append(out, blk...)
+	}
+	return out
+}
 
 // ApplyTInto computes dst = Aᵀb in O(ns·k), blocked over row chunks and
 // fanned across goroutines for large ns. dst must have length k, b
 // length ns. The block reduction is ordered, so the result does not
 // depend on the worker count.
 func (gs *GramSystem) ApplyTInto(dst, b []float64) {
-	a := gs.a
-	if len(b) != a.Rows {
-		panic(fmt.Sprintf("linalg: ApplyTInto vector length %d != rows %d", len(b), a.Rows))
+	if len(b) != gs.rows {
+		panic(fmt.Sprintf("linalg: ApplyTInto vector length %d != rows %d", len(b), gs.rows))
 	}
-	if len(dst) != a.Cols {
-		panic(fmt.Sprintf("linalg: ApplyTInto destination length %d != cols %d", len(dst), a.Cols))
+	if len(dst) != gs.cols {
+		panic(fmt.Sprintf("linalg: ApplyTInto destination length %d != cols %d", len(dst), gs.cols))
 	}
-	k := a.Cols
-	nb := numBlocks(a.Rows)
+	k := gs.cols
+	for j := range dst {
+		dst[j] = 0
+	}
+	nb := len(gs.blocks)
 	if nb <= 1 {
-		a.MulVecTInto(dst, b)
+		if nb == 1 {
+			accumT(dst, gs.blocks[0], b, k)
+		}
 		return
 	}
 	partPtr := gramScratchPool.Get().(*[]float64)
@@ -93,25 +199,13 @@ func (gs *GramSystem) ApplyTInto(dst, b []float64) {
 		part = make([]float64, nb*k)
 	}
 	part = part[:nb*k]
-	forEachBlock(a.Rows, func(bi, lo, hi int) {
+	forEachBlock(gs.rows, func(bi, lo, hi int) {
 		local := part[bi*k : (bi+1)*k]
 		for j := range local {
 			local[j] = 0
 		}
-		for i := lo; i < hi; i++ {
-			xi := b[i]
-			if xi == 0 {
-				continue
-			}
-			row := a.Row(i)
-			for j, v := range row {
-				local[j] += v * xi
-			}
-		}
+		accumT(local, gs.blocks[bi], b[lo:hi], k)
 	})
-	for j := range dst {
-		dst[j] = 0
-	}
 	for bi := 0; bi < nb; bi++ {
 		local := part[bi*k : (bi+1)*k]
 		for j, v := range local {
@@ -122,16 +216,30 @@ func (gs *GramSystem) ApplyTInto(dst, b []float64) {
 	gramScratchPool.Put(partPtr)
 }
 
+// accumT adds blkᵀ·b to acc, where blk holds len(b) rows of k columns,
+// row by row in order and skipping zero entries of b.
+func accumT(acc, blk, b []float64, k int) {
+	for i, xi := range b {
+		if xi == 0 {
+			continue
+		}
+		row := blk[i*k : (i+1)*k]
+		for j, v := range row {
+			acc[j] += v * xi
+		}
+	}
+}
+
 // SimplexLS solves the Eq. 15 simplex-constrained least-squares problem
 // for right-hand side b against the cached system, optionally seeding
 // the active-set solver from a previous solution (warm may be nil).
 func (gs *GramSystem) SimplexLS(b, warm []float64) ([]float64, error) {
-	k := gs.a.Cols
+	k := gs.cols
 	if k == 0 {
 		return nil, ErrNoColumns
 	}
-	if len(b) != gs.a.Rows {
-		return nil, fmt.Errorf("linalg: simplex LS vector length %d != rows %d", len(b), gs.a.Rows)
+	if len(b) != gs.rows {
+		return nil, fmt.Errorf("linalg: simplex LS vector length %d != rows %d", len(b), gs.rows)
 	}
 	if k == 1 {
 		return []float64{1}, nil
@@ -146,9 +254,19 @@ var gramScratchPool = sync.Pool{New: func() any {
 	return &s
 }}
 
-// numBlocks returns how many gramBlockRows-sized chunks cover rows.
+// numBlocks returns how many GramBlockRows-sized chunks cover rows.
 func numBlocks(rows int) int {
-	return (rows + gramBlockRows - 1) / gramBlockRows
+	return (rows + GramBlockRows - 1) / GramBlockRows
+}
+
+// blockRange returns the row range [lo, hi) of block bi.
+func blockRange(bi, rows int) (lo, hi int) {
+	lo = bi * GramBlockRows
+	hi = lo + GramBlockRows
+	if hi > rows {
+		hi = rows
+	}
+	return lo, hi
 }
 
 // forEachBlock runs body(blockIndex, lo, hi) over every row block,
@@ -159,11 +277,7 @@ func forEachBlock(rows int, body func(bi, lo, hi int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if nb <= 1 || rows < gramParallelMin || workers <= 1 {
 		for bi := 0; bi < nb; bi++ {
-			lo := bi * gramBlockRows
-			hi := lo + gramBlockRows
-			if hi > rows {
-				hi = rows
-			}
+			lo, hi := blockRange(bi, rows)
 			body(bi, lo, hi)
 		}
 		return
@@ -190,11 +304,7 @@ func forEachBlock(rows int, body func(bi, lo, hi int)) {
 				if bi >= nb {
 					return
 				}
-				lo := bi * gramBlockRows
-				hi := lo + gramBlockRows
-				if hi > rows {
-					hi = rows
-				}
+				lo, hi := blockRange(bi, rows)
 				body(bi, lo, hi)
 			}
 		}()
@@ -207,17 +317,24 @@ func forEachBlock(rows int, body func(bi, lo, hi int)) {
 // reduction regroups the row sums) and is deterministic for any
 // GOMAXPROCS.
 func ParallelGram(a *Matrix) *Matrix {
-	k := a.Cols
+	return gramOf(viewBlocks(a))
+}
+
+// gramOf computes the Gram matrix of gs's blocks: per-block upper
+// triangles summed in block order, then mirrored.
+func gramOf(gs *GramSystem) *Matrix {
+	k := gs.cols
 	g := NewMatrix(k, k)
-	nb := numBlocks(a.Rows)
+	nb := len(gs.blocks)
 	if nb == 0 {
 		return g
 	}
 	part := make([]float64, nb*k*k)
-	forEachBlock(a.Rows, func(bi, lo, hi int) {
+	forEachBlock(gs.rows, func(bi, lo, hi int) {
 		local := part[bi*k*k : (bi+1)*k*k]
-		for i := lo; i < hi; i++ {
-			row := a.Row(i)
+		blk := gs.blocks[bi]
+		for i := 0; i < hi-lo; i++ {
+			row := blk[i*k : (i+1)*k]
 			for p, vp := range row {
 				if vp == 0 {
 					continue

@@ -258,7 +258,7 @@ func TestGramDegenerateCases(t *testing.T) {
 
 func TestParallelGramMatchesGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
-	for _, m := range []int{0, 1, 100, gramBlockRows, gramBlockRows + 1, 3*gramBlockRows + 17, gramParallelMin + 999} {
+	for _, m := range []int{0, 1, 100, GramBlockRows, GramBlockRows + 1, 3*GramBlockRows + 17, gramParallelMin + 999} {
 		k := 1 + rng.Intn(8)
 		a := NewMatrix(m, k)
 		for i := range a.Data {
@@ -298,7 +298,7 @@ func TestParallelGramDeterministic(t *testing.T) {
 
 func TestApplyTIntoMatchesMulVecT(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
-	for _, m := range []int{1, 57, gramBlockRows, gramBlockRows + 1, 2*gramBlockRows + 300, gramParallelMin + 123} {
+	for _, m := range []int{1, 57, GramBlockRows, GramBlockRows + 1, 2*GramBlockRows + 300, gramParallelMin + 123} {
 		k := 1 + rng.Intn(7)
 		a := NewMatrix(m, k)
 		for i := range a.Data {

@@ -21,14 +21,18 @@ func maxAbsDiff(a, b *Matrix) float64 {
 // mutable clone of gs, returning the clone and the patched dense
 // matrix. makeRow produces the replacement row for a given trial.
 func applyRandomRowUpdates(gs *GramSystem, a *Matrix, rng *rand.Rand, updates int, makeRow func(i int) []float64) (*GramSystem, *Matrix) {
-	patched := a.Clone()
-	mut := gs.MutableClone(patched)
+	mut := gs.MutableClone()
 	for u := 0; u < updates; u++ {
 		i := rng.Intn(a.Rows)
 		mut.UpdateRow(i, makeRow(i))
 	}
 	mut.RefreshInfNorm()
-	return mut, patched
+	return mut, designOf(mut)
+}
+
+// designOf materialises a system's design matrix as a fresh Matrix.
+func designOf(gs *GramSystem) *Matrix {
+	return &Matrix{Rows: gs.Rows(), Cols: gs.Cols(), Data: append([]float64(nil), gs.Design()...)}
 }
 
 // TestGramSolversAfterRowUpdates is the rebuild-equivalence property
@@ -148,11 +152,11 @@ func TestUpdateRowRankCollapse(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	patched := a.Clone()
-	mut := NewGramSystem(a).MutableClone(patched)
+	mut := NewGramSystem(a).MutableClone()
 	check := func(phase string) {
 		t.Helper()
 		mut.RefreshInfNorm()
+		patched := designOf(mut)
 		cold := NewGramSystem(patched)
 		if d := maxAbsDiff(mut.Gram(), cold.Gram()); d > 1e-9*(1+matInfNorm(cold.Gram())) {
 			t.Fatalf("%s: maintained Gram differs from rebuild by %g", phase, d)
@@ -195,9 +199,9 @@ func TestRecomputeColumnsMatchesRebuild(t *testing.T) {
 		}
 		gs := NewGramSystem(a)
 		patched := a.Clone()
-		mut := gs.MutableClone(patched)
-		// Rescale two whole columns in place (the column-max-moved
-		// case), then ask the system to recompute them.
+		mut := gs.MutableClone()
+		// Rescale two whole columns (the column-max-moved case) and
+		// hand the system the rewritten columns.
 		cols := []int{rng.Intn(k), rng.Intn(k)}
 		for _, j := range cols {
 			s := 0.25 + rng.Float64()
@@ -205,7 +209,14 @@ func TestRecomputeColumnsMatchesRebuild(t *testing.T) {
 				patched.Set(i, j, patched.At(i, j)*s)
 			}
 		}
-		mut.RecomputeColumns(cols)
+		vals := make([][]float64, len(cols))
+		for t, j := range cols {
+			vals[t] = make([]float64, m)
+			for i := range vals[t] {
+				vals[t][i] = patched.At(i, j)
+			}
+		}
+		mut.RecomputeColumns(cols, vals)
 		mut.RefreshInfNorm()
 		cold := NewGramSystem(patched)
 		if d := maxAbsDiff(mut.Gram(), cold.Gram()); d > 1e-10*(1+matInfNorm(cold.Gram())) {
@@ -227,7 +238,8 @@ func TestMutableCloneLeavesParentUntouched(t *testing.T) {
 	gBefore := gs.Gram().Clone()
 	ainfBefore := gs.AInf
 
-	mut := gs.MutableClone(a.Clone())
+	aBefore := a.Clone()
+	mut := gs.MutableClone()
 	for u := 0; u < 10; u++ {
 		row := make([]float64, 4)
 		for j := range row {
@@ -242,5 +254,134 @@ func TestMutableCloneLeavesParentUntouched(t *testing.T) {
 	}
 	if gs.AInf != ainfBefore {
 		t.Fatalf("parent ‖A‖∞ mutated: %g != %g", gs.AInf, ainfBefore)
+	}
+	if d := maxAbsDiff(a, aBefore); d != 0 {
+		t.Fatalf("parent design matrix mutated (max diff %g)", d)
+	}
+}
+
+// TestInfNormKeptAcrossBlocks drives a design matrix of more than three
+// row blocks through a randomized chain of generations — each a
+// MutableClone of the last, patched by UpdateRow and now and then
+// RecomputeColumns — and checks after every batch that AInf equals
+// matInfNorm of the materialised matrix bit for bit. Entries on a
+// coarse grid make row sums tie exactly, and the edits aim at the
+// maximum: a row holding it shrinks, another row ties it, a row grows
+// past it. An all-zero phase checks the convention that such a matrix
+// reports 1, on a clone and on a restored system. Every earlier
+// generation must keep its design matrix and ‖A‖∞, so a write into a
+// block a clone shares fails here too.
+func TestInfNormKeptAcrossBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(79))
+	const m, k = 3*GramBlockRows + 311, 4
+	a := NewMatrix(m, k)
+	for i := range a.Data {
+		a.Data[i] = float64(rng.Intn(8)) / 8
+	}
+	gridRow := func() []float64 {
+		row := make([]float64, k)
+		for j := range row {
+			row[j] = float64(rng.Intn(8)) / 8
+		}
+		return row
+	}
+	// maxRows lists the rows of d whose abs-sum attains ‖d‖∞.
+	maxRows := func(d *Matrix) []int {
+		mx := matInfNorm(d)
+		var rows []int
+		for i := 0; i < d.Rows; i++ {
+			if absSum(d.Row(i)) == mx {
+				rows = append(rows, i)
+			}
+		}
+		return rows
+	}
+	type generation struct {
+		gs     *GramSystem
+		design []float64
+		ainf   float64
+	}
+	checkKept := func(step int, gs *GramSystem) *Matrix {
+		t.Helper()
+		d := designOf(gs)
+		if want := matInfNorm(d); math.Float64bits(gs.AInf) != math.Float64bits(want) {
+			t.Fatalf("step %d: maintained ‖A‖∞ %v, matInfNorm %v", step, gs.AInf, want)
+		}
+		return d
+	}
+	gens := []generation{{NewGramSystem(a), append([]float64(nil), a.Data...), matInfNorm(a)}}
+	for step := 0; step < 60; step++ {
+		prev := gens[len(gens)-1]
+		mut := prev.gs.MutableClone()
+		cur := designOf(mut)
+		for u := 1 + rng.Intn(4); u > 0; u-- {
+			i, row := rng.Intn(m), gridRow()
+			switch rng.Intn(6) {
+			case 0: // a row holding the maximum shrinks
+				held := maxRows(cur)
+				i = held[rng.Intn(len(held))]
+				row = append([]float64(nil), cur.Row(i)...)
+				row[rng.Intn(k)] = 0
+			case 1: // another row ties the maximum
+				row = append([]float64(nil), cur.Row(maxRows(cur)[0])...)
+			case 2: // a row grows past the maximum
+				row[0] = matInfNorm(cur)
+			case 3:
+				row = make([]float64, k)
+			}
+			mut.UpdateRow(i, row)
+			copy(cur.Row(i), row)
+		}
+		if step%10 == 9 {
+			j := rng.Intn(k)
+			col := make([]float64, m)
+			for i := range col {
+				col[i] = float64(rng.Intn(8)) / 8
+				cur.Set(i, j, col[i])
+			}
+			mut.RecomputeColumns([]int{j}, [][]float64{col})
+		}
+		mut.RefreshInfNorm()
+		got := checkKept(step, mut)
+		if d := maxAbsDiff(got, cur); d != 0 {
+			t.Fatalf("step %d: maintained design differs from the patched one by %g", step, d)
+		}
+		gens = append(gens, generation{mut, got.Data, mut.AInf})
+		for g, gen := range gens {
+			d := gen.gs.Design()
+			for i, v := range gen.design {
+				if math.Float64bits(d[i]) != math.Float64bits(v) {
+					t.Fatalf("step %d: generation %d design entry %d changed", step, g, i)
+				}
+			}
+			if gen.gs.AInf != gen.ainf {
+				t.Fatalf("step %d: generation %d ‖A‖∞ changed", step, g)
+			}
+		}
+	}
+
+	// All-zero matrix: ‖A‖∞ reports 1, and the first nonzero row sets
+	// it exactly, whether the zeros came from a column rewrite or from
+	// a restored system whose AInf of 1 hides them.
+	mut := gens[len(gens)-1].gs.MutableClone()
+	cols, zeros := make([]int, k), make([][]float64, k)
+	for j := range cols {
+		cols[j], zeros[j] = j, make([]float64, m)
+	}
+	mut.RecomputeColumns(cols, zeros)
+	mut.RefreshInfNorm()
+	checkKept(-1, mut)
+	if mut.AInf != 1 {
+		t.Fatalf("all-zero matrix: ‖A‖∞ %v, want 1", mut.AInf)
+	}
+	small := []float64{0.125, 0, 0.25, 0}
+	for _, gs := range []*GramSystem{mut, RestoreGramSystem(NewMatrix(m, k), NewMatrix(k, k), 1)} {
+		next := gs.MutableClone()
+		next.UpdateRow(GramBlockRows+5, small)
+		next.RefreshInfNorm()
+		checkKept(-2, next)
+		if next.AInf != 0.375 {
+			t.Fatalf("one row on an all-zero matrix: ‖A‖∞ %v, want 0.375", next.AInf)
+		}
 	}
 }

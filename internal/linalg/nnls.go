@@ -107,21 +107,16 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 
 const machEps = 2.220446049250313e-16
 
+// matInfNorm returns ‖a‖∞, the largest row abs-sum, or 1 for an
+// all-zero matrix (see infNorm).
 func matInfNorm(a *Matrix) float64 {
 	var mx float64
 	for i := 0; i < a.Rows; i++ {
-		var s float64
-		for _, v := range a.Row(i) {
-			s += math.Abs(v)
-		}
-		if s > mx {
+		if s := absSum(a.Row(i)); s > mx {
 			mx = s
 		}
 	}
-	if mx == 0 {
-		return 1
-	}
-	return mx
+	return infNorm(mx)
 }
 
 // solvePassive solves the unconstrained least squares restricted to the

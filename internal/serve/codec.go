@@ -12,34 +12,44 @@ import (
 // bufPool recycles the transient byte buffers of the binary codec —
 // request bodies and response frames run to hundreds of kilobytes at
 // census scale, and per-request allocation of that size is measurable
-// GC pressure under concurrent load.
-var bufPool sync.Pool
+// GC pressure under concurrent load. floatPool does the same for the
+// objectives decoded from binary align bodies: the engine reads one
+// only while AlignContext runs, so the handler returns it right after.
+var bufPool, floatPool sync.Pool
 
-// maxPooledBuf caps the capacity the pool will retain. Without the cap
-// a single oversized request would park its buffer in the pool forever:
-// getBuf discards any pooled buffer too small for the ask, so the pool
-// converges monotonically toward its largest-ever tenant and the
-// "recycled" memory grows without bound. Buffers above the cap are
-// allocated and dropped like any other transient.
+// maxPooledBuf caps the capacity in bytes the pools will retain.
+// Without the cap a single oversized request would park its buffer in
+// a pool forever: getPooled discards any pooled buffer too small for
+// the ask, so a pool converges monotonically toward its largest-ever
+// tenant and the "recycled" memory grows without bound. Buffers above
+// the cap are allocated and dropped like any other transient.
 const maxPooledBuf = 4 << 20
 
-func getBuf(n int) []byte {
-	if b, ok := bufPool.Get().([]byte); ok {
+func getBuf(n int) []byte       { return getPooled[byte](&bufPool, n) }
+func putBuf(b []byte)           { putPooled(&bufPool, b, maxPooledBuf) }
+func getFloats(n int) []float64 { return getPooled[float64](&floatPool, n) }
+func putFloats(v []float64)     { putPooled(&floatPool, v, maxPooledBuf/8) }
+
+// getPooled returns a length-n slice from p, allocating when the pool
+// holds none large enough.
+func getPooled[T any](p *sync.Pool, n int) []T {
+	if b, ok := p.Get().([]T); ok {
 		if cap(b) >= n {
 			return b[:n]
 		}
 		// Too small for this ask but still a valid pool citizen for the
 		// next smaller one; don't leak it out of circulation.
-		bufPool.Put(b[:0]) //nolint:staticcheck // slice header boxing is fine here
+		p.Put(b[:0]) //nolint:staticcheck // slice header boxing is fine here
 	}
-	return make([]byte, n)
+	return make([]T, n)
 }
 
-func putBuf(b []byte) {
-	if cap(b) > maxPooledBuf {
+// putPooled returns b to p unless its capacity exceeds maxCap elements.
+func putPooled[T any](p *sync.Pool, b []T, maxCap int) {
+	if cap(b) > maxCap {
 		return
 	}
-	bufPool.Put(b[:0]) //nolint:staticcheck // slice header boxing is fine here
+	p.Put(b[:0]) //nolint:staticcheck // slice header boxing is fine here
 }
 
 // Wire formats. JSON is the default; clients that care about encode
@@ -93,10 +103,16 @@ func decodeFloats(b []byte) ([]float64, error) {
 		return nil, fmt.Errorf("serve: binary payload of %d bytes is not a whole number of float64s", len(b))
 	}
 	out := make([]float64, len(b)/8)
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
-	}
+	decodeFloatsInto(out, b)
 	return out, nil
+}
+
+// decodeFloatsInto fills dst from a little-endian payload of
+// 8·len(dst) bytes.
+func decodeFloatsInto(dst []float64, b []byte) {
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[i*8:]))
+	}
 }
 
 // appendFloats appends v to dst in little-endian byte order.

@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -288,6 +290,50 @@ func TestServeBinary(t *testing.T) {
 	}
 	if !floatsEqual(target, want.Target) || !floatsEqual(weights, want.Weights) {
 		t.Fatal("binary response differs from Align")
+	}
+}
+
+// TestServeBinaryLoneAlloc pins the allocation of a binary /v1/align
+// cache miss: the request body and the decoded objective both come
+// from pools and go back once the solve returns, so a request can run
+// on the result and the solver's k-sized scratch alone, without an
+// ns-sized copy. sync.Pool may still miss (a goroutine that moved to
+// another P, a GC, or the race detector's random drops), so the pin is
+// on the cheapest of many requests, which an unpooled decode keeps
+// above one objective's worth of bytes.
+func TestServeBinaryLoneAlloc(t *testing.T) {
+	const ns = 20000
+	al := testAligner(t, 22, ns, 40, 3)
+	reg := NewRegistry()
+	if err := reg.Register("test", al); err != nil {
+		t.Fatal(err)
+	}
+	s := NewServer(reg, Config{})
+	defer s.Shutdown()
+	h := s.Handler()
+	body := appendFloats(nil, randObjective(rand.New(rand.NewSource(2)), ns))
+	serve := func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/align?engine=test", bytes.NewReader(body))
+		req.Header.Set("Content-Type", contentTypeBinary)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		serve() // fill the pools
+	}
+	least := uint64(math.MaxUint64)
+	var m0, m1 runtime.MemStats
+	for i := 0; i < 40; i++ {
+		runtime.ReadMemStats(&m0)
+		serve()
+		runtime.ReadMemStats(&m1)
+		least = min(least, m1.TotalAlloc-m0.TotalAlloc)
+	}
+	if budget := uint64(8 * ns / 4); least >= budget {
+		t.Fatalf("cheapest binary align miss allocated %d B, want under %d B (a quarter of the objective)", least, budget)
 	}
 }
 

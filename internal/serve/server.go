@@ -394,11 +394,15 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	if binary {
-		objective, _ = decodeFloats(raw) // length validated above
+		objective = getFloats(len(raw) / 8) // length validated above
+		decodeFloatsInto(objective, raw)
 		putBuf(raw)
 	}
 
 	if err := s.gate.acquire(ctx); err != nil {
+		if binary {
+			putFloats(objective)
+		}
 		if flight != nil {
 			s.cache.abort(key, flight, err)
 		}
@@ -415,6 +419,9 @@ func (s *Server) handleAlign(w http.ResponseWriter, r *http.Request) {
 
 	res, err := al.AlignContext(ctx, objective)
 	s.gate.release()
+	if binary {
+		putFloats(objective) // the result does not alias it
+	}
 	s.metrics.observeSolve(1)
 	s.metrics.solve.observe(time.Since(tAdmitted))
 	if err != nil {
