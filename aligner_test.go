@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"geoalign/internal/core"
-	"geoalign/internal/sparse"
 )
 
 // randomAlignerProblem builds a randomized objective batch plus
@@ -56,9 +55,8 @@ func randomAlignerProblem(t *testing.T, rng *rand.Rand) (objectives [][]float64,
 	return objectives, refs
 }
 
-// alignSerialOracle loops the one-shot package Align per objective with
-// the parallel kernels disabled — the pre-Aligner behaviour. Its
-// results carry the estimated crosswalk.
+// alignSerialOracle loops the one-shot package Align per objective —
+// the pre-Aligner behaviour. Its results carry the estimated crosswalk.
 func alignSerialOracle(t *testing.T, objectives [][]float64, refs []Reference) []*Result {
 	t.Helper()
 	out := make([]*Result, len(objectives))
@@ -128,34 +126,21 @@ func maxAbs(v []float64) float64 {
 }
 
 // TestAlignerAlignAllMatchesSerialAlign is the equivalence property
-// test: for randomized problems, the batch Aligner with the parallel
-// sparse kernels forced on reproduces the serial per-call core.Align
-// loop — Weights, Target and volume preservation — within 1e-12.
+// test: for randomized problems, the batch Aligner reproduces the
+// serial per-call core.Align loop — Weights, Target and volume
+// preservation — within 1e-12.
 func TestAlignerAlignAllMatchesSerialAlign(t *testing.T) {
 	rng := rand.New(rand.NewSource(271828))
 	for trial := 0; trial < 40; trial++ {
 		objectives, refs := randomAlignerProblem(t, rng)
-
-		// Oracle: the serial path, parallel kernels off.
-		sparse.SetParallelThreshold(math.MaxInt64 / 2)
 		want := alignSerialOracle(t, objectives, refs)
 
-		// Aligner: parallel path forced on (threshold 0, multi-worker
-		// kernels even on single-CPU machines).
-		sparse.SetParallelThreshold(0)
-		sparse.SetKernelWorkers(4)
 		al, err := NewAligner(refs, &AlignerOptions{Workers: 4})
-		sparseDefaults := func() {
-			sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
-			sparse.SetKernelWorkers(0)
-		}
 		if err != nil {
-			sparseDefaults()
 			t.Fatal(err)
 		}
 		got, err := al.AlignAll(objectives)
 		if err != nil {
-			sparseDefaults()
 			t.Fatal(err)
 		}
 		for a := range objectives {
@@ -165,11 +150,9 @@ func TestAlignerAlignAllMatchesSerialAlign(t *testing.T) {
 		// Single-attribute path agrees too.
 		one, err := al.Align(objectives[0])
 		if err != nil {
-			sparseDefaults()
 			t.Fatal(err)
 		}
 		checkResultPair(t, fmt.Sprintf("trial %d single", trial), one, want[0], objectives[0])
-		sparseDefaults()
 	}
 }
 
@@ -203,14 +186,6 @@ func TestAlignerConcurrentUse(t *testing.T) {
 		}
 		objectives[a] = obj
 	}
-
-	// Force the parallel kernels on so their goroutines run under -race.
-	sparse.SetParallelThreshold(0)
-	sparse.SetKernelWorkers(3)
-	t.Cleanup(func() {
-		sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
-		sparse.SetKernelWorkers(0)
-	})
 
 	al, err := NewAligner(refs, &AlignerOptions{Workers: 4})
 	if err != nil {

@@ -26,7 +26,6 @@ import (
 	"geoalign/internal/geom"
 	"geoalign/internal/linalg"
 	"geoalign/internal/partition"
-	"geoalign/internal/sparse"
 	"geoalign/internal/synth"
 	"geoalign/internal/table"
 )
@@ -299,12 +298,11 @@ func BenchmarkDasymetric(b *testing.B) {
 //   - serial-loop: the pre-Aligner path, one full core.Align (crosswalk
 //     precomputation included) per attribute;
 //   - batch-cold-parallel: NewAligner + AlignAll per iteration, the
-//     parallel kernels on at their default threshold;
+//     attributes spread over the default worker count;
 //   - batch-warm-parallel: AlignAll on a prebuilt Aligner — the steady
 //     state of a long-lived service;
-//   - batch-warm-serial: the same prebuilt Aligner with one worker and
-//     the parallel kernels disabled, isolating the precomputation win
-//     from the parallelism win.
+//   - batch-warm-serial: the same prebuilt Aligner with one worker,
+//     isolating the precomputation win from the parallelism win.
 //
 // On a multi-core machine batch-warm-parallel vs serial-loop shows both
 // effects compounded; on one core the gap is the amortised
@@ -371,25 +369,7 @@ func BenchmarkAlignerBatch(b *testing.B) {
 			}
 		}
 	})
-	b.Run("gram-warm", func(b *testing.B) {
-		// The steady state of the normal-equations batch path: one
-		// blocked AᵀB product for all 32 attributes, warm-started
-		// k-space solves. Identical setup to batch-warm-parallel; the
-		// separate name tracks the fast path in the benchdiff snapshots.
-		al, err := NewAligner(refs, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := al.AlignAll(objectives); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("batch-warm-serial", func(b *testing.B) {
-		sparse.SetParallelThreshold(1 << 62)
-		defer sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
 		al, err := NewAligner(refs, &AlignerOptions{Workers: 1})
 		if err != nil {
 			b.Fatal(err)

@@ -193,3 +193,45 @@ func TestParseTiles(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCrosswalkBuildRejectsHoledLayer: a source layer with a 4×4 county
+// holding a 1×1 hole (plus the hole's city) fails the build rather than
+// crediting the county with the hole's area (row sum 17, not 15).
+func TestCrosswalkBuildRejectsHoledLayer(t *testing.T) {
+	dir := t.TempDir()
+	writeLayer := func(base string, shp, shx, dbf []byte) string {
+		p := filepath.Join(dir, base)
+		for ext, b := range map[string][]byte{".shp": shp, ".shx": shx, ".dbf": dbf} {
+			if err := os.WriteFile(p+ext, b, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return p
+	}
+	square := func(lo, hi float64) geom.Polygon {
+		return geom.Rect(geom.BBox{MinX: lo, MinY: lo, MaxX: hi, MaxY: hi})
+	}
+	fields := []shapefile.Field{{Name: "NAME", Length: 8}}
+	shp, shx, dbf, err := shapefile.WriteHoled(&shapefile.HoledFile{Fields: fields, Records: []shapefile.HoledRecord{
+		{Parts: []geom.HoledPolygon{{Outer: square(0, 4), Holes: []geom.Polygon{square(1, 2)}}}, Attrs: map[string]string{"NAME": "county"}},
+		{Parts: []geom.HoledPolygon{geom.Solid(square(1, 2))}, Attrs: map[string]string{"NAME": "city"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := writeLayer("src", shp, shx, dbf)
+	shp, shx, dbf, err = shapefile.WriteMulti(&shapefile.MultiFile{Fields: fields, Records: []shapefile.MultiRecord{
+		{Parts: geom.MultiPolygon{square(0, 4)}, Attrs: map[string]string{"NAME": "all"}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := writeLayer("tgt", shp, shx, dbf)
+
+	var stdout, stderr bytes.Buffer
+	err = run([]string{"crosswalk", "build", "-src", src, "-tgt", tgt,
+		"-out", filepath.Join(dir, "x.snap"), "-tiles", "1x1"}, &stdout, &stderr)
+	if err == nil || !strings.Contains(err.Error(), "ReadHoled") {
+		t.Fatalf("crosswalk build over a holed layer: err %v, want a hole rejection", err)
+	}
+}

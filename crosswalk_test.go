@@ -1,7 +1,10 @@
 package geoalign
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -222,6 +225,65 @@ func TestCrosswalkAddRejectsNonFinite(t *testing.T) {
 		for _, v := range append(res.Target, res.Weights...) {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				t.Fatalf("after rejecting %v: result %v %v is not finite", bad, res.Target, res.Weights)
+			}
+		}
+	}
+}
+
+// TestKernelsHostIndependent checks that crosswalk totals and Align
+// results do not depend on GOMAXPROCS: every kernel runs on its
+// caller's goroutine in a fixed order, so a crosswalk of more than
+// 32768 non-zeros over more than 8192 source units gives the same bits
+// on one P and on four. It changes GOMAXPROCS and must not run in
+// parallel with other tests.
+func TestKernelsHostIndependent(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	ns, nt := 12000, 300
+	refs := make([]Reference, 3)
+	for k := range refs {
+		xw := NewCrosswalk(ns, nt)
+		for i := 0; i < ns; i++ {
+			for d := 0; d < 3; d++ {
+				if err := xw.Add(i, rng.Intn(nt), rng.Float64()*100); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		refs[k] = Reference{Name: fmt.Sprintf("ref%d", k), Crosswalk: xw}
+	}
+	if nnz := refs[0].Crosswalk.NonZeros(); nnz <= 1<<15 {
+		t.Fatalf("crosswalk has %d non-zeros, want more than %d", nnz, 1<<15)
+	}
+	objective := make([]float64, ns)
+	for i := range objective {
+		objective[i] = rng.Float64() * 1000
+	}
+	type outputs struct{ source, target, weights, aligned []float64 }
+	run := func(procs int) outputs {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		al, err := NewAligner(refs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := al.Align(objective)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return outputs{refs[0].Crosswalk.SourceTotals(), refs[0].Crosswalk.TargetTotals(), res.Weights, res.Target}
+	}
+	one, four := run(1), run(4)
+	for _, c := range []struct {
+		name     string
+		at1, at4 []float64
+	}{
+		{"SourceTotals", one.source, four.source},
+		{"TargetTotals", one.target, four.target},
+		{"Align weights", one.weights, four.weights},
+		{"Align target", one.aligned, four.aligned},
+	} {
+		for j := range c.at1 {
+			if math.Float64bits(c.at1[j]) != math.Float64bits(c.at4[j]) {
+				t.Fatalf("%s[%d]: %v at GOMAXPROCS 1, %v at 4", c.name, j, c.at1[j], c.at4[j])
 			}
 		}
 	}

@@ -125,52 +125,41 @@ func resultsClose(t *testing.T, tag string, got, want *Result, tol float64) {
 }
 
 // TestEngineMatchesLegacyAlign drives the Engine and the legacy
-// implementation over randomized problems — serial kernels first, then
-// with the parallel sparse paths forced on.
+// implementation over randomized problems.
 func TestEngineMatchesLegacyAlign(t *testing.T) {
-	for _, mode := range []string{"serial", "parallel"} {
-		t.Run(mode, func(t *testing.T) {
-			if mode == "parallel" {
-				sparse.SetParallelThreshold(0)
-				sparse.SetKernelWorkers(4)
-				t.Cleanup(func() {
-					sparse.SetParallelThreshold(sparse.DefaultParallelThreshold)
-					sparse.SetKernelWorkers(0)
-				})
+	t.Run("serial", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
+		for trial := 0; trial < 60; trial++ {
+			ns := 1 + rng.Intn(50)
+			nt := 1 + rng.Intn(12)
+			k := 1 + rng.Intn(5)
+			p := engineProblem(rng, ns, nt, k)
+			var opts Options
+			if trial%5 == 4 {
+				opts.FallbackDM = engineProblem(rng, ns, nt, 1).References[0].DM
 			}
-			rng := rand.New(rand.NewSource(21))
-			for trial := 0; trial < 60; trial++ {
-				ns := 1 + rng.Intn(50)
-				nt := 1 + rng.Intn(12)
-				k := 1 + rng.Intn(5)
-				p := engineProblem(rng, ns, nt, k)
-				var opts Options
-				if trial%5 == 4 {
-					opts.FallbackDM = engineProblem(rng, ns, nt, 1).References[0].DM
-				}
-				want, err := legacyAlign(p, opts)
-				if err != nil {
-					t.Fatalf("trial %d: legacy: %v", trial, err)
-				}
-				e, err := NewEngine(p.References, opts)
-				if err != nil {
-					t.Fatalf("trial %d: NewEngine: %v", trial, err)
-				}
-				got, err := e.Align(p.Objective)
-				if err != nil {
-					t.Fatalf("trial %d: engine: %v", trial, err)
-				}
-				resultsClose(t, fmt.Sprintf("trial %d", trial), got, want, 1e-12)
+			want, err := legacyAlign(p, opts)
+			if err != nil {
+				t.Fatalf("trial %d: legacy: %v", trial, err)
+			}
+			e, err := NewEngine(p.References, opts)
+			if err != nil {
+				t.Fatalf("trial %d: NewEngine: %v", trial, err)
+			}
+			got, err := e.Align(p.Objective)
+			if err != nil {
+				t.Fatalf("trial %d: engine: %v", trial, err)
+			}
+			resultsClose(t, fmt.Sprintf("trial %d", trial), got, want, 1e-12)
 
-				// A second call must not be perturbed by scratch reuse.
-				got2, err := e.Align(p.Objective)
-				if err != nil {
-					t.Fatalf("trial %d: second align: %v", trial, err)
-				}
-				resultsClose(t, fmt.Sprintf("trial %d (warm)", trial), got2, want, 1e-12)
+			// A second call must not be perturbed by scratch reuse.
+			got2, err := e.Align(p.Objective)
+			if err != nil {
+				t.Fatalf("trial %d: second align: %v", trial, err)
 			}
-		})
-	}
+			resultsClose(t, fmt.Sprintf("trial %d (warm)", trial), got2, want, 1e-12)
+		}
+	})
 }
 
 // TestEngineAlignAllMatchesSequential compares the batch path against

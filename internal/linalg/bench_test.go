@@ -76,9 +76,9 @@ func BenchmarkGram(b *testing.B) {
 			_ = a.Gram()
 		}
 	})
-	b.Run("parallel", func(b *testing.B) {
+	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = ParallelGram(a)
+			_ = NewGramSystem(a).Gram()
 		}
 	})
 }

@@ -3,8 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 )
 
 // This file implements the normal-equations ("Gram-form") fast path for
@@ -13,27 +11,34 @@ import (
 // b changes per attribute, so everything quadratic in ns is hoisted
 // into a one-time precomputation:
 //
-//   - G = AᵀA, a k×k Gram matrix, built blocked and in parallel over
-//     the ns rows;
+//   - G = AᵀA, a k×k Gram matrix, summed block by block over the ns
+//     rows;
 //   - ‖A‖∞, which scales the solver's tolerances.
 //
-// A per-attribute solve then needs only c = Aᵀb — O(ns·k), blocked and
-// parallel with pooled scratch — after which the active-set solver
+// A per-attribute solve then needs only c = Aᵀb — O(ns·k), blocked the
+// same way and allocation-free — after which the active-set solver
 // runs entirely in k-dimensional space: each Lawson–Hanson
 // iteration costs one |P|³ Cholesky factorisation instead of the
 // O(ns·|P|²) tall factorisation of the dense path.
+//
+// Both kernels run on the caller's goroutine: at the paper's US scale
+// c = Aᵀb is ~2·10⁵ multiply-adds, too little for a fork/join to pay,
+// so parallelism comes from running independent solves side by side
+// (AlignAll, the server's concurrent requests).
 
 // GramBlockRows is the row-block size of the blocked kernels and of
 // the design-matrix storage, so a copy-on-write block is also a unit of
-// the kernels' work. The reduction over blocks is always performed in
-// block order, so results are bit-identical regardless of how many
-// workers execute the blocks.
+// the kernels' work. Each block's partial sum starts from zero and the
+// partials are added in block order; that grouping fixes the bits of G
+// and c = Aᵀb.
 const GramBlockRows = 2048
 
-// gramParallelMin is the minimum row count before the blocked kernels
-// fan out to goroutines; below it the blocks run on the calling
-// goroutine (with identical arithmetic).
-const gramParallelMin = 8192
+// applyTChunk is how many columns ApplyTInto accumulates per pass over
+// a block. The block partial lives in a stack array of this size, so
+// the product allocates nothing; wider systems take ⌈k/applyTChunk⌉
+// passes, and every column's sum is formed in the same order either
+// way.
+const applyTChunk = 32
 
 // GramSystem caches the normal-equations form of a fixed design matrix.
 // It is immutable after construction and safe for concurrent use.
@@ -80,7 +85,7 @@ func NewGramSystem(a *Matrix) *GramSystem {
 
 // RestoreGramSystem rebuilds a GramSystem from previously computed
 // parts — the design matrix, its Gram matrix G = AᵀA and ‖A‖∞ — without
-// redoing the O(ns·k²) ParallelGram pass. It exists for the engine
+// redoing the O(ns·k²) Gram pass. It exists for the engine
 // snapshot loader; the caller vouches that the parts belong together.
 // Both matrices are captured by reference and must not be mutated.
 func RestoreGramSystem(a, g *Matrix, ainf float64) *GramSystem {
@@ -171,10 +176,9 @@ func (gs *GramSystem) Design() []float64 {
 	return out
 }
 
-// ApplyTInto computes dst = Aᵀb in O(ns·k), blocked over row chunks and
-// fanned across goroutines for large ns. dst must have length k, b
-// length ns. The block reduction is ordered, so the result does not
-// depend on the worker count.
+// ApplyTInto computes dst = Aᵀb in O(ns·k) without allocating. dst
+// must have length k, b length ns. Each row block's partial starts
+// from zero and the partials are added to dst in block order.
 func (gs *GramSystem) ApplyTInto(dst, b []float64) {
 	if len(b) != gs.rows {
 		panic(fmt.Sprintf("linalg: ApplyTInto vector length %d != rows %d", len(b), gs.rows))
@@ -186,44 +190,31 @@ func (gs *GramSystem) ApplyTInto(dst, b []float64) {
 	for j := range dst {
 		dst[j] = 0
 	}
-	nb := len(gs.blocks)
-	if nb <= 1 {
-		if nb == 1 {
-			accumT(dst, gs.blocks[0], b, k)
-		}
-		return
-	}
-	partPtr := gramScratchPool.Get().(*[]float64)
-	part := *partPtr
-	if cap(part) < nb*k {
-		part = make([]float64, nb*k)
-	}
-	part = part[:nb*k]
-	forEachBlock(gs.rows, func(bi, lo, hi int) {
-		local := part[bi*k : (bi+1)*k]
-		for j := range local {
-			local[j] = 0
-		}
-		accumT(local, gs.blocks[bi], b[lo:hi], k)
-	})
-	for bi := 0; bi < nb; bi++ {
-		local := part[bi*k : (bi+1)*k]
-		for j, v := range local {
-			dst[j] += v
+	var part [applyTChunk]float64
+	for j0 := 0; j0 < k; j0 += applyTChunk {
+		local := part[:min(k-j0, applyTChunk)]
+		for bi, blk := range gs.blocks {
+			lo, hi := blockRange(bi, gs.rows)
+			for j := range local {
+				local[j] = 0
+			}
+			accumT(local, blk, b[lo:hi], k, j0)
+			for j, v := range local {
+				dst[j0+j] += v
+			}
 		}
 	}
-	*partPtr = part[:cap(part)]
-	gramScratchPool.Put(partPtr)
 }
 
-// accumT adds blkᵀ·b to acc, where blk holds len(b) rows of k columns,
-// row by row in order and skipping zero entries of b.
-func accumT(acc, blk, b []float64, k int) {
+// accumT adds columns [j0, j0+len(acc)) of blkᵀ·b to acc, where blk
+// holds len(b) rows of k columns, row by row in order and skipping
+// zero entries of b.
+func accumT(acc, blk, b []float64, k, j0 int) {
 	for i, xi := range b {
 		if xi == 0 {
 			continue
 		}
-		row := blk[i*k : (i+1)*k]
+		row := blk[i*k+j0 : i*k+j0+len(acc)]
 		for j, v := range row {
 			acc[j] += v * xi
 		}
@@ -249,11 +240,6 @@ func (gs *GramSystem) SimplexLS(b, warm []float64) ([]float64, error) {
 	return SimplexLeastSquaresGramWarm(gs.G, c, gs.AInf, Norm2(b), warm)
 }
 
-var gramScratchPool = sync.Pool{New: func() any {
-	s := make([]float64, 0, 256)
-	return &s
-}}
-
 // numBlocks returns how many GramBlockRows-sized chunks cover rows.
 func numBlocks(rows int) int {
 	return (rows + GramBlockRows - 1) / GramBlockRows
@@ -269,70 +255,17 @@ func blockRange(bi, rows int) (lo, hi int) {
 	return lo, hi
 }
 
-// forEachBlock runs body(blockIndex, lo, hi) over every row block,
-// in parallel when the row count warrants it. Bodies write to disjoint
-// block-indexed storage, so scheduling never affects the result.
-func forEachBlock(rows int, body func(bi, lo, hi int)) {
-	nb := numBlocks(rows)
-	workers := runtime.GOMAXPROCS(0)
-	if nb <= 1 || rows < gramParallelMin || workers <= 1 {
-		for bi := 0; bi < nb; bi++ {
-			lo, hi := blockRange(bi, rows)
-			body(bi, lo, hi)
-		}
-		return
-	}
-	if workers > nb {
-		workers = nb
-	}
-	var next int64
-	var mu sync.Mutex
-	claim := func() int {
-		mu.Lock()
-		bi := int(next)
-		next++
-		mu.Unlock()
-		return bi
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				bi := claim()
-				if bi >= nb {
-					return
-				}
-				lo, hi := blockRange(bi, rows)
-				body(bi, lo, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// ParallelGram computes AᵀA blocked over row chunks and in parallel,
-// exploiting symmetry. It matches Matrix.Gram to rounding (the block
-// reduction regroups the row sums) and is deterministic for any
-// GOMAXPROCS.
-func ParallelGram(a *Matrix) *Matrix {
-	return gramOf(viewBlocks(a))
-}
-
 // gramOf computes the Gram matrix of gs's blocks: per-block upper
 // triangles summed in block order, then mirrored.
 func gramOf(gs *GramSystem) *Matrix {
 	k := gs.cols
 	g := NewMatrix(k, k)
-	nb := len(gs.blocks)
-	if nb == 0 {
-		return g
-	}
-	part := make([]float64, nb*k*k)
-	forEachBlock(gs.rows, func(bi, lo, hi int) {
-		local := part[bi*k*k : (bi+1)*k*k]
-		blk := gs.blocks[bi]
+	local := make([]float64, k*k)
+	for bi, blk := range gs.blocks {
+		lo, hi := blockRange(bi, gs.rows)
+		for t := range local {
+			local[t] = 0
+		}
 		for i := 0; i < hi-lo; i++ {
 			row := blk[i*k : (i+1)*k]
 			for p, vp := range row {
@@ -345,9 +278,6 @@ func gramOf(gs *GramSystem) *Matrix {
 				}
 			}
 		}
-	})
-	for bi := 0; bi < nb; bi++ {
-		local := part[bi*k*k : (bi+1)*k*k]
 		for t, v := range local {
 			g.Data[t] += v
 		}

@@ -3,6 +3,7 @@ package partition
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"geoalign/internal/geom"
@@ -191,8 +192,7 @@ func TestPointDMParallelDeterminism(t *testing.T) {
 		pts[i] = []float64{rng.Float64()*120 - 10, rng.Float64()*120 - 10}
 		weights[i] = rng.Float64() * 3
 	}
-	defer SetKernelWorkers(0)
-	SetKernelWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	serialDM, serialDropped, err := PointDM(src, tgt, pts, weights)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +201,7 @@ func TestPointDMParallelDeterminism(t *testing.T) {
 		t.Fatal("expected some dropped weight")
 	}
 	for _, workers := range []int{2, 3, 8} {
-		SetKernelWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		dm, dropped, err := PointDM(src, tgt, pts, weights)
 		if err != nil {
 			t.Fatal(err)
@@ -213,9 +213,9 @@ func TestPointDMParallelDeterminism(t *testing.T) {
 	}
 }
 
-// TestSetKernelWorkersMeasureDM checks MeasureDM is worker-count
+// TestMeasureDMWorkerIndependence checks MeasureDM is worker-count
 // independent.
-func TestSetKernelWorkersMeasureDM(t *testing.T) {
+func TestMeasureDMWorkerIndependence(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	src, err := NewPolygonSystem(jaggedLayer(rng, 7, 100, 12), nil)
 	if err != nil {
@@ -225,14 +225,13 @@ func TestSetKernelWorkersMeasureDM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer SetKernelWorkers(0)
-	SetKernelWorkers(1)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	want, err := MeasureDM(src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 5, 16} {
-		SetKernelWorkers(workers)
+		runtime.GOMAXPROCS(workers)
 		got, err := MeasureDM(src, tgt)
 		if err != nil {
 			t.Fatal(err)

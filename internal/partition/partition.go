@@ -25,31 +25,10 @@ import (
 	"geoalign/internal/sparse"
 )
 
-// preprocWorkersOverride caps the preprocessing worker count (MeasureDM
-// row fills, the dual-tree join, PointDM sharding). 0 means
-// runtime.GOMAXPROCS(0).
-var preprocWorkersOverride atomic.Int64
-
-// SetKernelWorkers overrides the number of workers the preprocessing
-// kernels (MeasureDM, PointDM) use. n <= 0 restores the default,
-// runtime.GOMAXPROCS(0). It is the partition-level sibling of
-// sparse.SetKernelWorkers, which tunes the align-time kernels.
-func SetKernelWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	preprocWorkersOverride.Store(int64(n))
-}
-
-// preprocWorkers returns the current preprocessing worker count.
+// preprocWorkers returns the preprocessing worker count (MeasureDM row
+// fills, the dual-tree join, PointDM sharding): runtime.GOMAXPROCS(0).
 func preprocWorkers() int {
-	if w := int(preprocWorkersOverride.Load()); w > 0 {
-		return w
-	}
-	if w := runtime.GOMAXPROCS(0); w > 1 {
-		return w
-	}
-	return 1
+	return runtime.GOMAXPROCS(0)
 }
 
 // bruteJoin forces MeasureDM back onto the pre-dual-tree pairing (one

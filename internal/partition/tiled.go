@@ -48,8 +48,9 @@ type TiledOptions struct {
 	// join working sets. Zero disables spilling (everything stays in
 	// memory, as if the budget were infinite).
 	MemBudget int64
-	// Workers caps the tile-join parallelism; 0 means the package
-	// preprocessing worker count (SetKernelWorkers / GOMAXPROCS).
+	// Workers caps the tile-join parallelism: that many tiles are
+	// joined side by side, each on one goroutine. 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// SpillDir is where the spill file is created ("" = os.TempDir()).
 	SpillDir string

@@ -76,6 +76,13 @@ func FuzzScanner(f *testing.F) {
 	corrupt[104] = 0xFF
 	corrupt[105] = 0xFF
 	f.Add(corrupt, shx, dbf)
+	// A holed layer: the scanner must reject the holed record, never
+	// read its hole as a solid part.
+	hshp, hshx, hdbf, err := WriteHoled(holedSample())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(hshp, hshx, hdbf)
 
 	f.Fuzz(func(t *testing.T, shpData, shxData, dbfData []byte) {
 		var shxR, dbfR SizedReaderAt

@@ -95,11 +95,10 @@ func WriteHoled(f *HoledFile) (shp, shx, dbf []byte, err error) {
 
 // classifyRings splits orientation-preserved rings into holed polygons.
 func classifyRings(rings []geom.Polygon) ([]geom.HoledPolygon, error) {
-	var outers []geom.HoledPolygon
-	var holes []geom.Polygon
+	var outers, holes []geom.Polygon
 	for _, ring := range rings {
 		if ring.SignedArea() < 0 { // CW ⇒ outer boundary
-			outers = append(outers, geom.HoledPolygon{Outer: ring.Clone().EnsureCCW()})
+			outers = append(outers, ring.Clone().EnsureCCW())
 		} else {
 			holes = append(holes, ring)
 		}
@@ -111,20 +110,57 @@ func classifyRings(rings []geom.Polygon) ([]geom.HoledPolygon, error) {
 		}
 		return nil, fmt.Errorf("no outer (clockwise) ring among %d rings", len(rings))
 	}
+	parts := make([]geom.HoledPolygon, len(outers))
+	for oi, o := range outers {
+		parts[oi].Outer = o
+	}
 	for _, h := range holes {
-		best, bestArea := -1, math.Inf(1)
-		rep := h[0]
-		for oi := range outers {
-			if outers[oi].Outer.Contains(rep) && outers[oi].Outer.Area() < bestArea {
-				best, bestArea = oi, outers[oi].Outer.Area()
-			}
-		}
+		best := holeOwner(outers, h)
 		if best < 0 {
 			return nil, fmt.Errorf("hole not contained in any outer ring")
 		}
-		outers[best].Holes = append(outers[best].Holes, h)
+		parts[best].Holes = append(parts[best].Holes, h)
 	}
-	return outers, nil
+	return parts, nil
+}
+
+// holeOwner returns the index of the smallest ring in outers that
+// contains hole h's first vertex, or -1 when none does.
+func holeOwner(outers []geom.Polygon, h geom.Polygon) int {
+	best, bestArea := -1, math.Inf(1)
+	for oi, o := range outers {
+		if o.Contains(h[0]) && o.Area() < bestArea {
+			best, bestArea = oi, o.Area()
+		}
+	}
+	return best
+}
+
+// firstHole returns the index of the first ring that classifyRings
+// would attach to an outer ring as a hole — a counter-clockwise ring
+// inside a clockwise one — or -1 when the record has none.
+func firstHole(rings []geom.Polygon) int {
+	cw := 0
+	for _, ring := range rings {
+		if ring.SignedArea() < 0 {
+			cw++
+		}
+	}
+	if cw == 0 || cw == len(rings) {
+		return -1 // single orientation: no ring can be a hole
+	}
+	outers := make([]geom.Polygon, 0, cw)
+	for _, ring := range rings {
+		if ring.SignedArea() < 0 {
+			outers = append(outers, ring)
+		}
+	}
+	for i, ring := range rings {
+		if ring.SignedArea() > 0 && holeOwner(outers, ring) >= 0 {
+			return i
+		}
+	}
+	return -1
 }
 
 // readSHPOriented parses records keeping each ring's file orientation

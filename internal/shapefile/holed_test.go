@@ -1,7 +1,9 @@
 package shapefile
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"geoalign/internal/geom"
@@ -126,5 +128,65 @@ func TestClassifyRings(t *testing.T) {
 		if p.Outer.Area() < 100 && len(p.Holes) != 1 {
 			t.Errorf("hole not assigned to the smaller outer: %+v", parts)
 		}
+	}
+}
+
+// TestHoleAwareReadersOnlyReadHoles: the readers without a notion of
+// holes (the Scanner, ReadMulti, Read) reject a record whose
+// counter-clockwise ring lies inside a clockwise one with ErrFormat and
+// point to ReadHoled, instead of reading the hole as a solid part (a
+// 4×4 county with a 1×1 hole would then weigh 17, not 15).
+func TestHoleAwareReadersOnlyReadHoles(t *testing.T) {
+	shp, shx, dbf, err := WriteHoled(holedSample())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, scanErr := scanAll(shp, shx, dbf)
+	_, multiErr := ReadMulti(shp, dbf)
+	_, readErr := Read(shp, dbf)
+	for name, err := range map[string]error{"scanner": scanErr, "ReadMulti": multiErr, "Read": readErr} {
+		if !errors.Is(err, ErrFormat) || !strings.Contains(err.Error(), "ReadHoled") {
+			t.Errorf("%s: err %v, want ErrFormat naming ReadHoled", name, err)
+		}
+	}
+	back, err := ReadHoled(shp, dbf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a := back.Records[0].Parts[0].Area(); math.Abs(a-15) > 1e-9 {
+		t.Errorf("ReadHoled county area = %v, want 15", a)
+	}
+}
+
+// TestMisorientedRecordsWithoutHolesLoad: records whose rings all run
+// one way, or mix orientations without one ring inside another, keep
+// loading as solid parts.
+func TestMisorientedRecordsWithoutHolesLoad(t *testing.T) {
+	rect := func(x float64) geom.Polygon {
+		return geom.Rect(geom.BBox{MinX: x, MinY: 0, MaxX: x + 1, MaxY: 1}) // CCW
+	}
+	records := [][]geom.Polygon{
+		{rect(0).Reverse(), rect(2).Reverse()}, // all CW: the spec's multi-part
+		{rect(4), rect(6)},                     // all CCW
+		{rect(8).Reverse(), rect(10)},          // mixed, disjoint
+	}
+	shp, shx, err := writeSHPRings(records)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := scanAll(shp, shx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != len(records) {
+		t.Fatalf("%d records, want %d", len(recs), len(records))
+	}
+	for i, r := range recs {
+		if len(r.Parts) != 2 || math.Abs(r.Parts.Area()-2) > 1e-12 {
+			t.Errorf("record %d: %d parts of area %v, want 2 of 2", i, len(r.Parts), r.Parts.Area())
+		}
+	}
+	if _, err := ReadMulti(shp, nil); err != nil {
+		t.Errorf("ReadMulti: %v", err)
 	}
 }

@@ -257,11 +257,17 @@ func mainHeader(lengthWords int, bbox geom.BBox) []byte {
 
 // parsePolygonRecord decodes one Polygon-type record's content with
 // every ring made counter-clockwise. It is the kernel behind
-// Scanner.Next and the collect-all readers.
+// Scanner.Next and the collect-all readers. Those readers have no
+// notion of holes, so a record holding one — a counter-clockwise ring
+// inside a clockwise ring — fails with ErrFormat instead of reading the
+// hole as one more solid part; ReadHoled reads such layers.
 func parsePolygonRecord(b []byte) (geom.MultiPolygon, error) {
 	rings, err := parseOrientedRecord(b)
 	if err != nil {
 		return nil, err
+	}
+	if i := firstHole(rings); i >= 0 {
+		return nil, fmt.Errorf("shapefile: part %d is a hole (a counter-clockwise ring inside a clockwise one); read holed layers with ReadHoled: %w", i, ErrFormat)
 	}
 	for i, pg := range rings {
 		rings[i] = pg.EnsureCCW()

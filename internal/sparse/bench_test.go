@@ -58,16 +58,3 @@ func BenchmarkCOOToCSR(b *testing.B) {
 		_ = coo.ToCSR()
 	}
 }
-
-func BenchmarkMulVecT(b *testing.B) {
-	rng := rand.New(rand.NewSource(6))
-	m := benchDM(rng, 30238, 3142)
-	x := make([]float64, m.Rows)
-	for i := range x {
-		x[i] = rng.Float64()
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = m.MulVecT(x)
-	}
-}

@@ -234,31 +234,27 @@ func (m *CSR) Clone() *CSR {
 // vector implied by a disaggregation matrix).
 func (m *CSR) RowSums() []float64 {
 	out := make([]float64, m.Rows)
-	m.RowSumsInto(out)
+	for i := range out {
+		var s float64
+		for _, v := range m.Val[m.IndPtr[i]:m.IndPtr[i+1]] {
+			s += v
+		}
+		out[i] = s
+	}
 	return out
 }
 
 // ColSums returns the vector of column sums (the target-level aggregate
 // vector implied by a disaggregation matrix; this is GeoAlign's
-// re-aggregation step, Eq. 17).
+// re-aggregation step, Eq. 17). Each column is summed in row order.
 func (m *CSR) ColSums() []float64 {
 	out := make([]float64, m.Cols)
-	m.ColSumsInto(out)
+	for i := 0; i < m.Rows; i++ {
+		for k := m.IndPtr[i]; k < m.IndPtr[i+1]; k++ {
+			out[m.ColIdx[k]] += m.Val[k]
+		}
+	}
 	return out
-}
-
-// MulVec computes y = M·x with len(x) == Cols.
-func (m *CSR) MulVec(x []float64) []float64 {
-	y := make([]float64, m.Rows)
-	m.MulVecInto(y, x)
-	return y
-}
-
-// MulVecT computes y = Mᵀ·x with len(x) == Rows.
-func (m *CSR) MulVecT(x []float64) []float64 {
-	y := make([]float64, m.Cols)
-	m.MulVecTInto(y, x)
-	return y
 }
 
 // ScaleRows multiplies row i by s[i] in place and returns m.
@@ -266,14 +262,11 @@ func (m *CSR) ScaleRows(s []float64) *CSR {
 	if len(s) != m.Rows {
 		panic(fmt.Sprintf("sparse: ScaleRows length %d != rows %d", len(s), m.Rows))
 	}
-	m.ForEachRowBlock(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			si := s[i]
-			for k := m.IndPtr[i]; k < m.IndPtr[i+1]; k++ {
-				m.Val[k] *= si
-			}
+	for i, si := range s {
+		for k := m.IndPtr[i]; k < m.IndPtr[i+1]; k++ {
+			m.Val[k] *= si
 		}
-	})
+	}
 	return m
 }
 

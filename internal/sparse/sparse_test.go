@@ -115,42 +115,6 @@ func TestRowColSums(t *testing.T) {
 	}
 }
 
-func TestMulVecMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := randomCOO(rng, 12, 7, 40).ToCSR()
-	d := m.ToDense()
-	x := make([]float64, 7)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := m.MulVec(x)
-	for i := range d {
-		var want float64
-		for j := range d[i] {
-			want += d[i][j] * x[j]
-		}
-		if math.Abs(got[i]-want) > 1e-12 {
-			t.Errorf("MulVec[%d] = %v, want %v", i, got[i], want)
-		}
-	}
-}
-
-func TestMulVecTMatchesTransposeMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	m := randomCOO(rng, 9, 14, 50).ToCSR()
-	x := make([]float64, 9)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-	}
-	got := m.MulVecT(x)
-	want := m.Transpose().MulVec(x)
-	for i := range got {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
-			t.Errorf("MulVecT[%d] = %v, transpose gives %v", i, got[i], want[i])
-		}
-	}
-}
-
 func TestTransposeInvolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomCOO(rng, 6, 8, 25).ToCSR()
@@ -283,14 +247,13 @@ func TestCSRPropertiesQuick(t *testing.T) {
 				return false
 			}
 		}
-		ones := make([]float64, cols)
-		for i := range ones {
-			ones[i] = 1
-		}
 		rs := m.RowSums()
-		mv := m.MulVec(ones)
-		for i := range rs {
-			if math.Abs(rs[i]-mv[i]) > 1e-12 {
+		for i, row := range m.ToDense() {
+			var want float64
+			for _, v := range row {
+				want += v
+			}
+			if math.Abs(rs[i]-want) > 1e-12 {
 				return false
 			}
 		}
@@ -301,7 +264,7 @@ func TestCSRPropertiesQuick(t *testing.T) {
 	}
 }
 
-// Property: WeightedSum distributes over MulVec.
+// Property: WeightedSum distributes over the matrix–vector product.
 func TestWeightedSumLinearityQuick(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -321,10 +284,10 @@ func TestWeightedSumLinearityQuick(t *testing.T) {
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
-		got := s.MulVec(x)
+		got := denseMulVec(s.ToDense(), x)
 		want := make([]float64, rows)
 		for k := range mats {
-			mv := mats[k].MulVec(x)
+			mv := denseMulVec(mats[k].ToDense(), x)
 			for i := range want {
 				want[i] += w[k] * mv[i]
 			}
@@ -490,4 +453,15 @@ func TestSortRowAllocationFree(t *testing.T) {
 			t.Errorf("sortRow over %d entries: %.1f allocs/op, want 0", n, allocs)
 		}
 	}
+}
+
+// denseMulVec returns d·x for a dense row-major matrix.
+func denseMulVec(d [][]float64, x []float64) []float64 {
+	y := make([]float64, len(d))
+	for i, row := range d {
+		for j, v := range row {
+			y[i] += v * x[j]
+		}
+	}
+	return y
 }
