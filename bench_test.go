@@ -718,21 +718,35 @@ var (
 	crosswalkBenchOnce sync.Once
 	crosswalkBenchSrc  []geom.MultiPolygon
 	crosswalkBenchTgt  []geom.MultiPolygon
+
+	perfbenchShapeOnce sync.Once
+	perfbenchShapeSrc  []geom.MultiPolygon
+	perfbenchShapeTgt  []geom.MultiPolygon
 )
+
+func collectTiger(cfg synth.TigerConfig) []geom.MultiPolygon {
+	var units []geom.MultiPolygon
+	synth.TigerLayer(cfg, func(i int, name string, parts geom.MultiPolygon) error {
+		units = append(units, parts)
+		return nil
+	})
+	return units
+}
 
 func crosswalkBenchLayers(b *testing.B) {
 	b.Helper()
 	crosswalkBenchOnce.Do(func() {
-		collect := func(cfg synth.TigerConfig) []geom.MultiPolygon {
-			var units []geom.MultiPolygon
-			synth.TigerLayer(cfg, func(i int, name string, parts geom.MultiPolygon) error {
-				units = append(units, parts)
-				return nil
-			})
-			return units
-		}
-		crosswalkBenchSrc = collect(synth.TigerConfig{Units: 3000, Seed: 5})
-		crosswalkBenchTgt = collect(synth.TigerConfig{Units: 150, Seed: 6})
+		crosswalkBenchSrc = collectTiger(synth.TigerConfig{Units: 3000, Seed: 5})
+		crosswalkBenchTgt = collectTiger(synth.TigerConfig{Units: 150, Seed: 6})
+	})
+}
+
+// perfbenchShapeLayers lazily builds the layer pair perfbench's offline
+// stage joins at seed 1: 30000 × 1500 lattice units, seeds 3 and 4.
+func perfbenchShapeLayers() {
+	perfbenchShapeOnce.Do(func() {
+		perfbenchShapeSrc = collectTiger(synth.TigerConfig{Units: 30000, Seed: 3})
+		perfbenchShapeTgt = collectTiger(synth.TigerConfig{Units: 1500, Seed: 4})
 	})
 }
 
@@ -770,8 +784,13 @@ func reportPeakHeap(b *testing.B, fn func()) {
 // zip→county-scale lattice layers (3000×150 units) against the
 // in-memory MeasureDM path, each reported with its heap high-water
 // mark. The tiled variants re-prepare geometry per tile, so their extra
-// time is the price of the bounded footprint; the spill variant adds a
-// deliberately tiny budget to include the disk round-trip.
+// time is the price of the bounded footprint (tiled-1x1 is the join
+// with no tiling cost but the codec round trip); the spill variant adds
+// a deliberately tiny budget to include the disk round-trip. The
+// perfbench-shape variant is perfbench's offline build in-process: its
+// 30000 × 1500 layer pair, a 1 MiB budget (every build spills) and one
+// worker, with allocations reported. It runs last, so the large layers
+// it keeps do not count in the other variants' peak-heap-bytes.
 func BenchmarkCrosswalkBuildTiled(b *testing.B) {
 	crosswalkBenchLayers(b)
 	src := partition.SliceStream(crosswalkBenchSrc)
@@ -791,6 +810,7 @@ func BenchmarkCrosswalkBuildTiled(b *testing.B) {
 			})
 		})
 	}
+	runTiled("tiled-1x1", partition.TiledOptions{TileCols: 1, TileRows: 1})
 	runTiled("tiled-4x4", partition.TiledOptions{TileCols: 4, TileRows: 4})
 	runTiled("tiled-spill", partition.TiledOptions{
 		TileCols: 4, TileRows: 4,
@@ -809,6 +829,24 @@ func BenchmarkCrosswalkBuildTiled(b *testing.B) {
 					b.Fatal(err)
 				}
 				dm, err := partition.MeasureDM(srcSys, tgtSys)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if dm.NNZ() == 0 {
+					b.Fatal("empty crosswalk")
+				}
+			}
+		})
+	})
+	b.Run("perfbench-shape", func(b *testing.B) {
+		perfbenchShapeLayers()
+		src := partition.SliceStream(perfbenchShapeSrc)
+		tgt := partition.SliceStream(perfbenchShapeTgt)
+		opt := partition.TiledOptions{MemBudget: 1 << 20, Workers: 1, SpillDir: b.TempDir()}
+		b.ReportAllocs()
+		reportPeakHeap(b, func() {
+			for i := 0; i < b.N; i++ {
+				dm, _, err := partition.TiledMeasureDM(src, tgt, opt)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -1,7 +1,5 @@
 package geom
 
-import "math"
-
 // ClipConvex clips the subject polygon against a convex CCW clip
 // polygon using the Sutherland–Hodgman algorithm. The subject may be
 // any simple polygon (the result can contain zero-width bridges for
@@ -60,8 +58,21 @@ func lineSegCross(a, b, p, q Point) (Point, bool) {
 		return Point{}, false
 	}
 	t := p.Sub(a).Cross(d) / denom // parameter along [p,q]
-	t = math.Max(0, math.Min(1, t))
-	return p.Add(e.Scale(t)), true
+	return p.Add(e.Scale(clamp01(t))), true
+}
+
+// clamp01 returns math.Max(0, math.Min(1, t)) bit for bit — -0 becomes
+// +0 and NaN stays NaN — without the two calls, which do not inline.
+func clamp01(t float64) float64 {
+	switch {
+	case t > 1:
+		return 1
+	case t > 0:
+		return t
+	case t <= 0:
+		return 0
+	}
+	return t // NaN
 }
 
 // IntersectionArea returns the area of the overlap between two simple

@@ -197,3 +197,19 @@ func TestHalfPlaneClipMatchesClipConvexQuick(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestClamp01MatchesMathMinMax pins clamp01 to the math.Max(0,
+// math.Min(1, t)) it replaces, bit for bit, on the values where
+// comparisons and math.Min/Max can part ways.
+func TestClamp01MatchesMathMinMax(t *testing.T) {
+	for _, v := range []float64{
+		math.Copysign(0, -1), 0, 1, math.Nextafter(1, 2), 2, -1, 0.5,
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	} {
+		want := math.Max(0, math.Min(1, v))
+		if got := clamp01(v); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("clamp01(%v) = %v (%#x), want %v (%#x)", v, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+}

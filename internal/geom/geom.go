@@ -71,24 +71,43 @@ func EmptyBBox() BBox {
 // IsEmpty reports whether the box contains no points.
 func (b BBox) IsEmpty() bool { return b.MinX > b.MaxX || b.MinY > b.MaxY }
 
-// Union returns the smallest box containing both b and o.
+// Union returns the smallest box containing both b and o. It compares
+// plainly rather than calling math.Min/Max (which do not inline), so a
+// NaN coordinate is skipped instead of propagated: boxes are only
+// defined over finite coordinates, which the unit-system boundaries
+// enforce (Polygon.NonFinite).
 func (b BBox) Union(o BBox) BBox {
-	return BBox{
-		MinX: math.Min(b.MinX, o.MinX),
-		MinY: math.Min(b.MinY, o.MinY),
-		MaxX: math.Max(b.MaxX, o.MaxX),
-		MaxY: math.Max(b.MaxY, o.MaxY),
+	if o.MinX < b.MinX {
+		b.MinX = o.MinX
 	}
+	if o.MinY < b.MinY {
+		b.MinY = o.MinY
+	}
+	if o.MaxX > b.MaxX {
+		b.MaxX = o.MaxX
+	}
+	if o.MaxY > b.MaxY {
+		b.MaxY = o.MaxY
+	}
+	return b
 }
 
-// ExtendPoint returns the smallest box containing b and p.
+// ExtendPoint returns the smallest box containing b and p, comparing
+// plainly as Union does.
 func (b BBox) ExtendPoint(p Point) BBox {
-	return BBox{
-		MinX: math.Min(b.MinX, p.X),
-		MinY: math.Min(b.MinY, p.Y),
-		MaxX: math.Max(b.MaxX, p.X),
-		MaxY: math.Max(b.MaxY, p.Y),
+	if p.X < b.MinX {
+		b.MinX = p.X
 	}
+	if p.X > b.MaxX {
+		b.MaxX = p.X
+	}
+	if p.Y < b.MinY {
+		b.MinY = p.Y
+	}
+	if p.Y > b.MaxY {
+		b.MaxY = p.Y
+	}
+	return b
 }
 
 // Intersects reports whether b and o share any point (boundaries count).

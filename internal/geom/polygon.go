@@ -67,6 +67,18 @@ func (pg Polygon) BBox() BBox {
 	return b
 }
 
+// NonFinite returns the index of the first vertex with a NaN or
+// infinite coordinate, or -1 when every vertex is finite. (x-x is 0
+// for every finite x and NaN for NaN and ±Inf.)
+func (pg Polygon) NonFinite() int {
+	for i, p := range pg {
+		if p.X-p.X != 0 || p.Y-p.Y != 0 {
+			return i
+		}
+	}
+	return -1
+}
+
 // Clone returns a deep copy.
 func (pg Polygon) Clone() Polygon {
 	return append(Polygon(nil), pg...)

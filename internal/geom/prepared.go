@@ -29,10 +29,22 @@ type PreparedPolygon struct {
 // queries. The input is cloned and normalized to CCW orientation, so
 // later mutation of pg does not affect the prepared form.
 func NewPreparedPolygon(pg Polygon) *PreparedPolygon {
-	p := &PreparedPolygon{ring: pg.Clone().EnsureCCW()}
-	p.bbox = p.ring.BBox()
-	p.convex = p.ring.IsConvex()
+	ring := pg.Clone()
+	p := new(PreparedPolygon)
+	p.PrepareOwned(ring, ring.BBox())
 	return p
+}
+
+// PrepareOwned (re)initialises p over a ring the caller hands over,
+// without the clone NewPreparedPolygon makes: ring is normalised to CCW
+// in place and becomes p's, box must be its bounding box, and any
+// triangulation cached from an earlier ring is dropped. It lets a
+// caller that decodes rings into its own buffers prepare them in an
+// arena reused from batch to batch; p must not be in use by another
+// goroutine while it is re-prepared.
+func (p *PreparedPolygon) PrepareOwned(ring Polygon, box BBox) {
+	ring = ring.EnsureCCW()
+	*p = PreparedPolygon{ring: ring, bbox: box, convex: ring.IsConvex()}
 }
 
 // Ring returns the CCW-normalized vertex ring. Callers must not modify

@@ -1,0 +1,29 @@
+package partition
+
+import (
+	"testing"
+
+	"geoalign/internal/geom"
+)
+
+// TiledTestLayers exposes the multi-part jagged fixture of the tiled
+// tests to the external-package tests in this directory.
+func TiledTestLayers(t *testing.T, seed int64, gSrc, gTgt int) (src, tgt []geom.MultiPolygon) {
+	src, tgt, _, _ = tiledTestLayers(t, seed, gSrc, gTgt)
+	return src, tgt
+}
+
+// RawBytes is the sizing pass's geometry-size estimate of a layer pair,
+// the figure chooseGrid divides the budget into.
+func RawBytes(t *testing.T, src, tgt []geom.MultiPolygon) int64 {
+	t.Helper()
+	var total int64
+	for _, layer := range [][]geom.MultiPolygon{src, tgt} {
+		info, err := scanInfo(SliceStream(layer))
+		if err != nil {
+			t.Fatal(err)
+		}
+		total += info.rawBytes()
+	}
+	return total
+}

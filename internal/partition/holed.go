@@ -40,6 +40,14 @@ func NewHoledPolygonSystem(units []geom.HoledPolygon, names []string) (*HoledPol
 		if len(u.Outer) < 3 {
 			return nil, fmt.Errorf("partition: unit %d has a degenerate outer ring", i)
 		}
+		if k := u.Outer.NonFinite(); k >= 0 {
+			return nil, fmt.Errorf("partition: unit %d outer ring vertex %d is not finite (%v)", i, k, u.Outer[k])
+		}
+		for h, hole := range u.Holes {
+			if k := hole.NonFinite(); k >= 0 {
+				return nil, fmt.Errorf("partition: unit %d hole %d vertex %d is not finite (%v)", i, h, k, hole[k])
+			}
+		}
 		s.prep[i] = geom.NewPreparedHoledPolygon(u)
 		entries[i] = rtree.Entry{Box: s.prep[i].BBox(), ID: i}
 		s.areas[i] = u.Area()

@@ -40,6 +40,9 @@ func NewMultiPolygonSystem(units []geom.MultiPolygon, names []string) (*MultiPol
 			if len(pg) < 3 {
 				return nil, fmt.Errorf("partition: unit %d part %d is degenerate", u, p)
 			}
+			if k := pg.NonFinite(); k >= 0 {
+				return nil, fmt.Errorf("partition: unit %d part %d vertex %d is not finite (%v)", u, p, k, pg[k])
+			}
 			prep := geom.NewPreparedPolygon(pg)
 			entries = append(entries, rtree.Entry{Box: prep.BBox(), ID: len(s.parts)})
 			s.parts = append(s.parts, pg)

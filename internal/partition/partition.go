@@ -247,6 +247,9 @@ func NewPolygonSystem(units []geom.Polygon, names []string) (*PolygonSystem, err
 		if len(u) < 3 {
 			return nil, fmt.Errorf("partition: unit %d is degenerate (%d vertices)", i, len(u))
 		}
+		if k := u.NonFinite(); k >= 0 {
+			return nil, fmt.Errorf("partition: unit %d vertex %d is not finite (%v)", i, k, u[k])
+		}
 		prep[i] = geom.NewPreparedPolygon(u)
 		entries[i] = rtree.Entry{Box: prep[i].BBox(), ID: i}
 		areas[i] = u.Area()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -139,6 +140,9 @@ func scanInfo(s TileStream) (streamInfo, error) {
 			if len(pg) < 3 {
 				return fmt.Errorf("partition: record %d part %d is degenerate", info.records, p)
 			}
+			if k := pg.NonFinite(); k >= 0 {
+				return fmt.Errorf("partition: record %d part %d vertex %d is not finite (%v)", info.records, p, k, pg[k])
+			}
 			info.parts++
 			info.points += int64(len(pg))
 			info.bbox = info.bbox.Union(pg.BBox())
@@ -149,11 +153,13 @@ func scanInfo(s TileStream) (streamInfo, error) {
 	return info, err
 }
 
-// rawBytes estimates the encoded size of the layer's geometry.
-func (i streamInfo) rawBytes() int64 { return 16*i.points + 8*int64(i.parts) }
+// rawBytes is the encoded size of the layer's geometry, each part
+// counted once: an 8-byte record header plus 16 bytes per vertex.
+func (i streamInfo) rawBytes() int64 { return 16*i.points + partHeader*int64(i.parts) }
 
 // tilePart is one decoded bucket entry: a single polygon part tagged
-// with the record (unit) index it belongs to.
+// with the record (unit) index it belongs to, and its bounding box,
+// taken in the decode loop.
 type tilePart struct {
 	rec  int
 	box  geom.BBox
@@ -252,13 +258,13 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var sc geom.ClipScratch
+			var tw tileWorker
 			for {
 				t := int(nextTile.Add(1))
 				if t >= nTiles {
 					return
 				}
-				tr, n, err := bk.joinTile(t, &sc)
+				tr, n, err := bk.joinTile(t, &tw)
 				if err != nil {
 					errs[w] = err
 					return
@@ -441,39 +447,81 @@ func (b *bucketer) spill() error {
 	return nil
 }
 
-// loadTile reassembles and decodes one tile's bucket for one layer.
-func (b *bucketer) loadTile(layer, t int) ([]tilePart, error) {
+// tileWorker is one join worker's state, reused from tile to tile: the
+// clip scratch, the read buffer for spilled spans, the triplet buffer,
+// and per layer the decoded points (one array per tile), parts,
+// prepared parts and R-tree entries. Each buffer grows to the largest
+// tile the worker has joined.
+type tileWorker struct {
+	sc     geom.ClipScratch
+	raw    []byte
+	layers [2]tileArena
+	out    []triplet // the tile's triplets, copied out at their final length
+}
+
+// tileArena holds one layer of the tile being joined.
+type tileArena struct {
+	pts     []geom.Point
+	parts   []tilePart
+	prep    []geom.PreparedPolygon
+	entries []rtree.Entry
+}
+
+// loadTile decodes one tile's bucket for one layer into the arena and
+// prepares every part in place: the spilled spans, in spill order, then
+// the resident tail.
+func (b *bucketer) loadTile(layer, t int, tw *tileWorker) ([]tilePart, error) {
 	bk := &b.buckets[layer][t]
+	ar := &tw.layers[layer]
 	size := len(bk.mem)
 	for _, sg := range bk.segs {
 		size += sg.n
 	}
+	ar.parts = ar.parts[:0]
 	if size == 0 {
 		return nil, nil
 	}
-	raw := make([]byte, 0, size)
+	// Every part costs a header, so size/16 bounds the vertex count:
+	// decoding never outgrows pts, and the rings carved from it stay put.
+	if cap(ar.pts) < size/16 {
+		ar.pts = make([]geom.Point, 0, size/16)
+	}
+	pts := ar.pts[:0]
+	var err error
 	for _, sg := range bk.segs {
-		buf := make([]byte, sg.n)
-		if _, err := b.spillF.ReadAt(buf, sg.off); err != nil {
+		tw.raw = slices.Grow(tw.raw[:0], sg.n)[:sg.n]
+		if _, err := b.spillF.ReadAt(tw.raw, sg.off); err != nil {
 			return nil, fmt.Errorf("partition: reading spill file: %w", err)
 		}
-		raw = append(raw, buf...)
+		if ar.parts, pts, err = decodeParts(tw.raw, ar.parts, pts); err != nil {
+			return nil, err
+		}
 	}
-	raw = append(raw, bk.mem...)
-	return decodeParts(raw)
+	if ar.parts, _, err = decodeParts(bk.mem, ar.parts, pts); err != nil {
+		return nil, err
+	}
+	if cap(ar.prep) < len(ar.parts) {
+		ar.prep = make([]geom.PreparedPolygon, len(ar.parts))
+	}
+	ar.prep = ar.prep[:len(ar.parts)]
+	for k := range ar.parts {
+		p := &ar.parts[k]
+		ar.prep[k].PrepareOwned(p.poly, p.box)
+	}
+	return ar.parts, nil
 }
 
 // joinTile runs the dual-tree join of one tile's two part sets,
 // keeping only pairs the tile owns under the reference-point rule.
-func (b *bucketer) joinTile(t int, sc *geom.ClipScratch) ([]triplet, int64, error) {
-	srcParts, err := b.loadTile(0, t)
+func (b *bucketer) joinTile(t int, tw *tileWorker) ([]triplet, int64, error) {
+	srcParts, err := b.loadTile(0, t, tw)
 	if err != nil {
 		return nil, 0, err
 	}
 	if len(srcParts) == 0 {
 		return nil, 0, nil
 	}
-	tgtParts, err := b.loadTile(1, t)
+	tgtParts, err := b.loadTile(1, t, tw)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -481,17 +529,9 @@ func (b *bucketer) joinTile(t int, sc *geom.ClipScratch) ([]triplet, int64, erro
 		return nil, 0, nil
 	}
 	tx, ty := t%b.grid.cols, t/b.grid.cols
+	srcPrep, tgtPrep := tw.layers[0].prep, tw.layers[1].prep
 
-	srcPrep := make([]*geom.PreparedPolygon, len(srcParts))
-	for k, p := range srcParts {
-		srcPrep[k] = geom.NewPreparedPolygon(p.poly)
-	}
-	tgtPrep := make([]*geom.PreparedPolygon, len(tgtParts))
-	for k, p := range tgtParts {
-		tgtPrep[k] = geom.NewPreparedPolygon(p.poly)
-	}
-
-	var out []triplet
+	out := tw.out[:0]
 	var pairs int64
 	visit := func(a, b2 int) {
 		pa, pb := &srcParts[a], &tgtParts[b2]
@@ -499,13 +539,18 @@ func (b *bucketer) joinTile(t int, sc *geom.ClipScratch) ([]triplet, int64, erro
 		// intersection. Exactly one tile contains it, and both parts
 		// are bucketed there, so the pair is evaluated exactly once
 		// across all tiles.
-		rx := math.Max(pa.box.MinX, pb.box.MinX)
-		ry := math.Max(pa.box.MinY, pb.box.MinY)
+		rx, ry := pa.box.MinX, pa.box.MinY
+		if pb.box.MinX > rx {
+			rx = pb.box.MinX
+		}
+		if pb.box.MinY > ry {
+			ry = pb.box.MinY
+		}
 		if b.grid.ix(rx) != tx || b.grid.iy(ry) != ty {
 			return
 		}
 		pairs++
-		if v := sc.PreparedIntersectionArea(srcPrep[a], tgtPrep[b2]); v > 0 {
+		if v := tw.sc.PreparedIntersectionArea(&srcPrep[a], &tgtPrep[b2]); v > 0 {
 			out = append(out, triplet{i: pa.rec, j: pb.rec, v: v})
 		}
 	}
@@ -520,33 +565,39 @@ func (b *bucketer) joinTile(t int, sc *geom.ClipScratch) ([]triplet, int64, erro
 				}
 			}
 		}
-		return out, pairs, nil
+	} else {
+		rtree.Join(tw.layers[0].tree(), tw.layers[1].tree(), visit)
 	}
-	aEntries := make([]rtree.Entry, len(srcParts))
-	for k, p := range srcParts {
-		aEntries[k] = rtree.Entry{Box: p.box, ID: k}
-	}
-	bEntries := make([]rtree.Entry, len(tgtParts))
-	for k, p := range tgtParts {
-		bEntries[k] = rtree.Entry{Box: p.box, ID: k}
-	}
-	rtree.Join(rtree.New(aEntries), rtree.New(bEntries), visit)
-	return out, pairs, nil
+	tw.out = out
+	return slices.Clone(out), pairs, nil
 }
+
+// tree indexes the arena's parts by bounding box.
+func (ar *tileArena) tree() *rtree.Tree {
+	ar.entries = ar.entries[:0]
+	for k, p := range ar.parts {
+		ar.entries = append(ar.entries, rtree.Entry{Box: p.box, ID: k})
+	}
+	return rtree.New(ar.entries)
+}
+
+// partHeader is the encoded size of a part's record header.
+const partHeader = 8
 
 // appendPart encodes one part: record index, vertex count, raw
 // float64-bit coordinates — a fixed little-endian layout so spilled and
-// resident bytes decode identically.
+// resident bytes decode identically. The part's bounding box is not
+// stored: the decoder takes it while it reads the vertices anyway.
 func appendPart(dst []byte, rec int, pg geom.Polygon) []byte {
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(rec))
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(pg)))
-	dst = append(dst, hdr[:]...)
-	var w [16]byte
+	off := len(dst)
+	dst = slices.Grow(dst, partHeader+16*len(pg))[:off+partHeader+16*len(pg)]
+	binary.LittleEndian.PutUint32(dst[off:], uint32(rec))
+	binary.LittleEndian.PutUint32(dst[off+4:], uint32(len(pg)))
+	off += partHeader
 	for _, p := range pg {
-		binary.LittleEndian.PutUint64(w[0:8], math.Float64bits(p.X))
-		binary.LittleEndian.PutUint64(w[8:16], math.Float64bits(p.Y))
-		dst = append(dst, w[:]...)
+		binary.LittleEndian.PutUint64(dst[off:], math.Float64bits(p.X))
+		binary.LittleEndian.PutUint64(dst[off+8:], math.Float64bits(p.Y))
+		off += 16
 	}
 	return dst
 }
@@ -556,27 +607,35 @@ func fmtMiB(n int64) string {
 	return fmt.Sprintf("%.1f MiB", float64(n)/(1<<20))
 }
 
-// decodeParts parses a bucket's concatenated part encodings.
-func decodeParts(raw []byte) ([]tilePart, error) {
-	var parts []tilePart
+// decodeParts parses a bucket's concatenated part encodings, appending
+// the parts to parts and their vertices to pts; each part's ring is a
+// capacity-capped slice of pts, so a pts with room for every vertex
+// holds all the rings in one array. Malformed or truncated input is an
+// error, never a read past raw.
+func decodeParts(raw []byte, parts []tilePart, pts []geom.Point) ([]tilePart, []geom.Point, error) {
 	off := 0
 	for off < len(raw) {
-		if off+8 > len(raw) {
-			return nil, fmt.Errorf("partition: corrupt tile bucket at %d", off)
+		if len(raw)-off < partHeader {
+			return parts, pts, fmt.Errorf("partition: corrupt tile bucket at %d", off)
 		}
-		rec := int(binary.LittleEndian.Uint32(raw[off : off+4]))
-		n := int(binary.LittleEndian.Uint32(raw[off+4 : off+8]))
-		off += 8
-		if n < 3 || off+16*n > len(raw) {
-			return nil, fmt.Errorf("partition: corrupt tile bucket part at %d (%d points)", off, n)
+		rec := int(binary.LittleEndian.Uint32(raw[off:]))
+		n := int(binary.LittleEndian.Uint32(raw[off+4:]))
+		off += partHeader
+		if n < 3 || (len(raw)-off)/16 < n {
+			return parts, pts, fmt.Errorf("partition: corrupt tile bucket part at %d (%d points)", off, n)
 		}
-		pg := make(geom.Polygon, n)
+		lo := len(pts)
+		box := geom.EmptyBBox()
 		for i := 0; i < n; i++ {
-			pg[i].X = math.Float64frombits(binary.LittleEndian.Uint64(raw[off:]))
-			pg[i].Y = math.Float64frombits(binary.LittleEndian.Uint64(raw[off+8:]))
+			p := geom.Point{
+				X: math.Float64frombits(binary.LittleEndian.Uint64(raw[off:])),
+				Y: math.Float64frombits(binary.LittleEndian.Uint64(raw[off+8:])),
+			}
+			box = box.ExtendPoint(p)
+			pts = append(pts, p)
 			off += 16
 		}
-		parts = append(parts, tilePart{rec: rec, box: pg.BBox(), poly: pg})
+		parts = append(parts, tilePart{rec: rec, box: box, poly: pts[lo:len(pts):len(pts)]})
 	}
-	return parts, nil
+	return parts, pts, nil
 }

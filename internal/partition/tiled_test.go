@@ -2,7 +2,9 @@ package partition
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"geoalign/internal/geom"
@@ -241,4 +243,97 @@ func TestTiledMeasureDMValidation(t *testing.T) {
 	if _, _, err := TiledMeasureDM(shrinkingStream{n: &n}, ok, TiledOptions{}); err == nil {
 		t.Error("stream unstable across rescans accepted")
 	}
+}
+
+// TestNonFiniteVerticesRejected checks every polygon boundary refuses a
+// NaN or infinite vertex and names where it is. Unchecked, the tiled
+// build dropped such a part without an error (a NaN x left one of three
+// unit squares out of the crosswalk), and the in-memory systems built a
+// NaN bounding box.
+func TestNonFiniteVerticesRejected(t *testing.T) {
+	square := func(x float64) geom.Polygon {
+		return geom.Rect(geom.BBox{MinX: x, MinY: 0, MaxX: x + 1, MaxY: 1})
+	}
+	tgt := SliceStream{geom.MultiPolygon{geom.Rect(geom.BBox{MinX: 0, MinY: 0, MaxX: 3, MaxY: 1})}}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		broken := square(1)
+		broken[2].X = bad
+		src := SliceStream{{square(0)}, {square(2), broken}, {square(2)}}
+		_, _, err := TiledMeasureDM(src, tgt, TiledOptions{Workers: 1})
+		if err == nil || !strings.Contains(err.Error(), "record 1 part 1 vertex 2 is not finite") {
+			t.Errorf("tiled source with %v vertex: err = %v", bad, err)
+		}
+		if _, _, err := TiledMeasureDM(tgt, src, TiledOptions{Workers: 1}); err == nil || !strings.Contains(err.Error(), "sizing target layer") {
+			t.Errorf("tiled target with %v vertex: err = %v", bad, err)
+		}
+
+		if _, err := NewPolygonSystem([]geom.Polygon{square(0), broken}, nil); err == nil || !strings.Contains(err.Error(), "unit 1 vertex 2 is not finite") {
+			t.Errorf("NewPolygonSystem with %v vertex: err = %v", bad, err)
+		}
+		if _, err := NewMultiPolygonSystem([]geom.MultiPolygon(src), nil); err == nil || !strings.Contains(err.Error(), "unit 1 part 1 vertex 2 is not finite") {
+			t.Errorf("NewMultiPolygonSystem with %v vertex: err = %v", bad, err)
+		}
+		holed := []geom.HoledPolygon{geom.Solid(square(0)), {Outer: geom.Rect(geom.BBox{MinX: 0, MinY: 0, MaxX: 4, MaxY: 4}), Holes: []geom.Polygon{broken}}}
+		if _, err := NewHoledPolygonSystem(holed, nil); err == nil || !strings.Contains(err.Error(), "unit 1 hole 0 vertex 2 is not finite") {
+			t.Errorf("NewHoledPolygonSystem with %v hole vertex: err = %v", bad, err)
+		}
+		holed[1] = geom.Solid(broken)
+		if _, err := NewHoledPolygonSystem(holed, nil); err == nil || !strings.Contains(err.Error(), "unit 1 outer ring vertex 2 is not finite") {
+			t.Errorf("NewHoledPolygonSystem with %v outer vertex: err = %v", bad, err)
+		}
+	}
+}
+
+// FuzzDecodeParts fuzzes the tile bucket codec. Whatever the bytes,
+// decodeParts returns an error or parts that re-encode to exactly those
+// bytes, each with the bounding box of its own vertices; it never
+// panics or reads past the input, and cutting a valid bucket anywhere
+// inside its last record is an error. The corpus is seeded with real
+// buckets of the multi-part fixture.
+func FuzzDecodeParts(f *testing.F) {
+	rng := rand.New(rand.NewSource(41))
+	bk := &bucketer{
+		grid:    &tileGrid{tileW: 50, tileH: 50, cols: 2, rows: 2},
+		buckets: [2][]tileBucket{make([]tileBucket, 4), make([]tileBucket, 4)},
+	}
+	for layer, g := range []int{6, 3} {
+		parts := jaggedLayer(rng, g, 100, 12)
+		units := make(SliceStream, 0, len(parts)/2)
+		for i := 0; i+1 < len(parts); i += 2 {
+			units = append(units, geom.MultiPolygon{parts[i], parts[i+1]})
+		}
+		if err := bk.bucketLayer(layer, units, len(units)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	for layer := range bk.buckets {
+		for _, b := range bk.buckets[layer] {
+			f.Add(b.mem)
+		}
+	}
+	one := appendPart(nil, 7, geom.Rect(geom.BBox{MinX: -1, MinY: 2, MaxX: 3, MaxY: 4}))
+	f.Add(one[:len(one)-3])
+	f.Add([]byte{1, 0, 0, 0, 255, 255, 255, 255})
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		parts, pts, err := decodeParts(raw, nil, make([]geom.Point, 0, len(raw)/16))
+		if err != nil {
+			return
+		}
+		var re []byte
+		for _, p := range parts {
+			if p.box != p.poly.BBox() {
+				t.Fatalf("part of record %d: box %+v, vertices span %+v", p.rec, p.box, p.poly.BBox())
+			}
+			re = appendPart(re, p.rec, p.poly)
+		}
+		if string(re) != string(raw) {
+			t.Fatalf("re-encoding %d parts (%d points) gave %d bytes, decoded %d", len(parts), len(pts), len(re), len(raw))
+		}
+		if len(raw) > 0 {
+			if _, _, err := decodeParts(raw[:len(raw)-1], nil, nil); err == nil {
+				t.Fatalf("bucket cut one byte short of %d decoded without error", len(raw))
+			}
+		}
+	})
 }

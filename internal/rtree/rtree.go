@@ -10,7 +10,7 @@
 package rtree
 
 import (
-	"sort"
+	"slices"
 
 	"geoalign/internal/geom"
 )
@@ -52,9 +52,7 @@ func NewWithFanout(entries []Entry, fanout int) *Tree {
 	if len(entries) == 0 {
 		return t
 	}
-	work := append([]Entry(nil), entries...)
-	leaves := packLeaves(work, fanout)
-	nodes := leaves
+	nodes := packLeaves(entries, fanout)
 	for len(nodes) > 1 {
 		nodes = packNodes(nodes, fanout)
 	}
@@ -62,64 +60,98 @@ func NewWithFanout(entries []Entry, fanout int) *Tree {
 	return t
 }
 
-// packLeaves tiles entries into leaf nodes: sort by center X, slice into
-// vertical strips, sort each strip by center Y, chunk into leaves.
-func packLeaves(entries []Entry, fanout int) []*node {
-	n := len(entries)
-	leafCount := (n + fanout - 1) / fanout
-	stripCount := intSqrtCeil(leafCount)
-	perStrip := stripCount * fanout
-
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Box.Center().X < entries[j].Box.Center().X
-	})
-	var leaves []*node
-	for s := 0; s < n; s += perStrip {
-		e := min(s+perStrip, n)
-		strip := entries[s:e]
-		sort.Slice(strip, func(i, j int) bool {
-			return strip[i].Box.Center().Y < strip[j].Box.Center().Y
-		})
-		for ls := 0; ls < len(strip); ls += fanout {
-			le := min(ls+fanout, len(strip))
-			leaf := &node{entries: append([]Entry(nil), strip[ls:le]...)}
-			leaf.box = geom.EmptyBBox()
-			for _, en := range leaf.entries {
-				leaf.box = leaf.box.Union(en.Box)
-			}
-			leaves = append(leaves, leaf)
-		}
-	}
-	return leaves
+// sortKey is one item of an STR sort: a box-centre coordinate, taken
+// once per sort instead of on every comparison, and the item's index.
+// Sorting these 16-byte keys instead of the items moves less memory.
+type sortKey struct {
+	k float64
+	i int
 }
 
-func packNodes(children []*node, fanout int) []*node {
-	n := len(children)
-	parentCount := (n + fanout - 1) / fanout
-	stripCount := intSqrtCeil(parentCount)
-	perStrip := stripCount * fanout
+// byKey is the STR order. slices.SortFunc runs the same
+// pattern-defeating quicksort as the sort.Slice calls it replaces,
+// deciding on cmp(a, b) < 0 exactly where sort.Slice decided on
+// less(a, b) — a centre coordinate strictly below the other's — so the
+// packed tree, and every join order built on it, is unchanged.
+func byKey(a, b sortKey) int {
+	switch {
+	case a.k < b.k:
+		return -1
+	case a.k > b.k:
+		return 1
+	}
+	return 0
+}
 
-	sort.Slice(children, func(i, j int) bool {
-		return children[i].box.Center().X < children[j].box.Center().X
-	})
-	var parents []*node
+// strGroups is the STR tiling of n boxes: it sorts them by centre X,
+// slices the order into vertical strips of s·fanout items (s the
+// ceiling square root of the group count), sorts each strip by centre
+// Y and calls group with the indices of every run of up to fanout
+// consecutive items of a strip.
+func strGroups(n, fanout int, box func(i int) geom.BBox, group func(run []sortKey)) {
+	perStrip := intSqrtCeil((n+fanout-1)/fanout) * fanout
+	keys := make([]sortKey, n)
+	for i := range keys {
+		b := box(i)
+		keys[i] = sortKey{k: (b.MinX + b.MaxX) / 2, i: i}
+	}
+	slices.SortFunc(keys, byKey)
 	for s := 0; s < n; s += perStrip {
-		e := min(s+perStrip, n)
-		strip := children[s:e]
-		sort.Slice(strip, func(i, j int) bool {
-			return strip[i].box.Center().Y < strip[j].box.Center().Y
-		})
+		strip := keys[s:min(s+perStrip, n)]
+		for j := range strip {
+			b := box(strip[j].i)
+			strip[j].k = (b.MinY + b.MaxY) / 2
+		}
+		slices.SortFunc(strip, byKey)
 		for ls := 0; ls < len(strip); ls += fanout {
-			le := min(ls+fanout, len(strip))
-			p := &node{children: append([]*node(nil), strip[ls:le]...)}
-			p.box = geom.EmptyBBox()
-			for _, c := range p.children {
-				p.box = p.box.Union(c.box)
-			}
-			parents = append(parents, p)
+			group(strip[ls:min(ls+fanout, len(strip))])
 		}
 	}
-	return parents
+}
+
+// packLeaves tiles entries into leaf nodes: sort by center X, slice into
+// vertical strips, sort each strip by center Y, chunk into leaves. The
+// leaves and their copies of the entries are carved from one slab each.
+func packLeaves(entries []Entry, fanout int) []*node {
+	slab := make([]node, 0, (len(entries)+fanout-1)/fanout)
+	flat := make([]Entry, 0, len(entries))
+	strGroups(len(entries), fanout, func(i int) geom.BBox { return entries[i].Box }, func(run []sortKey) {
+		lo := len(flat)
+		box := geom.EmptyBBox()
+		for _, k := range run {
+			e := entries[k.i]
+			flat = append(flat, e)
+			box = box.Union(e.Box)
+		}
+		slab = append(slab, node{box: box, entries: flat[lo:len(flat):len(flat)]})
+	})
+	return nodePtrs(slab)
+}
+
+// packNodes groups one level of nodes into parents the same way.
+func packNodes(level []*node, fanout int) []*node {
+	slab := make([]node, 0, (len(level)+fanout-1)/fanout)
+	flat := make([]*node, 0, len(level))
+	strGroups(len(level), fanout, func(i int) geom.BBox { return level[i].box }, func(run []sortKey) {
+		lo := len(flat)
+		box := geom.EmptyBBox()
+		for _, k := range run {
+			c := level[k.i]
+			flat = append(flat, c)
+			box = box.Union(c.box)
+		}
+		slab = append(slab, node{box: box, children: flat[lo:len(flat):len(flat)]})
+	})
+	return nodePtrs(slab)
+}
+
+// nodePtrs returns pointers to the nodes of a packed level's slab.
+func nodePtrs(slab []node) []*node {
+	out := make([]*node, len(slab))
+	for i := range slab {
+		out[i] = &slab[i]
+	}
+	return out
 }
 
 func intSqrtCeil(n int) int {
@@ -131,13 +163,6 @@ func intSqrtCeil(n int) int {
 		s++
 	}
 	return s
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Len returns the number of indexed entries.

@@ -175,3 +175,82 @@ func TestQuickSearchEquivalence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// sortSliceTree is the STR packing as it was written with sort.Slice
+// and per-comparison centre computation — the reference for the order
+// the packed tree must keep.
+func sortSliceTree(entries []Entry, fanout int) *node {
+	work := append([]Entry(nil), entries...)
+	var level []*node
+	sort.Slice(work, func(i, j int) bool { return work[i].Box.Center().X < work[j].Box.Center().X })
+	perStrip := intSqrtCeil((len(work)+fanout-1)/fanout) * fanout
+	for s := 0; s < len(work); s += perStrip {
+		strip := work[s:min(s+perStrip, len(work))]
+		sort.Slice(strip, func(i, j int) bool { return strip[i].Box.Center().Y < strip[j].Box.Center().Y })
+		for ls := 0; ls < len(strip); ls += fanout {
+			leaf := &node{entries: append([]Entry(nil), strip[ls:min(ls+fanout, len(strip))]...), box: geom.EmptyBBox()}
+			for _, e := range leaf.entries {
+				leaf.box = leaf.box.Union(e.Box)
+			}
+			level = append(level, leaf)
+		}
+	}
+	for len(level) > 1 {
+		var parents []*node
+		sort.Slice(level, func(i, j int) bool { return level[i].box.Center().X < level[j].box.Center().X })
+		perStrip := intSqrtCeil((len(level)+fanout-1)/fanout) * fanout
+		for s := 0; s < len(level); s += perStrip {
+			strip := level[s:min(s+perStrip, len(level))]
+			sort.Slice(strip, func(i, j int) bool { return strip[i].box.Center().Y < strip[j].box.Center().Y })
+			for ls := 0; ls < len(strip); ls += fanout {
+				p := &node{children: append([]*node(nil), strip[ls:min(ls+fanout, len(strip))]...), box: geom.EmptyBBox()}
+				for _, c := range p.children {
+					p.box = p.box.Union(c.box)
+				}
+				parents = append(parents, p)
+			}
+		}
+		level = parents
+	}
+	return level[0]
+}
+
+func sameTree(t *testing.T, got, want *node, path string) {
+	t.Helper()
+	if got.box != want.box || len(got.children) != len(want.children) || len(got.entries) != len(want.entries) {
+		t.Fatalf("%s: node %+v (%d children, %d entries), want %+v (%d, %d)", path,
+			got.box, len(got.children), len(got.entries), want.box, len(want.children), len(want.entries))
+	}
+	for k := range got.entries {
+		if got.entries[k] != want.entries[k] {
+			t.Fatalf("%s: entry %d is %+v, want %+v", path, k, got.entries[k], want.entries[k])
+		}
+	}
+	for k := range got.children {
+		sameTree(t, got.children[k], want.children[k], path+"/"+string(rune('a'+k%26)))
+	}
+}
+
+// TestSTRPackingMatchesSortSlice pins the packed tree to the sort.Slice
+// packing it replaced, node by node, on layers with heavy centre ties
+// (boxes on a coarse integer lattice) as well as distinct centres: the
+// join order of every crosswalk build follows this structure.
+func TestSTRPackingMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(600)
+		var entries []Entry
+		if trial%2 == 0 {
+			entries = make([]Entry, n)
+			for i := range entries {
+				x, y := float64(rng.Intn(6)), float64(rng.Intn(4))
+				w, h := float64(rng.Intn(3)), float64(rng.Intn(3))
+				entries[i] = Entry{Box: geom.BBox{MinX: x, MinY: y, MaxX: x + w, MaxY: y + h}, ID: i}
+			}
+		} else {
+			entries = randomEntries(rng, n)
+		}
+		fanout := []int{2, 4, 16}[trial%3]
+		sameTree(t, NewWithFanout(entries, fanout).root, sortSliceTree(entries, fanout), "root")
+	}
+}
