@@ -79,8 +79,8 @@ func run(args []string) error {
 		polys []geom.Polygon
 		names []string
 	}{
-		{"source_units", u.Source.Units, u.Source.Names},
-		{"target_units", u.Target.Units, u.Target.Names},
+		{"source_units", u.SourceDiagram.Cells, u.Source.Names},
+		{"target_units", u.TargetDiagram.Cells, u.Target.Names},
 	}
 	for _, l := range layers {
 		switch *format {

@@ -96,11 +96,9 @@ func (hp HoledPolygon) Clone() HoledPolygon {
 //	|A∩B| = |Oa∩Ob| − Σ|Oa∩hb| − Σ|ha∩Ob| + ΣΣ|ha∩hb|
 //
 // which follows from expanding the indicator product (holes are inside
-// their outers and mutually disjoint).
+// their outers and mutually disjoint). Every term is zero when the
+// outer bounding boxes miss, and IntersectionArea checks that first.
 func HoledIntersectionArea(a, b HoledPolygon) float64 {
-	if !a.BBox().Intersects(b.BBox()) {
-		return 0
-	}
 	total := IntersectionArea(a.Outer, b.Outer)
 	for _, hb := range b.Holes {
 		total -= IntersectionArea(a.Outer, hb)

@@ -86,23 +86,3 @@ func (mp MultiPolygon) Clone() MultiPolygon {
 	}
 	return out
 }
-
-// MultiIntersectionArea returns the overlap area of two multipolygons:
-// the sum of pairwise part overlaps (exact, since parts within one unit
-// are disjoint).
-func MultiIntersectionArea(a, b MultiPolygon) float64 {
-	if !a.BBox().Intersects(b.BBox()) {
-		return 0
-	}
-	var total float64
-	for _, pa := range a {
-		ba := pa.BBox()
-		for _, pb := range b {
-			if !ba.Intersects(pb.BBox()) {
-				continue
-			}
-			total += IntersectionArea(pa, pb)
-		}
-	}
-	return total
-}

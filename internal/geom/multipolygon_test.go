@@ -71,26 +71,6 @@ func TestMultiPolygonClone(t *testing.T) {
 	}
 }
 
-func TestMultiIntersectionArea(t *testing.T) {
-	a := twoIslands()
-	// b overlaps the first island by 1 and the second by 0.5.
-	b := MultiPolygon{
-		Rect(BBox{MinX: 1, MinY: 0, MaxX: 3, MaxY: 1}),
-		Rect(BBox{MinX: 5.5, MinY: 1, MaxX: 7, MaxY: 2}),
-	}
-	if got := MultiIntersectionArea(a, b); math.Abs(got-1.5) > 1e-9 {
-		t.Errorf("overlap = %v, want 1.5", got)
-	}
-	far := MultiPolygon{Rect(BBox{MinX: 50, MinY: 50, MaxX: 51, MaxY: 51})}
-	if got := MultiIntersectionArea(a, far); got != 0 {
-		t.Errorf("disjoint overlap = %v", got)
-	}
-	// Self-overlap equals area.
-	if got := MultiIntersectionArea(a, a); math.Abs(got-a.Area()) > 1e-9 {
-		t.Errorf("self-overlap = %v, want %v", got, a.Area())
-	}
-}
-
 func TestMultiPolygonEmptyCentroid(t *testing.T) {
 	if c := (MultiPolygon{}).Centroid(); c != (Point{}) {
 		t.Errorf("empty centroid = %v", c)

@@ -196,102 +196,61 @@ func (sc *ClipScratch) PreparedIntersectionArea(a, b *PreparedPolygon) float64 {
 
 // PreparedHoledPolygon is the prepared form of a HoledPolygon: the outer
 // ring and every hole prepared individually, so the inclusion–exclusion
-// overlap of holed units reuses the cached decompositions.
+// overlap of holed units reuses the cached decompositions. It holds its
+// rings by value, so a slice of them is one allocation; like
+// PreparedPolygon it must not be copied once in use.
 type PreparedHoledPolygon struct {
-	Outer *PreparedPolygon
-	Holes []*PreparedPolygon
-	bbox  BBox
+	Outer PreparedPolygon
+	Holes []PreparedPolygon
 }
 
-// NewPreparedHoledPolygon prepares a holed polygon.
-func NewPreparedHoledPolygon(hp HoledPolygon) *PreparedHoledPolygon {
-	p := &PreparedHoledPolygon{Outer: NewPreparedPolygon(hp.Outer)}
-	p.bbox = p.Outer.BBox()
-	for _, h := range hp.Holes {
-		p.Holes = append(p.Holes, NewPreparedPolygon(h))
+// Prepare initialises p in place over private CCW copies of hp's
+// rings, so a caller can prepare parts into a slice it owns.
+func (p *PreparedHoledPolygon) Prepare(hp HoledPolygon) {
+	p.Outer.PrepareOwned(hp.Outer.Clone(), hp.Outer.BBox())
+	p.Holes = make([]PreparedPolygon, len(hp.Holes))
+	for i, h := range hp.Holes {
+		p.Holes[i].PrepareOwned(h.Clone(), h.BBox())
 	}
-	return p
 }
 
 // BBox returns the outer ring's cached bounding box.
-func (p *PreparedHoledPolygon) BBox() BBox { return p.bbox }
+func (p *PreparedHoledPolygon) BBox() BBox { return p.Outer.bbox }
+
+// Contains is HoledPolygon.Contains on the prepared rings.
+func (p *PreparedHoledPolygon) Contains(pt Point) bool {
+	if !p.Outer.ring.Contains(pt) {
+		return false
+	}
+	for i := range p.Holes {
+		if h := p.Holes[i].ring; h.Contains(pt) && !onBoundary(h, pt) {
+			return false
+		}
+	}
+	return true
+}
 
 // PreparedHoledIntersectionArea mirrors HoledIntersectionArea on
 // prepared rings: inclusion–exclusion over outer∩outer, outer∩hole and
-// hole∩hole overlaps, every term served from the caches.
+// hole∩hole overlaps, every term served from the caches. On hole-free
+// rings it is PreparedIntersectionArea of the outers.
 func (sc *ClipScratch) PreparedHoledIntersectionArea(a, b *PreparedHoledPolygon) float64 {
-	if a == nil || b == nil {
+	if !a.Outer.bbox.Intersects(b.Outer.bbox) {
 		return 0
 	}
-	if !a.bbox.Intersects(b.bbox) {
-		return 0
+	total := sc.PreparedIntersectionArea(&a.Outer, &b.Outer)
+	for j := range b.Holes {
+		total -= sc.PreparedIntersectionArea(&a.Outer, &b.Holes[j])
 	}
-	total := sc.PreparedIntersectionArea(a.Outer, b.Outer)
-	for _, hb := range b.Holes {
-		total -= sc.PreparedIntersectionArea(a.Outer, hb)
-	}
-	for _, ha := range a.Holes {
-		total -= sc.PreparedIntersectionArea(ha, b.Outer)
-		for _, hb := range b.Holes {
-			total += sc.PreparedIntersectionArea(ha, hb)
+	for i := range a.Holes {
+		ha := &a.Holes[i]
+		total -= sc.PreparedIntersectionArea(ha, &b.Outer)
+		for j := range b.Holes {
+			total += sc.PreparedIntersectionArea(ha, &b.Holes[j])
 		}
 	}
 	if total < 0 {
 		total = 0 // guard against rounding on tangent rings
 	}
 	return total
-}
-
-// PreparedHoledIntersectionArea is the scratch-free convenience form.
-func PreparedHoledIntersectionArea(a, b *PreparedHoledPolygon) float64 {
-	var sc ClipScratch
-	return sc.PreparedHoledIntersectionArea(a, b)
-}
-
-// PreparedMultiPolygon is the prepared form of a MultiPolygon: every
-// part prepared individually.
-type PreparedMultiPolygon struct {
-	Parts []*PreparedPolygon
-	bbox  BBox
-}
-
-// NewPreparedMultiPolygon prepares a multipolygon.
-func NewPreparedMultiPolygon(mp MultiPolygon) *PreparedMultiPolygon {
-	p := &PreparedMultiPolygon{bbox: EmptyBBox()}
-	for _, pg := range mp {
-		pp := NewPreparedPolygon(pg)
-		p.Parts = append(p.Parts, pp)
-		p.bbox = p.bbox.Union(pp.BBox())
-	}
-	return p
-}
-
-// BBox returns the cached bounding box over all parts.
-func (p *PreparedMultiPolygon) BBox() BBox { return p.bbox }
-
-// PreparedMultiIntersectionArea mirrors MultiIntersectionArea on
-// prepared parts: the sum of pairwise part overlaps.
-func (sc *ClipScratch) PreparedMultiIntersectionArea(a, b *PreparedMultiPolygon) float64 {
-	if a == nil || b == nil {
-		return 0
-	}
-	if !a.bbox.Intersects(b.bbox) {
-		return 0
-	}
-	var total float64
-	for _, pa := range a.Parts {
-		for _, pb := range b.Parts {
-			if !pa.bbox.Intersects(pb.bbox) {
-				continue
-			}
-			total += sc.PreparedIntersectionArea(pa, pb)
-		}
-	}
-	return total
-}
-
-// PreparedMultiIntersectionArea is the scratch-free convenience form.
-func PreparedMultiIntersectionArea(a, b *PreparedMultiPolygon) float64 {
-	var sc ClipScratch
-	return sc.PreparedMultiIntersectionArea(a, b)
 }

@@ -78,28 +78,11 @@ func TestPreparedHoledIntersectionAreaProperty(t *testing.T) {
 		a := makeHoled(Point{X: rng.Float64() * 3, Y: rng.Float64() * 3})
 		b := makeHoled(Point{X: rng.Float64() * 3, Y: rng.Float64() * 3})
 		want := HoledIntersectionArea(a, b)
-		got := sc.PreparedHoledIntersectionArea(NewPreparedHoledPolygon(a), NewPreparedHoledPolygon(b))
+		var pa, pb PreparedHoledPolygon
+		pa.Prepare(a)
+		pb.Prepare(b)
+		got := sc.PreparedHoledIntersectionArea(&pa, &pb)
 		relClose(t, got, want, "holed kernel")
-	}
-}
-
-// TestPreparedMultiIntersectionAreaProperty checks the multipolygon
-// kernel on random two-part units.
-func TestPreparedMultiIntersectionAreaProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	var sc ClipScratch
-	makeMulti := func(cx float64) MultiPolygon {
-		return MultiPolygon{
-			randomStar(rng, Point{X: cx, Y: 0}, 6+rng.Intn(8), 0.3, 1.2),
-			randomStar(rng, Point{X: cx + 1.5, Y: 1}, 6+rng.Intn(8), 0.3, 1.2),
-		}
-	}
-	for iter := 0; iter < 150; iter++ {
-		a := makeMulti(rng.Float64() * 2)
-		b := makeMulti(rng.Float64() * 2)
-		want := MultiIntersectionArea(a, b)
-		got := sc.PreparedMultiIntersectionArea(NewPreparedMultiPolygon(a), NewPreparedMultiPolygon(b))
-		relClose(t, got, want, "multi kernel")
 	}
 }
 

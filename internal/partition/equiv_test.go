@@ -103,7 +103,7 @@ func TestPolygonMeasureDMJoinEquivalence(t *testing.T) {
 // systems (two-part units).
 func TestMultiMeasureDMJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	makeSystem := func(g int, verts int) *MultiPolygonSystem {
+	makeSystem := func(g int, verts int) *PolygonSystem {
 		parts := jaggedLayer(rng, g, 100, verts)
 		units := make([]geom.MultiPolygon, 0, len(parts)/2)
 		for i := 0; i+1 < len(parts); i += 2 {
@@ -128,7 +128,7 @@ func TestMultiMeasureDMJoinEquivalence(t *testing.T) {
 // (every unit carries one hole).
 func TestHoledMeasureDMJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(25))
-	makeSystem := func(g, verts int) *HoledPolygonSystem {
+	makeSystem := func(g, verts int) *PolygonSystem {
 		outers := jaggedLayer(rng, g, 100, verts)
 		units := make([]geom.HoledPolygon, len(outers))
 		for i, o := range outers {
@@ -151,8 +151,8 @@ func TestHoledMeasureDMJoinEquivalence(t *testing.T) {
 	}
 }
 
-// TestMixedMeasureDMJoinEquivalence covers the asMulti/asHoled
-// adaptation paths under the join.
+// TestMixedMeasureDMJoinEquivalence covers a polygon layer against a
+// holed layer under the join.
 func TestMixedMeasureDMJoinEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	poly, err := NewPolygonSystem(jaggedLayer(rng, 6, 100, 10), nil)

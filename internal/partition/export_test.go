@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"math/rand"
 	"testing"
 
 	"geoalign/internal/geom"
@@ -26,4 +27,10 @@ func RawBytes(t *testing.T, src, tgt []geom.MultiPolygon) int64 {
 		total += info.rawBytes()
 	}
 	return total
+}
+
+// JaggedLayer exposes the non-convex star-polygon layer of the
+// equivalence tests to the external-package tests in this directory.
+func JaggedLayer(rng *rand.Rand, g int, span float64, verts int) []geom.Polygon {
+	return jaggedLayer(rng, g, span, verts)
 }

@@ -9,7 +9,7 @@ import (
 
 // countyAndCity builds the independent-city topology: unit 0 is a 4x4
 // county with a 1x1 hole, unit 1 is the city filling the hole.
-func countyAndCity(t *testing.T) *HoledPolygonSystem {
+func countyAndCity(t *testing.T) *PolygonSystem {
 	t.Helper()
 	units := []geom.HoledPolygon{
 		{
@@ -128,5 +128,57 @@ func TestHoledMixedKindError(t *testing.T) {
 	iv := NewIntervalSystem(mustPartition(t, []float64{0, 1}))
 	if _, err := MeasureDM(holed, iv); err == nil {
 		t.Error("holed×interval accepted")
+	}
+}
+
+// TestMixedHoledMultiMeasureDM measures a holed layer against a
+// multi-part layer, both ways: a county with an enclave city in its
+// hole plus an island county, against two targets that each hold one
+// half of the mainland and one half of the island. Mass is preserved
+// (row sums are the unit areas, column sums the target areas) and the
+// join agrees with the brute oracle.
+func TestMixedHoledMultiMeasureDM(t *testing.T) {
+	city := geom.RegularPolygon(geom.Point{X: 1.5, Y: 1}, 0.5, 6, 0.2)
+	holed, err := NewHoledPolygonSystem([]geom.HoledPolygon{
+		{Outer: geom.Rect(geom.BBox{MinX: 0, MinY: 0, MaxX: 3, MaxY: 2}), Holes: []geom.Polygon{city}},
+		geom.Solid(city.Clone()),
+		geom.Solid(geom.Rect(geom.BBox{MinX: 3.5, MinY: 0.5, MaxX: 4.5, MaxY: 1.5})),
+	}, []string{"county", "city", "island"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi, err := NewMultiPolygonSystem([]geom.MultiPolygon{
+		{
+			geom.Rect(geom.BBox{MinX: 0, MinY: 0, MaxX: 1.5, MaxY: 2}),
+			geom.Rect(geom.BBox{MinX: 3.5, MinY: 0.5, MaxX: 4, MaxY: 1.5}),
+		},
+		{
+			geom.Rect(geom.BBox{MinX: 1.5, MinY: 0, MaxX: 3, MaxY: 2}),
+			geom.Rect(geom.BBox{MinX: 4, MinY: 0.5, MaxX: 4.5, MaxY: 1.5}),
+		},
+	}, []string{"west", "east"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	relEq := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	for _, dir := range []struct {
+		name     string
+		src, tgt System
+	}{{"holed→multi", holed, multi}, {"multi→holed", multi, holed}} {
+		join, brute := measureBoth(t, dir.src, dir.tgt)
+		csrsEqual(t, join, brute, dir.name+" join vs brute", 1e-9)
+		for i, got := range join.RowSums() {
+			if want := dir.src.Measure(i); !relEq(got, want) {
+				t.Errorf("%s: row %d sums to %.17g, unit area %.17g", dir.name, i, got, want)
+			}
+		}
+		for j, got := range join.ColSums() {
+			if want := dir.tgt.Measure(j); !relEq(got, want) {
+				t.Errorf("%s: column %d sums to %.17g, target area %.17g", dir.name, j, got, want)
+			}
+		}
+	}
+	if got := holed.Measure(0) + holed.Measure(1) + holed.Measure(2); !relEq(got, multi.Measure(0)+multi.Measure(1)) {
+		t.Errorf("layers cover different areas: %v vs %v", got, multi.Measure(0)+multi.Measure(1))
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 // islandSystem builds two units over [0,4]×[0,2]: unit 0 is two islands
 // (left column pieces), unit 1 is the solid remainder's right half.
-func islandSystem(t *testing.T) *MultiPolygonSystem {
+func islandSystem(t *testing.T) *PolygonSystem {
 	t.Helper()
 	units := []geom.MultiPolygon{
 		{

@@ -61,50 +61,11 @@ type System interface {
 func MeasureDM(src, tgt System) (*sparse.CSR, error) {
 	switch s := src.(type) {
 	case *PolygonSystem:
-		switch t := tgt.(type) {
-		case *PolygonSystem:
-			return polygonMeasureDM(s, t), nil
-		case *MultiPolygonSystem:
-			sm, err := s.asMulti()
-			if err != nil {
-				return nil, err
-			}
-			return multiMeasureDM(sm, t), nil
-		case *HoledPolygonSystem:
-			sh, err := s.asHoled()
-			if err != nil {
-				return nil, err
-			}
-			return holedMeasureDM(sh, t), nil
-		default:
+		t, ok := tgt.(*PolygonSystem)
+		if !ok {
 			return nil, fmt.Errorf("partition: cannot intersect %T with %T", src, tgt)
 		}
-	case *HoledPolygonSystem:
-		switch t := tgt.(type) {
-		case *HoledPolygonSystem:
-			return holedMeasureDM(s, t), nil
-		case *PolygonSystem:
-			th, err := t.asHoled()
-			if err != nil {
-				return nil, err
-			}
-			return holedMeasureDM(s, th), nil
-		default:
-			return nil, fmt.Errorf("partition: cannot intersect %T with %T", src, tgt)
-		}
-	case *MultiPolygonSystem:
-		switch t := tgt.(type) {
-		case *MultiPolygonSystem:
-			return multiMeasureDM(s, t), nil
-		case *PolygonSystem:
-			tm, err := t.asMulti()
-			if err != nil {
-				return nil, err
-			}
-			return multiMeasureDM(s, tm), nil
-		default:
-			return nil, fmt.Errorf("partition: cannot intersect %T with %T", src, tgt)
-		}
+		return areaMeasureDM(s, t), nil
 	case *IntervalSystem:
 		t, ok := tgt.(*IntervalSystem)
 		if !ok {
@@ -216,51 +177,112 @@ func minInt(a, b int) int {
 
 // --- 2-D polygon systems ---
 
-// PolygonSystem is a 2-D unit system backed by simple polygons with an
-// R-tree for point location and overlap search. A Diagram-style nearest
+// PolygonSystem is a 2-D unit system whose units are one or more
+// disjoint parts, each a simple polygon with zero or more holes: plain
+// polygon layers, units with islands or exclaves, and the "county
+// surrounding an independent city" topology, where the city is its own
+// unit filling the county's hole. Parts are flattened in unit order,
+// prepared once, and indexed by one R-tree. A Diagram-style nearest
 // locator can be plugged in for Voronoi layers, where point location by
 // nearest seed is faster and numerically exact on cell boundaries.
 type PolygonSystem struct {
-	Units   []geom.Polygon
-	Names   []string // optional; len 0 or Len()
-	tree    *rtree.Tree
-	areas   []float64
-	prep    []*geom.PreparedPolygon // per-unit geometry cache (bbox, convexity, lazy triangulation)
-	locator func(geom.Point) int    // optional override (e.g. Voronoi nearest)
+	Names    []string                    // optional; len 0 or Len()
+	parts    []geom.PreparedHoledPolygon // all parts, flattened in unit order
+	partUnit []int                       // parts[k] belongs to unit partUnit[k]
+	tree     *rtree.Tree                 // over parts
+	areas    []float64                   // per unit, holes subtracted
+	nested   bool                        // some part has a hole: Locate picks the innermost unit
+	locator  func(geom.Point) int        // optional override (e.g. Voronoi nearest)
 }
 
-// NewPolygonSystem indexes the given polygons as a unit system. Names
-// may be nil. The polygons are assumed disjoint (a partition); that
+// NewPolygonSystem indexes simple polygons as a unit system. Names may
+// be nil. The polygons are assumed disjoint (a partition); that
 // invariant is the generator's responsibility and is validated in
 // tests, not on every construction.
 func NewPolygonSystem(units []geom.Polygon, names []string) (*PolygonSystem, error) {
-	if len(units) == 0 {
-		return nil, fmt.Errorf("partition: no units")
-	}
-	if names != nil && len(names) != len(units) {
-		return nil, fmt.Errorf("partition: %d names for %d units", len(names), len(units))
-	}
-	entries := make([]rtree.Entry, len(units))
-	areas := make([]float64, len(units))
-	prep := make([]*geom.PreparedPolygon, len(units))
-	for i, u := range units {
+	return newPolygonSystem(len(units), names, func(i int, parts []geom.HoledPolygon) ([]geom.HoledPolygon, error) {
+		u := units[i]
 		if len(u) < 3 {
 			return nil, fmt.Errorf("partition: unit %d is degenerate (%d vertices)", i, len(u))
 		}
 		if k := u.NonFinite(); k >= 0 {
 			return nil, fmt.Errorf("partition: unit %d vertex %d is not finite (%v)", i, k, u[k])
 		}
-		prep[i] = geom.NewPreparedPolygon(u)
-		entries[i] = rtree.Entry{Box: prep[i].BBox(), ID: i}
-		areas[i] = u.Area()
+		return append(parts, geom.Solid(u)), nil
+	})
+}
+
+// NewMultiPolygonSystem indexes units with one or more disjoint parts
+// (island counties, exclaves). Names may be nil.
+func NewMultiPolygonSystem(units []geom.MultiPolygon, names []string) (*PolygonSystem, error) {
+	return newPolygonSystem(len(units), names, func(u int, parts []geom.HoledPolygon) ([]geom.HoledPolygon, error) {
+		if len(units[u]) == 0 {
+			return nil, fmt.Errorf("partition: unit %d has no parts", u)
+		}
+		for p, pg := range units[u] {
+			if len(pg) < 3 {
+				return nil, fmt.Errorf("partition: unit %d part %d is degenerate", u, p)
+			}
+			if k := pg.NonFinite(); k >= 0 {
+				return nil, fmt.Errorf("partition: unit %d part %d vertex %d is not finite (%v)", u, p, k, pg[k])
+			}
+			parts = append(parts, geom.Solid(pg))
+		}
+		return parts, nil
+	})
+}
+
+// NewHoledPolygonSystem indexes units that may have holes. Names may be
+// nil.
+func NewHoledPolygonSystem(units []geom.HoledPolygon, names []string) (*PolygonSystem, error) {
+	return newPolygonSystem(len(units), names, func(i int, parts []geom.HoledPolygon) ([]geom.HoledPolygon, error) {
+		u := units[i]
+		if len(u.Outer) < 3 {
+			return nil, fmt.Errorf("partition: unit %d has a degenerate outer ring", i)
+		}
+		if k := u.Outer.NonFinite(); k >= 0 {
+			return nil, fmt.Errorf("partition: unit %d outer ring vertex %d is not finite (%v)", i, k, u.Outer[k])
+		}
+		for h, hole := range u.Holes {
+			if k := hole.NonFinite(); k >= 0 {
+				return nil, fmt.Errorf("partition: unit %d hole %d vertex %d is not finite (%v)", i, h, k, hole[k])
+			}
+		}
+		return append(parts, u), nil
+	})
+}
+
+// newPolygonSystem builds a system of n units; unitParts validates
+// unit u and appends its parts to the given slice.
+func newPolygonSystem(n int, names []string, unitParts func(u int, parts []geom.HoledPolygon) ([]geom.HoledPolygon, error)) (*PolygonSystem, error) {
+	if n == 0 {
+		return nil, fmt.Errorf("partition: no units")
 	}
-	return &PolygonSystem{
-		Units: units,
-		Names: names,
-		tree:  rtree.New(entries),
-		areas: areas,
-		prep:  prep,
-	}, nil
+	if names != nil && len(names) != n {
+		return nil, fmt.Errorf("partition: %d names for %d units", len(names), n)
+	}
+	parts := make([]geom.HoledPolygon, 0, n)
+	s := &PolygonSystem{Names: names, partUnit: make([]int, 0, n), areas: make([]float64, n)}
+	for u := 0; u < n; u++ {
+		var err error
+		first := len(parts)
+		if parts, err = unitParts(u, parts); err != nil {
+			return nil, err
+		}
+		for _, hp := range parts[first:] {
+			s.partUnit = append(s.partUnit, u)
+			s.areas[u] += hp.Area()
+			s.nested = s.nested || len(hp.Holes) > 0
+		}
+	}
+	s.parts = make([]geom.PreparedHoledPolygon, len(parts))
+	entries := make([]rtree.Entry, len(parts))
+	for k, hp := range parts {
+		s.parts[k].Prepare(hp)
+		entries[k] = rtree.Entry{Box: s.parts[k].BBox(), ID: k}
+	}
+	s.tree = rtree.New(entries)
+	return s, nil
 }
 
 // SetLocator installs a custom point locator (unit index or -1), such
@@ -268,12 +290,12 @@ func NewPolygonSystem(units []geom.Polygon, names []string) (*PolygonSystem, err
 func (s *PolygonSystem) SetLocator(fn func(geom.Point) int) { s.locator = fn }
 
 // Len returns the number of units.
-func (s *PolygonSystem) Len() int { return len(s.Units) }
+func (s *PolygonSystem) Len() int { return len(s.areas) }
 
 // Dim returns 2.
 func (s *PolygonSystem) Dim() int { return 2 }
 
-// Measure returns the area of unit i.
+// Measure returns the (hole-subtracted) area of unit i.
 func (s *PolygonSystem) Measure(i int) float64 { return s.areas[i] }
 
 // Locate returns the unit containing (pt[0], pt[1]), or -1.
@@ -281,57 +303,82 @@ func (s *PolygonSystem) Locate(pt []float64) int {
 	if len(pt) != 2 {
 		return -1
 	}
-	p := geom.Point{X: pt[0], Y: pt[1]}
-	return s.LocatePoint(p)
+	return s.LocatePoint(geom.Point{X: pt[0], Y: pt[1]})
 }
 
-// LocatePoint is Locate with a geom.Point argument.
+// LocatePoint is Locate with a geom.Point argument. Without holes the
+// unit of the first part found containing p wins. When some part has a
+// hole, units may nest (a city filling a county's hole), so every
+// candidate is checked and the smallest-area unit containing p wins:
+// the city beats the surrounding county.
 func (s *PolygonSystem) LocatePoint(p geom.Point) int {
 	if s.locator != nil {
 		return s.locator(p)
 	}
-	found := -1
+	best, bestArea := -1, 0.0
 	s.tree.Visit(geom.BBox{MinX: p.X, MinY: p.Y, MaxX: p.X, MaxY: p.Y}, func(e rtree.Entry) bool {
-		if s.Units[e.ID].Contains(p) {
-			found = e.ID
-			return false
+		if !s.parts[e.ID].Contains(p) {
+			return true
 		}
-		return true
+		u := s.partUnit[e.ID]
+		if best < 0 || s.areas[u] < bestArea {
+			best, bestArea = u, s.areas[u]
+		}
+		return s.nested
 	})
-	return found
+	return best
 }
 
-// Overlapping appends to dst the indices of units whose bounding boxes
-// intersect the query box.
-func (s *PolygonSystem) Overlapping(b geom.BBox, dst []int) []int {
-	return s.tree.Search(b, dst)
+// part returns part k's CCW rings as a HoledPolygon, for the uncached
+// kernels of the brute path.
+func (s *PolygonSystem) part(k int) geom.HoledPolygon {
+	p := &s.parts[k]
+	hp := geom.HoledPolygon{Outer: p.Outer.Ring()}
+	for i := range p.Holes {
+		hp.Holes = append(hp.Holes, p.Holes[i].Ring())
+	}
+	return hp
 }
 
-// polygonMeasureDM computes pairwise intersection areas. Candidate
-// pairs come from a parallel dual-tree join of the two R-trees; each
-// pair's area is computed by the prepared-geometry kernel with a
-// per-worker scratch arena, and rows are merged in row order, so the
-// result is deterministic. The test-only brute path issues one R-tree
-// query per source row with the uncached kernels instead.
-func polygonMeasureDM(src, tgt *PolygonSystem) *sparse.CSR {
+// areaMeasureDM computes pairwise intersection areas at the part level
+// and accumulates them per unit pair. Candidate part pairs come from a
+// parallel dual-tree join of the two R-trees; each pair's area is
+// computed by the prepared hole-aware kernel with a per-worker scratch
+// arena; target parts are folded to their units and rows merged in
+// part order, so the result is deterministic. The test-only brute path
+// issues one R-tree query per source part with the uncached kernel
+// instead.
+func areaMeasureDM(src, tgt *PolygonSystem) *sparse.CSR {
+	var rows []rowEntries
 	if bruteJoin.Load() {
-		rows := parallelRows(src.Len(), func(i int, add func(j int, v float64)) {
-			su := src.Units[i]
-			for _, j := range tgt.Overlapping(su.BBox(), nil) {
-				if a := geom.IntersectionArea(su, tgt.Units[j]); a > 0 {
-					add(j, a)
+		rows = parallelRows(len(src.parts), func(pi int, add func(j int, v float64)) {
+			a := src.part(pi)
+			for _, qj := range tgt.tree.Search(a.BBox(), nil) {
+				if v := geom.HoledIntersectionArea(a, tgt.part(qj)); v > 0 {
+					add(tgt.partUnit[qj], v)
 				}
 			}
 		})
-		return assembleRows(rows, src.Len(), tgt.Len())
+	} else {
+		rows = joinRows(src.tree, tgt.tree, len(src.parts), func(sc *geom.ClipScratch, pi, qj int) float64 {
+			return sc.PreparedHoledIntersectionArea(&src.parts[pi], &tgt.parts[qj])
+		})
+		for pi := range rows {
+			for k, qj := range rows[pi].cols {
+				rows[pi].cols[k] = tgt.partUnit[qj]
+			}
+		}
 	}
-	rows := joinRows(src.tree, tgt.tree, src.Len(), func(sc *geom.ClipScratch, i, j int) float64 {
-		return sc.PreparedIntersectionArea(src.prep[i], tgt.prep[j])
-	})
-	return assembleRows(rows, src.Len(), tgt.Len())
+	coo := sparse.NewCOO(src.Len(), tgt.Len())
+	for pi, r := range rows {
+		for k, j := range r.cols {
+			coo.Add(src.partUnit[pi], j, r.vals[k])
+		}
+	}
+	return coo.ToCSR()
 }
 
-// rowEntries is one source unit's crosswalk row under construction.
+// rowEntries is one source part's crosswalk row under construction.
 type rowEntries struct {
 	cols []int
 	vals []float64
@@ -341,7 +388,7 @@ type rowEntries struct {
 // pair with a parallel dual-tree join and evaluates the pair measure
 // with a per-worker geometry scratch arena. The join guarantees one
 // worker owns all pairs of a given source row, so the per-row appends
-// are race-free without locks, and assembleRows merges rows in order —
+// are race-free without locks, and the caller merges rows in order —
 // the result is deterministic regardless of worker count or schedule.
 // Pairs with non-positive measure are dropped, matching the brute path.
 func joinRows(a, b *rtree.Tree, nRows int, pair func(sc *geom.ClipScratch, i, j int) float64) []rowEntries {
@@ -389,17 +436,6 @@ func parallelRows(n int, fill func(i int, add func(j int, v float64))) []rowEntr
 	}
 	wg.Wait()
 	return rows
-}
-
-// assembleRows turns per-row entries into a CSR matrix, in row order.
-func assembleRows(rows []rowEntries, nr, nc int) *sparse.CSR {
-	coo := sparse.NewCOO(nr, nc)
-	for i, r := range rows {
-		for k, j := range r.cols {
-			coo.Add(i, j, r.vals[k])
-		}
-	}
-	return coo.ToCSR()
 }
 
 // --- 1-D interval systems ---

@@ -51,12 +51,13 @@ func TestNewPolygonSystemValidation(t *testing.T) {
 }
 
 func TestPolygonLocate(t *testing.T) {
-	s, err := NewPolygonSystem(gridPolygons(t, 4, 4, 1, 1), nil)
+	units := gridPolygons(t, 4, 4, 1, 1)
+	s, err := NewPolygonSystem(units, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	i := s.Locate([]float64{0.6, 0.1})
-	if i < 0 || !s.Units[i].Contains(geom.Point{X: 0.6, Y: 0.1}) {
+	if i < 0 || !units[i].Contains(geom.Point{X: 0.6, Y: 0.1}) {
 		t.Errorf("Locate = %d", i)
 	}
 	if s.Locate([]float64{2, 2}) != -1 {

@@ -14,7 +14,7 @@ import (
 // tiledTestLayers builds a multi-part source and target layer (the
 // richest case: duplicate unit pairs from multiple part pairs) plus
 // the in-memory systems MeasureDM needs for the baseline.
-func tiledTestLayers(t *testing.T, seed int64, gSrc, gTgt int) (src, tgt []geom.MultiPolygon, srcSys, tgtSys *MultiPolygonSystem) {
+func tiledTestLayers(t *testing.T, seed int64, gSrc, gTgt int) (src, tgt []geom.MultiPolygon, srcSys, tgtSys *PolygonSystem) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	makeUnits := func(g, verts int) []geom.MultiPolygon {

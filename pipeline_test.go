@@ -32,7 +32,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// --- Export/import the source layer via GeoJSON. ---
 	var lay geojson.Layer
-	for i, pg := range u.Source.Units {
+	for i, pg := range u.SourceDiagram.Cells {
 		lay.Features = append(lay.Features, geojson.Feature{
 			Polygon:    pg,
 			Properties: map[string]any{"name": u.Source.Names[i]},
@@ -53,7 +53,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 	// --- Export/import the target layer via shapefile. ---
 	sf := &shapefile.File{Fields: []shapefile.Field{{Name: "NAME", Length: 16}}}
-	for i, pg := range u.Target.Units {
+	for i, pg := range u.TargetDiagram.Cells {
 		sf.Records = append(sf.Records, shapefile.Record{
 			Polygon: pg,
 			Attrs:   map[string]string{"NAME": u.Target.Names[i]},
