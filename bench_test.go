@@ -789,14 +789,16 @@ func reportPeakHeap(b *testing.B, fn func()) {
 // a deliberately tiny budget to include the disk round-trip. The
 // perfbench-shape variant is perfbench's offline build in-process: its
 // 30000 × 1500 layer pair, a 1 MiB budget (every build spills) and one
-// worker, with allocations reported. It runs last, so the large layers
-// it keeps do not count in the other variants' peak-heap-bytes.
+// worker. Every variant reports its allocations. perfbench-shape runs
+// last, so the large layers it keeps do not count in the other
+// variants' peak-heap-bytes.
 func BenchmarkCrosswalkBuildTiled(b *testing.B) {
 	crosswalkBenchLayers(b)
 	src := partition.SliceStream(crosswalkBenchSrc)
 	tgt := partition.SliceStream(crosswalkBenchTgt)
 	runTiled := func(name string, opt partition.TiledOptions) {
 		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
 			reportPeakHeap(b, func() {
 				for i := 0; i < b.N; i++ {
 					dm, _, err := partition.TiledMeasureDM(src, tgt, opt)
@@ -818,6 +820,7 @@ func BenchmarkCrosswalkBuildTiled(b *testing.B) {
 		SpillDir:  b.TempDir(),
 	})
 	b.Run("inmemory", func(b *testing.B) {
+		b.ReportAllocs()
 		reportPeakHeap(b, func() {
 			for i := 0; i < b.N; i++ {
 				srcSys, err := partition.NewMultiPolygonSystem(crosswalkBenchSrc, nil)

@@ -10,12 +10,11 @@ func ClipConvex(subject, clip Polygon) Polygon {
 	if len(subject) < 3 || len(clip) < 3 {
 		return nil
 	}
-	out := append(Polygon(nil), subject.Clone().EnsureCCW()...)
+	out := subject.Clone().EnsureCCW()
 	c := clip.Clone().EnsureCCW()
 	n := len(c)
 	for i := 0; i < n && len(out) > 0; i++ {
-		a, b := c[i], c[(i+1)%n]
-		out = clipAgainstEdge(out, a, b)
+		out = appendClipEdge(nil, out, c[i], c[(i+1)%n])
 	}
 	if len(out) < 3 {
 		return nil
@@ -23,35 +22,44 @@ func ClipConvex(subject, clip Polygon) Polygon {
 	return out
 }
 
-// clipAgainstEdge keeps the part of pg on the left of the directed line
-// a→b.
-func clipAgainstEdge(pg Polygon, a, b Point) Polygon {
-	var out Polygon
+// appendClipEdge appends the part of pg on the left of the directed
+// line a→b to dst and returns the extended slice. The edge vector b−a
+// is taken once per edge rather than once per vertex; every
+// orientation test and crossing point is otherwise computed with
+// Orient's and the crossing formula's exact operations, in their
+// order, so the output is bit-identical to evaluating them afresh.
+func appendClipEdge(dst Polygon, pg Polygon, a, b Point) Polygon {
 	n := len(pg)
 	if n == 0 {
-		return nil
+		return dst
 	}
+	d := b.Sub(a)
 	prev := pg[n-1]
-	prevIn := Orient(a, b, prev) >= 0
+	prevIn := orientDir(a, d, prev) >= 0
 	for _, cur := range pg {
-		curIn := Orient(a, b, cur) >= 0
+		curIn := orientDir(a, d, cur) >= 0
 		if curIn != prevIn {
-			if p, ok := lineSegCross(a, b, prev, cur); ok {
-				out = append(out, p)
+			if p, ok := lineSegCross(a, d, prev, cur); ok {
+				dst = append(dst, p)
 			}
 		}
 		if curIn {
-			out = append(out, cur)
+			dst = append(dst, cur)
 		}
 		prev, prevIn = cur, curIn
 	}
-	return out
+	return dst
 }
 
-// lineSegCross intersects the infinite line through (a,b) with the
-// segment [p,q].
-func lineSegCross(a, b, p, q Point) (Point, bool) {
-	d := b.Sub(a)
+// orientDir is Orient(a, a+d, c) for the edge vector d = b−a already
+// taken: the same products and difference, in the same order.
+func orientDir(a, d, c Point) float64 {
+	return d.X*(c.Y-a.Y) - d.Y*(c.X-a.X)
+}
+
+// lineSegCross intersects the infinite line through a with direction d
+// (an edge b−a) with the segment [p,q].
+func lineSegCross(a, d, p, q Point) (Point, bool) {
 	e := q.Sub(p)
 	denom := d.Cross(e)
 	if denom == 0 {

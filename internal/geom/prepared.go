@@ -14,14 +14,18 @@ import "sync"
 //
 // A PreparedPolygon is immutable after construction and safe for
 // concurrent use: the lazy triangulation is guarded by a sync.Once.
+// Its triangles live in one allocation of their own, or — for a
+// polygon prepared with PrepareInArena — in the triangle arena of the
+// ClipScratch that first needs them.
 type PreparedPolygon struct {
-	ring   Polygon // CCW-normalized private copy
-	bbox   BBox
-	convex bool
+	ring    Polygon // CCW-normalized private copy
+	bbox    BBox
+	convex  bool
+	inArena bool // triangulate into the asking scratch's arena
 
 	triOnce sync.Once
-	tris    []Polygon
-	triBB   []BBox
+	tris    []Point // triangle k is tris[3k:3k+3], CCW
+	corners []Point // triangle k's bounding box is corners[2k] to corners[2k+1]
 	triErr  error
 }
 
@@ -47,6 +51,17 @@ func (p *PreparedPolygon) PrepareOwned(ring Polygon, box BBox) {
 	*p = PreparedPolygon{ring: ring, bbox: box, convex: ring.IsConvex()}
 }
 
+// PrepareInArena is PrepareOwned for a polygon that lives no longer
+// than one batch of a single worker: its triangulation, when a
+// ClipScratch first needs it, is appended to that scratch's triangle
+// arena instead of a fresh allocation. After the scratch's
+// ResetArena, p must be re-prepared before it is used again, and p
+// must only ever be passed to that one scratch.
+func (p *PreparedPolygon) PrepareInArena(ring Polygon, box BBox) {
+	p.PrepareOwned(ring, box)
+	p.inArena = true
+}
+
 // Ring returns the CCW-normalized vertex ring. Callers must not modify
 // it.
 func (p *PreparedPolygon) Ring() Polygon { return p.ring }
@@ -61,51 +76,86 @@ func (p *PreparedPolygon) IsConvex() bool { return p.convex }
 func (p *PreparedPolygon) Area() float64 { return p.ring.Area() }
 
 // Triangles returns the cached ear-clipping triangulation (computed on
-// first use). The returned slice is shared; callers must not modify it.
+// first use), each triangle a 3-vertex view of the shared cache;
+// callers must not modify them.
 func (p *PreparedPolygon) Triangles() ([]Polygon, error) {
-	tris, _, err := p.triangulation()
-	return tris, err
+	var sc ClipScratch
+	tris, _, err := p.triangulation(&sc)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Polygon, len(tris)/3)
+	for k := range out {
+		out[k] = Polygon(tris[3*k : 3*k+3 : 3*k+3])
+	}
+	return out, nil
 }
 
-// triangulation computes and caches the triangulation plus per-triangle
-// bounding boxes, once.
-func (p *PreparedPolygon) triangulation() ([]Polygon, []BBox, error) {
+// triangulation computes and caches, once, the triangles and their
+// bounding-box corners, with sc's work ring for the ear clipping. A
+// shared polygon takes one allocation sized for n−2 triangles; an
+// arena polygon appends to sc's arena.
+func (p *PreparedPolygon) triangulation(sc *ClipScratch) (tris, corners []Point, err error) {
 	p.triOnce.Do(func() {
-		p.tris, p.triErr = Triangulate(p.ring)
-		if p.triErr == nil {
-			p.triBB = make([]BBox, len(p.tris))
-			for i, t := range p.tris {
-				p.triBB[i] = t.BBox()
+		var buf []Point
+		if p.inArena {
+			buf = sc.arena
+		} else if n := len(p.ring); n >= 3 {
+			buf = make([]Point, 0, 5*(n-2))
+		}
+		lo := len(buf)
+		buf, sc.work, p.triErr = appendTriangles(buf, sc.work, p.ring)
+		if p.triErr != nil {
+			buf = buf[:lo]
+		} else {
+			mid := len(buf)
+			for k := lo; k < mid; k += 3 {
+				b := Polygon(buf[k : k+3]).BBox()
+				buf = append(buf, Point{X: b.MinX, Y: b.MinY}, Point{X: b.MaxX, Y: b.MaxY})
 			}
+			p.tris = buf[lo:mid:mid]
+			p.corners = buf[mid:len(buf):len(buf)]
+		}
+		if p.inArena {
+			sc.arena = buf
 		}
 	})
-	return p.tris, p.triBB, p.triErr
+	return p.tris, p.corners, p.triErr
 }
 
 // ClipScratch holds reusable clipping buffers so the inner loop of
 // crosswalk preprocessing is allocation-free in steady state: the two
 // ping-pong rings grow to the largest clip result seen and are then
-// reused for every subsequent pair. The zero value is ready to use. A
+// reused for every subsequent pair, the work ring to the largest
+// polygon triangulated, and the triangle arena to the largest batch of
+// PrepareInArena polygons. The zero value is ready to use. A
 // ClipScratch is not safe for concurrent use; give each worker its own.
 type ClipScratch struct {
 	cur, nxt Polygon
+	work     []Point // ear-clipping ring
+	arena    []Point // triangles and corners of PrepareInArena polygons
 }
+
+// ResetArena empties the triangle arena for the next batch of
+// PrepareInArena polygons, keeping its capacity. Every polygon whose
+// triangles were in it must be re-prepared before it is used again.
+func (sc *ClipScratch) ResetArena() { sc.arena = sc.arena[:0] }
 
 // clipConvexArea returns the overlap area of a simple CCW subject ring
 // clipped against a convex CCW clip ring (Sutherland–Hodgman), writing
 // every intermediate ring into the scratch buffers. It performs the same
 // arithmetic as ClipConvex(subject, clip).Area() for CCW inputs, without
-// the per-call clones and result allocation.
+// the per-call clones and result allocation; the first edge reads the
+// subject directly instead of a copy of it.
 func (sc *ClipScratch) clipConvexArea(subject, clip Polygon) float64 {
 	if len(subject) < 3 || len(clip) < 3 {
 		return 0
 	}
-	cur := append(sc.cur[:0], subject...)
-	nxt := sc.nxt[:0]
 	n := len(clip)
-	for i := 0; i < n && len(cur) > 0; i++ {
-		a, b := clip[i], clip[(i+1)%n]
-		nxt = appendClipEdge(nxt[:0], cur, a, b)
+	cur := appendClipEdge(sc.cur[:0], subject, clip[0], clip[1])
+	nxt := sc.nxt[:0]
+	for i := 1; i < n && len(cur) > 0; i++ {
+		nxt = appendClipEdge(nxt[:0], cur, clip[i], clip[(i+1)%n])
 		cur, nxt = nxt, cur
 	}
 	sc.cur, sc.nxt = cur, nxt // keep the grown capacity for the next pair
@@ -113,31 +163,6 @@ func (sc *ClipScratch) clipConvexArea(subject, clip Polygon) float64 {
 		return 0
 	}
 	return Polygon(cur).Area()
-}
-
-// appendClipEdge is clipAgainstEdge writing into a caller-provided
-// buffer: it appends the part of pg left of the directed line a→b to dst
-// and returns the extended slice.
-func appendClipEdge(dst Polygon, pg Polygon, a, b Point) Polygon {
-	n := len(pg)
-	if n == 0 {
-		return dst
-	}
-	prev := pg[n-1]
-	prevIn := Orient(a, b, prev) >= 0
-	for _, cur := range pg {
-		curIn := Orient(a, b, cur) >= 0
-		if curIn != prevIn {
-			if p, ok := lineSegCross(a, b, prev, cur); ok {
-				dst = append(dst, p)
-			}
-		}
-		if curIn {
-			dst = append(dst, cur)
-		}
-		prev, prevIn = cur, curIn
-	}
-	return dst
 }
 
 // PreparedIntersectionArea returns the overlap area of two prepared
@@ -169,27 +194,28 @@ func (sc *ClipScratch) PreparedIntersectionArea(a, b *PreparedPolygon) float64 {
 	if a.convex {
 		return sc.clipConvexArea(b.ring, a.ring)
 	}
-	tris, triBB, err := b.triangulation()
+	tris, corners, err := b.triangulation(sc)
 	if err != nil {
 		// Fall back to triangulating the other polygon, mirroring
 		// IntersectionArea's fallback (which sums over all triangles
 		// without a bbox filter).
-		tris, _, err = a.triangulation()
+		tris, _, err = a.triangulation(sc)
 		if err != nil {
 			return 0
 		}
 		var total float64
-		for _, t := range tris {
-			total += sc.clipConvexArea(b.ring, t)
+		for k := 0; k < len(tris); k += 3 {
+			total += sc.clipConvexArea(b.ring, Polygon(tris[k:k+3]))
 		}
 		return total
 	}
 	var total float64
-	for k, t := range tris {
-		if !triBB[k].Intersects(a.bbox) {
+	for j := 0; 3*j < len(tris); j++ {
+		lo, hi := corners[2*j], corners[2*j+1]
+		if !(BBox{MinX: lo.X, MinY: lo.Y, MaxX: hi.X, MaxY: hi.Y}).Intersects(a.bbox) {
 			continue
 		}
-		total += sc.clipConvexArea(a.ring, t)
+		total += sc.clipConvexArea(a.ring, Polygon(tris[3*j:3*j+3]))
 	}
 	return total
 }

@@ -34,3 +34,11 @@ func RawBytes(t *testing.T, src, tgt []geom.MultiPolygon) int64 {
 func JaggedLayer(rng *rand.Rand, g int, span float64, verts int) []geom.Polygon {
 	return jaggedLayer(rng, g, span, verts)
 }
+
+// SetTileLoadHook installs fn to run before each tile layer load of
+// TiledMeasureDM (an error it returns fails that load) and returns a
+// function that removes it.
+func SetTileLoadHook(fn func(layer, t int) error) (restore func()) {
+	tileLoadHook = fn
+	return func() { tileLoadHook = nil }
+}

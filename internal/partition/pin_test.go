@@ -55,10 +55,12 @@ func tigerUnits(t *testing.T, units int, seed int64) []geom.MultiPolygon {
 // layer pairs — the multi-part jagged fixture, at a size where some
 // unit pairs sum three part pairs whose total depends on the order the
 // join visits them, and a seed-fixed TIGER lattice pair — over explicit
-// and budget-sized grids, one and four workers, with and without
-// spilling. A change to the reference-point rule, the tile-order
-// merge, the join's visiting order or chooseGrid's choice shows up as
-// a different hash or grid.
+// and budget-sized grids, one and four workers, without spilling,
+// with some spilling, and with a budget so small that every record
+// spills every resident bucket (so each bucket refills a reused buffer
+// after every spill). A change to the reference-point rule, the
+// tile-order merge, the join's visiting order, the bucket codec or
+// chooseGrid's choice shows up as a different hash or grid.
 func TestTiledMeasureDMBitsPinned(t *testing.T) {
 	jagSrc, jagTgt := partition.TiledTestLayers(t, 47, 20, 10)
 	layers := []struct {
@@ -84,15 +86,28 @@ func TestTiledMeasureDMBitsPinned(t *testing.T) {
 			"8x9": "c5632eb040117e42",
 		},
 	}
-	autoGrid := map[string]map[bool]map[int]string{
-		"jagged-multipart": {false: {1: "1x2", 4: "2x3"}, true: {1: "5x6", 4: "5x6"}},
-		"tiger":            {false: {1: "1x2", 4: "2x3"}, true: {1: "8x9", 4: "8x9"}},
+	autoGrid := map[string]map[string]map[int]string{
+		"jagged-multipart": {"none": {1: "1x2", 4: "2x3"}, "some": {1: "5x6", 4: "5x6"}, "every": {1: "5x6", 4: "5x6"}},
+		"tiger":            {"none": {1: "1x2", 4: "2x3"}, "some": {1: "8x9", 4: "8x9"}, "every": {1: "8x9", 4: "8x9"}},
+	}
+	// spilled[layer][spill][grid] is TiledStats.SpilledBytes: the spill
+	// schedule depends only on bucket lengths, never on how the bucket
+	// buffers are allocated or reused.
+	spilled := map[string]map[string]map[string]int64{
+		"jagged-multipart": {
+			"some":  {"1x1": 101120, "3x2": 125536, "5x6": 174032},
+			"every": {"1x1": 106400, "3x2": 128704, "5x6": 182216},
+		},
+		"tiger": {
+			"some":  {"1x1": 290360, "3x2": 313344, "8x9": 457368},
+			"every": {"1x1": 291856, "3x2": 321232, "8x9": 464848},
+		},
 	}
 	for _, l := range layers {
 		raw := partition.RawBytes(t, l.src, l.tgt)
 		for _, grid := range []string{"1x1", "3x2", "auto"} {
 			for _, workers := range []int{1, 4} {
-				for _, spill := range []bool{false, true} {
+				for _, spill := range []string{"none", "some", "every"} {
 					name := fmt.Sprintf("%s/%s/workers=%d/spill=%v", l.name, grid, workers, spill)
 					opt := partition.TiledOptions{Workers: workers, SpillDir: t.TempDir()}
 					switch grid {
@@ -102,8 +117,12 @@ func TestTiledMeasureDMBitsPinned(t *testing.T) {
 						opt.TileCols, opt.TileRows = 3, 2
 					}
 					switch {
-					case spill:
+					case spill == "some":
 						opt.MemBudget = 16 << 10
+					case spill == "every":
+						// A 1-byte spill threshold: every record spills
+						// every non-empty bucket.
+						opt.MemBudget = 2
 					case grid == "auto":
 						// Four times the geometry estimate: chooseGrid
 						// still splits the layers (per-tile share is
@@ -115,10 +134,10 @@ func TestTiledMeasureDMBitsPinned(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s: %v", name, err)
 					}
-					if spill != (stats.SpilledBytes > 0) {
-						t.Fatalf("%s: spilled %d bytes", name, stats.SpilledBytes)
-					}
 					dims := fmt.Sprintf("%dx%d", stats.TileCols, stats.TileRows)
+					if w := spilled[l.name][spill][dims]; stats.SpilledBytes != w {
+						t.Errorf("%s: spilled %d bytes, pinned %d", name, stats.SpilledBytes, w)
+					}
 					if w := autoGrid[l.name][spill][workers]; grid == "auto" && dims != w {
 						t.Errorf("%s: chooseGrid resolved %s, pinned %s", name, dims, w)
 					}

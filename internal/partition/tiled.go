@@ -1,9 +1,11 @@
 package partition
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"slices"
 	"sync"
@@ -51,7 +53,9 @@ type TiledOptions struct {
 	MemBudget int64
 	// Workers caps the tile-join parallelism: that many tiles are
 	// joined side by side, each on one goroutine. 0 means
-	// runtime.GOMAXPROCS(0).
+	// runtime.GOMAXPROCS(0). A tile is never split between workers,
+	// so a grid with fewer tiles than workers (an explicit 1×1 grid,
+	// say) leaves the surplus workers idle.
 	Workers int
 	// SpillDir is where the spill file is created ("" = os.TempDir()).
 	SpillDir string
@@ -67,6 +71,7 @@ type TiledStats struct {
 	TileCols, TileRows           int
 	SpilledBytes                 int64 // geometry bytes written to the spill file
 	PeakBucketBytes              int64 // max bucketed bytes resident at once
+	PeakHeldBytes                int64 // max bucket buffer capacity held at once, pooled buffers included
 	PairsEvaluated               int64 // part pairs run through the clip kernel
 }
 
@@ -115,11 +120,14 @@ type span struct {
 
 // tileBucket accumulates one tile's encoded parts for one layer. The
 // logical content is the concatenation of the spilled spans (in spill
-// order) followed by mem — appends are strictly in scan order, so the
-// reassembled sequence is identical whether or not spilling happened.
+// order) followed by the resident chunks — appends are strictly in
+// scan order, so the reassembled sequence is identical whether or not
+// spilling happened. A part never straddles two chunks: one that does
+// not fit in the last chunk's room starts the next.
 type tileBucket struct {
-	mem  []byte
-	segs []span
+	chunks [][]byte
+	n      int // resident bytes, the chunks' total length
+	segs   []span
 }
 
 // streamInfo is what the sizing pass learns about a layer.
@@ -172,6 +180,48 @@ type triplet struct {
 	i, j int
 	v    float64
 }
+
+// tripletChunkShift sets a tripletLog chunk's length: 4096 triplets,
+// 96 KiB.
+const tripletChunkShift = 12
+
+// tripletLog is one join worker's triplets, across every tile it
+// joins, in join order. It is stored in fixed chunks rather than one
+// growing slice, so it never copies what it already holds; only the
+// first chunk grows by append, which keeps small builds small.
+type tripletLog struct {
+	chunks [][]triplet
+	n      int
+}
+
+func (l *tripletLog) add(e triplet) {
+	c := l.n >> tripletChunkShift
+	if c == len(l.chunks) {
+		var chunk []triplet
+		if c > 0 {
+			chunk = make([]triplet, 0, 1<<tripletChunkShift)
+		}
+		l.chunks = append(l.chunks, chunk)
+	}
+	l.chunks[c] = append(l.chunks[c], e)
+	l.n++
+}
+
+func (l *tripletLog) at(k int) triplet {
+	return l.chunks[k>>tripletChunkShift][k&(1<<tripletChunkShift-1)]
+}
+
+// tileSpan locates one tile's triplets: entries [lo, hi) of a worker's
+// log.
+type tileSpan struct {
+	log    *tripletLog
+	lo, hi int
+}
+
+// tileLoadHook, when non-nil, runs before each tile layer is loaded;
+// an error it returns fails that load. Tests use it to inject a
+// failing tile.
+var tileLoadHook func(layer, t int) error
 
 // TiledMeasureDM computes the same source×target intersection-area
 // disaggregation matrix as MeasureDM over two polygon layers, but
@@ -227,9 +277,14 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 		fmtMiB(srcInfo.rawBytes()+tgtInfo.rawBytes()), grid.cols, grid.rows, workers)
 
 	// Pass 2: bucket parts into tiles, spilling over budget.
+	chunkBudget := opt.MemBudget
+	if chunkBudget <= 0 {
+		chunkBudget = srcInfo.rawBytes() + tgtInfo.rawBytes()
+	}
 	bk := &bucketer{
 		grid:      grid,
 		buckets:   [2][]tileBucket{make([]tileBucket, nTiles), make([]tileBucket, nTiles)},
+		chunk:     chunkSize(chunkBudget, nTiles),
 		threshold: opt.MemBudget / 2,
 		spillDir:  opt.SpillDir,
 	}
@@ -240,15 +295,24 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 	if err := bk.bucketLayer(1, tgt, tgtInfo.records); err != nil {
 		return nil, stats, err
 	}
+	if err := bk.flushSpill(); err != nil {
+		return nil, stats, err
+	}
 	stats.SpilledBytes = bk.spilled
 	stats.PeakBucketBytes = bk.peak
+	stats.PeakHeldBytes = bk.peakHeld
+	bk.free = nil // the pool only serves pass 2
 	if bk.spilled > 0 {
 		logf("tiled build: spilled %s of tile buckets to disk (budget %s)", fmtMiB(bk.spilled), fmtMiB(opt.MemBudget))
 	}
 
-	// Pass 3: join each tile, in parallel, with per-worker scratches.
-	results := make([][]triplet, nTiles)
+	// Pass 3: join each tile, in parallel, with per-worker scratches
+	// and triplet logs. The first failure stops every worker at its
+	// next tile claim.
+	spans := make([]tileSpan, nTiles)
+	logs := make([]tripletLog, workers)
 	errs := make([]error, workers)
+	var failed atomic.Bool
 	var pairs atomic.Int64
 	var nextTile atomic.Int64
 	var tilesDone atomic.Int64
@@ -259,17 +323,20 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 		go func(w int) {
 			defer wg.Done()
 			var tw tileWorker
+			log := &logs[w]
 			for {
 				t := int(nextTile.Add(1))
-				if t >= nTiles {
+				if t >= nTiles || failed.Load() {
 					return
 				}
-				tr, n, err := bk.joinTile(t, &tw)
+				lo := log.n
+				n, err := bk.joinTile(t, &tw, log)
 				if err != nil {
 					errs[w] = err
+					failed.Store(true)
 					return
 				}
-				results[t] = tr
+				spans[t] = tileSpan{log: log, lo: lo, hi: log.n}
 				pairs.Add(n)
 				if done := tilesDone.Add(1); nTiles >= 16 && done%int64(max(nTiles/8, 1)) == 0 {
 					logf("tiled build: %d/%d tiles joined", done, nTiles)
@@ -286,18 +353,16 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 	stats.PairsEvaluated = pairs.Load()
 
 	// Deterministic merge: tiles in index order, triplets in each
-	// tile's join order; COO→CSR sums duplicates per row.
-	total := 0
-	for _, tr := range results {
-		total += len(tr)
-	}
-	coo := sparse.NewCOOWithCapacity(srcInfo.records, tgtInfo.records, total)
-	for _, tr := range results {
-		for _, e := range tr {
-			coo.Add(e.i, e.j, e.v)
+	// tile's join order, read straight from the worker logs; the CSR
+	// assembly sums duplicates per row in that order.
+	dm := sparse.FromTriplets(srcInfo.records, tgtInfo.records, func(emit func(i, j int, v float64)) {
+		for _, sp := range spans {
+			for k := sp.lo; k < sp.hi; k++ {
+				e := sp.log.at(k)
+				emit(e.i, e.j, e.v)
+			}
 		}
-	}
-	dm := coo.ToCSR()
+	})
 	logf("tiled build: %d part pairs evaluated, %d crosswalk entries", stats.PairsEvaluated, dm.NNZ())
 	return dm, stats, nil
 }
@@ -345,18 +410,93 @@ func chooseGrid(srcInfo, tgtInfo streamInfo, opt TiledOptions, workers int) *til
 }
 
 // bucketer owns pass 2 state: the per-tile per-layer buckets, the
-// resident-byte accounting and the spill file.
+// resident-byte accounting, the pool of free chunks and the spill
+// file.
+//
+// Buckets hold their bytes in fixed-size chunks, so a bucket never
+// copies what it holds to grow, and a spill returns its chunks to the
+// pool for the buckets that refill after it: once the pool has served
+// the fullest moment of the pass, bucketing allocates nothing. Only a
+// part larger than a chunk gets a buffer of its own, dropped when it
+// spills. Chunks are allocated only when the pool is empty, so the
+// bytes held — chunks in buckets plus pooled ones — are the most ever
+// in use at once: with parts much smaller than a chunk, the resident
+// bytes (at most half the budget, plus the last record's) and one
+// partly filled chunk per bucket, which chunkSize keeps to a quarter of
+// the budget. The spill schedule reads bucket lengths alone, so it is
+// the same however the bytes are stored.
 type bucketer struct {
 	grid      *tileGrid
 	buckets   [2][]tileBucket
+	chunk     int   // chunk size
 	threshold int64 // spill when resident exceeds this; <=0 disables
 	spillDir  string
 
 	resident int64
 	peak     int64
+	held     int64    // capacity of every chunk, pooled or not
+	peakHeld int64    // max held
+	free     [][]byte // pooled chunks
 	spilled  int64
 	spillF   *os.File
+	spillW   *bufio.Writer
 	spillOff int64
+}
+
+// chunkSize picks the bucket chunk size for a grid of nTiles tiles
+// under a budget of budget bytes (the whole geometry when there is no
+// budget): the largest power of two in [1 KiB, 64 KiB] with a chunk
+// per bucket of both layers at most a quarter of the budget.
+func chunkSize(budget int64, nTiles int) int {
+	c := budget / int64(8*nTiles)
+	switch {
+	case c < minChunk:
+		return minChunk
+	case c > maxChunk:
+		return maxChunk
+	}
+	return 1 << (bits.Len64(uint64(c)) - 1)
+}
+
+const (
+	minChunk = 1 << 10
+	maxChunk = 64 << 10
+)
+
+// room returns a chunk of bk with at least n bytes free: its last
+// chunk if that has the room, else a new one from the pool, or freshly
+// allocated when the pool is empty or n exceeds the chunk size.
+func (b *bucketer) room(bk *tileBucket, n int) *[]byte {
+	if k := len(bk.chunks); k > 0 && cap(bk.chunks[k-1])-len(bk.chunks[k-1]) >= n {
+		return &bk.chunks[k-1]
+	}
+	var c []byte
+	if k := len(b.free); k > 0 && n <= b.chunk {
+		c = b.free[k-1]
+		b.free[k-1] = nil
+		b.free = b.free[:k-1]
+	} else {
+		c = make([]byte, 0, max(n, b.chunk))
+		b.held += int64(cap(c))
+		b.peakHeld = max(b.peakHeld, b.held)
+	}
+	bk.chunks = append(bk.chunks, c)
+	return &bk.chunks[len(bk.chunks)-1]
+}
+
+// release empties bk's chunks into the pool; an oversized one is let
+// go instead.
+func (b *bucketer) release(bk *tileBucket) {
+	for i, c := range bk.chunks {
+		if cap(c) == b.chunk {
+			b.free = append(b.free, c[:0])
+		} else {
+			b.held -= int64(cap(c))
+		}
+		bk.chunks[i] = nil
+	}
+	bk.chunks = bk.chunks[:0]
+	bk.n = 0
 }
 
 func (b *bucketer) cleanup() {
@@ -381,9 +521,11 @@ func (b *bucketer) bucketLayer(layer int, s TileStream, wantRecords int) error {
 				for tx := tx0; tx <= tx1; tx++ {
 					t := ty*b.grid.cols + tx
 					bk := &b.buckets[layer][t]
-					before := len(bk.mem)
-					bk.mem = appendPart(bk.mem, rec, pg)
-					b.resident += int64(len(bk.mem) - before)
+					n := partHeader + 16*len(pg)
+					c := b.room(bk, n)
+					*c = appendPart(*c, rec, pg)
+					bk.n += n
+					b.resident += int64(n)
 				}
 			}
 		}
@@ -408,8 +550,11 @@ func (b *bucketer) bucketLayer(layer int, s TileStream, wantRecords int) error {
 }
 
 // spill writes every non-trivial resident bucket to the spill file and
-// releases its memory. Per-bucket byte order is preserved: spilled
-// spans replay before the in-memory tail, in spill order.
+// hands its chunks to the pool. Per-bucket byte order is preserved:
+// spilled spans replay before the resident tail, in spill order. The
+// file is written sequentially through a buffer of 16 chunks, so a
+// bucket's chunks cost no system call each; flushSpill must run before
+// the file is read.
 func (b *bucketer) spill() error {
 	if b.spillF == nil {
 		dir := b.spillDir
@@ -421,42 +566,55 @@ func (b *bucketer) spill() error {
 			return fmt.Errorf("partition: creating spill file: %w", err)
 		}
 		b.spillF = f
+		b.spillW = bufio.NewWriterSize(f, 16*b.chunk)
 	}
 	for layer := range b.buckets {
 		for t := range b.buckets[layer] {
 			bk := &b.buckets[layer][t]
 			// Tiny residues stay resident: spilling them would fragment
 			// the file without freeing meaningful memory.
-			if len(bk.mem) < 4096 && b.resident <= b.threshold {
+			if bk.n < 4096 && b.resident <= b.threshold {
 				continue
 			}
-			if len(bk.mem) == 0 {
+			if bk.n == 0 {
 				continue
 			}
-			n, err := b.spillF.WriteAt(bk.mem, b.spillOff)
-			if err != nil {
-				return fmt.Errorf("partition: writing spill file: %w", err)
+			for _, c := range bk.chunks {
+				if _, err := b.spillW.Write(c); err != nil {
+					return fmt.Errorf("partition: writing spill file: %w", err)
+				}
 			}
-			bk.segs = append(bk.segs, span{off: b.spillOff, n: n})
-			b.spillOff += int64(n)
-			b.spilled += int64(n)
-			b.resident -= int64(len(bk.mem))
-			bk.mem = nil
+			bk.segs = append(bk.segs, span{off: b.spillOff, n: bk.n})
+			b.spillOff += int64(bk.n)
+			b.spilled += int64(bk.n)
+			b.resident -= int64(bk.n)
+			b.release(bk)
 		}
 	}
 	return nil
 }
 
+// flushSpill writes out what the spill buffer still holds.
+func (b *bucketer) flushSpill() error {
+	if b.spillW == nil {
+		return nil
+	}
+	if err := b.spillW.Flush(); err != nil {
+		return fmt.Errorf("partition: writing spill file: %w", err)
+	}
+	return nil
+}
+
 // tileWorker is one join worker's state, reused from tile to tile: the
-// clip scratch, the read buffer for spilled spans, the triplet buffer,
-// and per layer the decoded points (one array per tile), parts,
-// prepared parts and R-tree entries. Each buffer grows to the largest
-// tile the worker has joined.
+// clip scratch (whose triangle arena holds the tile's triangulations),
+// the read buffer for spilled spans, and per layer the decoded points
+// (one array per tile), parts, prepared parts, R-tree entries and STR
+// packing scratch. Each buffer grows to the largest tile the worker has
+// joined, after which joining a tile allocates nothing.
 type tileWorker struct {
 	sc     geom.ClipScratch
 	raw    []byte
 	layers [2]tileArena
-	out    []triplet // the tile's triplets, copied out at their final length
 }
 
 // tileArena holds one layer of the tile being joined.
@@ -465,15 +623,22 @@ type tileArena struct {
 	parts   []tilePart
 	prep    []geom.PreparedPolygon
 	entries []rtree.Entry
+	str     rtree.Builder
 }
 
 // loadTile decodes one tile's bucket for one layer into the arena and
-// prepares every part in place: the spilled spans, in spill order, then
-// the resident tail.
+// prepares every part in place, triangulations going to the worker's
+// triangle arena: the spilled spans, in spill order, then the resident
+// tail.
 func (b *bucketer) loadTile(layer, t int, tw *tileWorker) ([]tilePart, error) {
+	if tileLoadHook != nil {
+		if err := tileLoadHook(layer, t); err != nil {
+			return nil, err
+		}
+	}
 	bk := &b.buckets[layer][t]
 	ar := &tw.layers[layer]
-	size := len(bk.mem)
+	size := bk.n
 	for _, sg := range bk.segs {
 		size += sg.n
 	}
@@ -483,10 +648,8 @@ func (b *bucketer) loadTile(layer, t int, tw *tileWorker) ([]tilePart, error) {
 	}
 	// Every part costs a header, so size/16 bounds the vertex count:
 	// decoding never outgrows pts, and the rings carved from it stay put.
-	if cap(ar.pts) < size/16 {
-		ar.pts = make([]geom.Point, 0, size/16)
-	}
-	pts := ar.pts[:0]
+	ar.pts = slices.Grow(ar.pts[:0], size/16)
+	pts := ar.pts
 	var err error
 	for _, sg := range bk.segs {
 		tw.raw = slices.Grow(tw.raw[:0], sg.n)[:sg.n]
@@ -497,41 +660,41 @@ func (b *bucketer) loadTile(layer, t int, tw *tileWorker) ([]tilePart, error) {
 			return nil, err
 		}
 	}
-	if ar.parts, _, err = decodeParts(bk.mem, ar.parts, pts); err != nil {
-		return nil, err
+	for _, c := range bk.chunks {
+		if ar.parts, pts, err = decodeParts(c, ar.parts, pts); err != nil {
+			return nil, err
+		}
 	}
-	if cap(ar.prep) < len(ar.parts) {
-		ar.prep = make([]geom.PreparedPolygon, len(ar.parts))
-	}
-	ar.prep = ar.prep[:len(ar.parts)]
+	ar.prep = slices.Grow(ar.prep[:0], len(ar.parts))[:len(ar.parts)]
 	for k := range ar.parts {
 		p := &ar.parts[k]
-		ar.prep[k].PrepareOwned(p.poly, p.box)
+		ar.prep[k].PrepareInArena(p.poly, p.box)
 	}
 	return ar.parts, nil
 }
 
 // joinTile runs the dual-tree join of one tile's two part sets,
-// keeping only pairs the tile owns under the reference-point rule.
-func (b *bucketer) joinTile(t int, tw *tileWorker) ([]triplet, int64, error) {
+// keeping only pairs the tile owns under the reference-point rule, and
+// appends the tile's triplets to log.
+func (b *bucketer) joinTile(t int, tw *tileWorker, log *tripletLog) (int64, error) {
+	tw.sc.ResetArena()
 	srcParts, err := b.loadTile(0, t, tw)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if len(srcParts) == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
 	tgtParts, err := b.loadTile(1, t, tw)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	if len(tgtParts) == 0 {
-		return nil, 0, nil
+		return 0, nil
 	}
 	tx, ty := t%b.grid.cols, t/b.grid.cols
 	srcPrep, tgtPrep := tw.layers[0].prep, tw.layers[1].prep
 
-	out := tw.out[:0]
 	var pairs int64
 	visit := func(a, b2 int) {
 		pa, pb := &srcParts[a], &tgtParts[b2]
@@ -551,7 +714,7 @@ func (b *bucketer) joinTile(t int, tw *tileWorker) ([]triplet, int64, error) {
 		}
 		pairs++
 		if v := tw.sc.PreparedIntersectionArea(&srcPrep[a], &tgtPrep[b2]); v > 0 {
-			out = append(out, triplet{i: pa.rec, j: pb.rec, v: v})
+			log.add(triplet{i: pa.rec, j: pb.rec, v: v})
 		}
 	}
 	// Small tiles skip R-tree construction; the pair set is the same
@@ -568,17 +731,17 @@ func (b *bucketer) joinTile(t int, tw *tileWorker) ([]triplet, int64, error) {
 	} else {
 		rtree.Join(tw.layers[0].tree(), tw.layers[1].tree(), visit)
 	}
-	tw.out = out
-	return slices.Clone(out), pairs, nil
+	return pairs, nil
 }
 
-// tree indexes the arena's parts by bounding box.
+// tree indexes the arena's parts by bounding box, in the arena's STR
+// scratch; the tree is valid until the arena's next tile.
 func (ar *tileArena) tree() *rtree.Tree {
 	ar.entries = ar.entries[:0]
 	for k, p := range ar.parts {
 		ar.entries = append(ar.entries, rtree.Entry{Box: p.box, ID: k})
 	}
-	return rtree.New(ar.entries)
+	return ar.str.Build(ar.entries)
 }
 
 // partHeader is the encoded size of a part's record header.

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -294,6 +295,7 @@ func FuzzDecodeParts(f *testing.F) {
 	rng := rand.New(rand.NewSource(41))
 	bk := &bucketer{
 		grid:    &tileGrid{tileW: 50, tileH: 50, cols: 2, rows: 2},
+		chunk:   minChunk,
 		buckets: [2][]tileBucket{make([]tileBucket, 4), make([]tileBucket, 4)},
 	}
 	for layer, g := range []int{6, 3} {
@@ -308,7 +310,7 @@ func FuzzDecodeParts(f *testing.F) {
 	}
 	for layer := range bk.buckets {
 		for _, b := range bk.buckets[layer] {
-			f.Add(b.mem)
+			f.Add(bytes.Join(b.chunks, nil))
 		}
 	}
 	one := appendPart(nil, 7, geom.Rect(geom.BBox{MinX: -1, MinY: 2, MaxX: 3, MaxY: 4}))

@@ -45,19 +45,68 @@ func New(entries []Entry) *Tree {
 
 // NewWithFanout bulk-loads with an explicit node capacity (minimum 2).
 func NewWithFanout(entries []Entry, fanout int) *Tree {
+	var b Builder
+	t := *b.build(entries, fanout)
+	return &t
+}
+
+// Builder bulk-loads trees like New while reusing its buffers from one
+// build to the next: the sort keys, the entry copies, the node slab
+// and the child pointers all grow to the largest tree built and are
+// then recycled, so repeated builds allocate nothing in steady state.
+// A tree from Build is valid only until the next Build on the same
+// Builder. The zero value is ready to use; a Builder is not safe for
+// concurrent use.
+type Builder struct {
+	keys        []sortKey
+	flat        []Entry
+	nodes       []node
+	kids        []*node
+	level, next []*node
+	tree        Tree
+}
+
+// Build packs entries with the default fanout into a tree owned by b.
+// The tree is the same one New builds from the same entries.
+func (b *Builder) Build(entries []Entry) *Tree {
+	return b.build(entries, DefaultFanout)
+}
+
+func (b *Builder) build(entries []Entry, fanout int) *Tree {
 	if fanout < 2 {
 		fanout = 2
 	}
-	t := &Tree{size: len(entries)}
+	b.tree = Tree{size: len(entries)}
 	if len(entries) == 0 {
-		return t
+		return &b.tree
 	}
-	nodes := packLeaves(entries, fanout)
-	for len(nodes) > 1 {
-		nodes = packNodes(nodes, fanout)
+	// Size the slabs for every level up front: nodes and child
+	// pointers are carved from them, so they must never reallocate
+	// while a level still points into them.
+	total := 0
+	for m := len(entries); ; {
+		m = (m + fanout - 1) / fanout
+		total += m
+		if m == 1 {
+			break
+		}
 	}
-	t.root = nodes[0]
-	return t
+	if cap(b.nodes) < total {
+		b.nodes = make([]node, 0, total)
+	}
+	if cap(b.kids) < total-1 {
+		b.kids = make([]*node, 0, total-1)
+	}
+	if cap(b.flat) < len(entries) {
+		b.flat = make([]Entry, 0, len(entries))
+	}
+	b.nodes, b.kids, b.flat = b.nodes[:0], b.kids[:0], b.flat[:0]
+	b.packLeaves(entries, fanout)
+	for len(b.level) > 1 {
+		b.packNodes(fanout)
+	}
+	b.tree.root = b.level[0]
+	return &b.tree
 }
 
 // sortKey is one item of an STR sort: a box-centre coordinate, taken
@@ -87,20 +136,21 @@ func byKey(a, b sortKey) int {
 // slices the order into vertical strips of s·fanout items (s the
 // ceiling square root of the group count), sorts each strip by centre
 // Y and calls group with the indices of every run of up to fanout
-// consecutive items of a strip.
-func strGroups(n, fanout int, box func(i int) geom.BBox, group func(run []sortKey)) {
+// consecutive items of a strip. The keys live in b.keys.
+func (b *Builder) strGroups(n, fanout int, box func(i int) geom.BBox, group func(run []sortKey)) {
 	perStrip := intSqrtCeil((n+fanout-1)/fanout) * fanout
-	keys := make([]sortKey, n)
+	keys := slices.Grow(b.keys[:0], n)[:n]
+	b.keys = keys
 	for i := range keys {
-		b := box(i)
-		keys[i] = sortKey{k: (b.MinX + b.MaxX) / 2, i: i}
+		bb := box(i)
+		keys[i] = sortKey{k: (bb.MinX + bb.MaxX) / 2, i: i}
 	}
 	slices.SortFunc(keys, byKey)
 	for s := 0; s < n; s += perStrip {
 		strip := keys[s:min(s+perStrip, n)]
 		for j := range strip {
-			b := box(strip[j].i)
-			strip[j].k = (b.MinY + b.MaxY) / 2
+			bb := box(strip[j].i)
+			strip[j].k = (bb.MinY + bb.MaxY) / 2
 		}
 		slices.SortFunc(strip, byKey)
 		for ls := 0; ls < len(strip); ls += fanout {
@@ -111,47 +161,49 @@ func strGroups(n, fanout int, box func(i int) geom.BBox, group func(run []sortKe
 
 // packLeaves tiles entries into leaf nodes: sort by center X, slice into
 // vertical strips, sort each strip by center Y, chunk into leaves. The
-// leaves and their copies of the entries are carved from one slab each.
-func packLeaves(entries []Entry, fanout int) []*node {
-	slab := make([]node, 0, (len(entries)+fanout-1)/fanout)
-	flat := make([]Entry, 0, len(entries))
-	strGroups(len(entries), fanout, func(i int) geom.BBox { return entries[i].Box }, func(run []sortKey) {
-		lo := len(flat)
+// leaves and their copies of the entries are carved from b's slabs, and
+// b.level ends up pointing at the leaves.
+func (b *Builder) packLeaves(entries []Entry, fanout int) {
+	lo0 := len(b.nodes)
+	b.strGroups(len(entries), fanout, func(i int) geom.BBox { return entries[i].Box }, func(run []sortKey) {
+		lo := len(b.flat)
 		box := geom.EmptyBBox()
 		for _, k := range run {
 			e := entries[k.i]
-			flat = append(flat, e)
+			b.flat = append(b.flat, e)
 			box = box.Union(e.Box)
 		}
-		slab = append(slab, node{box: box, entries: flat[lo:len(flat):len(flat)]})
+		b.nodes = append(b.nodes, node{box: box, entries: b.flat[lo:len(b.flat):len(b.flat)]})
 	})
-	return nodePtrs(slab)
+	b.level = b.nodePtrs(b.level, lo0)
 }
 
-// packNodes groups one level of nodes into parents the same way.
-func packNodes(level []*node, fanout int) []*node {
-	slab := make([]node, 0, (len(level)+fanout-1)/fanout)
-	flat := make([]*node, 0, len(level))
-	strGroups(len(level), fanout, func(i int) geom.BBox { return level[i].box }, func(run []sortKey) {
-		lo := len(flat)
+// packNodes groups the nodes of b.level into parents the same way and
+// makes the parents the new b.level.
+func (b *Builder) packNodes(fanout int) {
+	level := b.level
+	lo0 := len(b.nodes)
+	b.strGroups(len(level), fanout, func(i int) geom.BBox { return level[i].box }, func(run []sortKey) {
+		lo := len(b.kids)
 		box := geom.EmptyBBox()
 		for _, k := range run {
 			c := level[k.i]
-			flat = append(flat, c)
+			b.kids = append(b.kids, c)
 			box = box.Union(c.box)
 		}
-		slab = append(slab, node{box: box, children: flat[lo:len(flat):len(flat)]})
+		b.nodes = append(b.nodes, node{box: box, children: b.kids[lo:len(b.kids):len(b.kids)]})
 	})
-	return nodePtrs(slab)
+	b.level, b.next = b.nodePtrs(b.next, lo0), level
 }
 
-// nodePtrs returns pointers to the nodes of a packed level's slab.
-func nodePtrs(slab []node) []*node {
-	out := make([]*node, len(slab))
-	for i := range slab {
-		out[i] = &slab[i]
+// nodePtrs fills dst with pointers to the nodes b.nodes[lo:] of the
+// level just packed.
+func (b *Builder) nodePtrs(dst []*node, lo int) []*node {
+	dst = dst[:0]
+	for i := lo; i < len(b.nodes); i++ {
+		dst = append(dst, &b.nodes[i])
 	}
-	return out
+	return dst
 }
 
 func intSqrtCeil(n int) int {

@@ -234,9 +234,12 @@ func sameTree(t *testing.T, got, want *node, path string) {
 // TestSTRPackingMatchesSortSlice pins the packed tree to the sort.Slice
 // packing it replaced, node by node, on layers with heavy centre ties
 // (boxes on a coarse integer lattice) as well as distinct centres: the
-// join order of every crosswalk build follows this structure.
+// join order of every crosswalk build follows this structure. One
+// Builder packs every trial too, so its reused buffers (from larger and
+// smaller earlier trees) must give the same tree.
 func TestSTRPackingMatchesSortSlice(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	var b Builder
 	for trial := 0; trial < 300; trial++ {
 		n := 1 + rng.Intn(600)
 		var entries []Entry
@@ -251,6 +254,25 @@ func TestSTRPackingMatchesSortSlice(t *testing.T) {
 			entries = randomEntries(rng, n)
 		}
 		fanout := []int{2, 4, 16}[trial%3]
-		sameTree(t, NewWithFanout(entries, fanout).root, sortSliceTree(entries, fanout), "root")
+		want := sortSliceTree(entries, fanout)
+		sameTree(t, NewWithFanout(entries, fanout).root, want, "root")
+		sameTree(t, b.build(entries, fanout).root, want, "builder root")
+	}
+}
+
+// TestBuilderReuseAllocatesNothing pins the reusable build path: once a
+// Builder has packed a tree, packing one no larger allocates nothing.
+func TestBuilderReuseAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	big, small := randomEntries(rng, 900), randomEntries(rng, 300)
+	var b Builder
+	b.Build(big)
+	allocs := testing.AllocsPerRun(20, func() {
+		if b.Build(small).Len() != len(small) || b.Build(big).Len() != len(big) {
+			t.Fatal("wrong tree size")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Builder.Build allocated %.1f times per reuse, want 0", allocs)
 	}
 }

@@ -63,26 +63,41 @@ func (m *COO) NNZ() int { return len(m.v) }
 // ToCSR converts the builder to an immutable CSR matrix, summing
 // duplicates.
 func (m *COO) ToCSR() *CSR {
-	// Count entries per row.
-	counts := make([]int, m.rows+1)
-	for _, r := range m.r {
-		counts[r+1]++
+	return FromTriplets(m.rows, m.cols, func(emit func(row, col int, v float64)) {
+		for k, r := range m.r {
+			emit(r, m.c[k], m.v[k])
+		}
+	})
+}
+
+// FromTriplets builds the CSR of a triplet sequence without holding
+// the triplets itself: each is called twice and must emit the same
+// (row, col, v) sequence both times — once to count the entries of
+// every row, once to place them. Each row is then sorted stably by
+// column, so duplicates are summed in emission order.
+func FromTriplets(rows, cols int, each func(emit func(row, col int, v float64))) *CSR {
+	indptr := make([]int, rows+1)
+	each(func(row, col int, _ float64) {
+		if row < 0 || row >= rows || col < 0 || col >= cols {
+			panic(fmt.Sprintf("sparse: index (%d,%d) out of bounds for %dx%d", row, col, rows, cols))
+		}
+		indptr[row+1]++
+	})
+	for i := 0; i < rows; i++ {
+		indptr[i+1] += indptr[i]
 	}
-	for i := 0; i < m.rows; i++ {
-		counts[i+1] += counts[i]
-	}
-	indptr := counts
-	col := make([]int, len(m.v))
-	val := make([]float64, len(m.v))
-	next := make([]int, m.rows)
-	copy(next, indptr[:m.rows])
-	for k, r := range m.r {
-		p := next[r]
-		col[p] = m.c[k]
-		val[p] = m.v[k]
-		next[r]++
-	}
-	csr := &CSR{Rows: m.rows, Cols: m.cols, IndPtr: indptr, ColIdx: col, Val: val}
+	nnz := indptr[rows]
+	colIdx := make([]int, nnz)
+	val := make([]float64, nnz)
+	next := make([]int, rows)
+	copy(next, indptr[:rows])
+	each(func(row, col int, v float64) {
+		p := next[row]
+		colIdx[p] = col
+		val[p] = v
+		next[row]++
+	})
+	csr := &CSR{Rows: rows, Cols: cols, IndPtr: indptr, ColIdx: colIdx, Val: val}
 	csr.sortRowsAndMerge()
 	return csr
 }
