@@ -60,7 +60,9 @@ func tigerUnits(t *testing.T, units int, seed int64) []geom.MultiPolygon {
 // spills every resident bucket (so each bucket refills a reused buffer
 // after every spill). A change to the reference-point rule, the
 // tile-order merge, the join's visiting order, the bucket codec or
-// chooseGrid's choice shows up as a different hash or grid.
+// chooseGrid's choice shows up as a different hash or grid. A 1×1 grid
+// visits the part pairs in MeasureDM's order, so every 1×1 arm must
+// hash equal to MeasureDM of the same layers.
 func TestTiledMeasureDMBitsPinned(t *testing.T) {
 	jagSrc, jagTgt := partition.TiledTestLayers(t, 47, 20, 10)
 	layers := []struct {
@@ -76,8 +78,8 @@ func TestTiledMeasureDMBitsPinned(t *testing.T) {
 	// one part pair and every grid gives the same bits.
 	want := map[string]map[string]string{
 		"jagged-multipart": {
-			"1x1": "5d8f40d310c726af", "3x2": "5d8f40d310c726af",
-			"1x2": "5d8f40d310c726af", "2x3": "5d8f40d310c726af",
+			"1x1": "da0459d3fcb3fe9e", "3x2": "da0459d3fcb3fe9e",
+			"1x2": "da0459d3fcb3fe9e", "2x3": "da0459d3fcb3fe9e",
 			"5x6": "da0459d3fcb3fe9e",
 		},
 		"tiger": {
@@ -105,6 +107,19 @@ func TestTiledMeasureDMBitsPinned(t *testing.T) {
 	}
 	for _, l := range layers {
 		raw := partition.RawBytes(t, l.src, l.tgt)
+		srcSys, err := partition.NewMultiPolygonSystem(l.src, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tgtSys, err := partition.NewMultiPolygonSystem(l.tgt, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inMemory, err := partition.MeasureDM(srcSys, tgtSys)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inMemoryBits := csrBits(inMemory)
 		for _, grid := range []string{"1x1", "3x2", "auto"} {
 			for _, workers := range []int{1, 4} {
 				for _, spill := range []string{"none", "some", "every"} {
@@ -146,6 +161,9 @@ func TestTiledMeasureDMBitsPinned(t *testing.T) {
 						t.Errorf("%s: no pinned hash for grid %s (got %s)", name, dims, h)
 					} else if h != w {
 						t.Errorf("%s: grid %s crosswalk bits %s, pinned %s", name, dims, h, w)
+					}
+					if dims == "1x1" && h != inMemoryBits {
+						t.Errorf("%s: 1x1 crosswalk bits %s, MeasureDM %s", name, h, inMemoryBits)
 					}
 				}
 			}

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"geoalign/internal/geom"
 	"geoalign/internal/rtree"
@@ -73,6 +74,10 @@ type TiledStats struct {
 	PeakBucketBytes              int64 // max bucketed bytes resident at once
 	PeakHeldBytes                int64 // max bucket buffer capacity held at once, pooled buffers included
 	PairsEvaluated               int64 // part pairs run through the clip kernel
+	// Wall time of each pass: sizing both layers, bucketing them
+	// (spill writes included), joining the tiles, and merging the
+	// tiles' triplets into the output.
+	SizeTime, BucketTime, JoinTime, MergeTime time.Duration
 }
 
 // tileGrid maps coordinates to tile indices. Tiles are half-open in
@@ -228,21 +233,25 @@ var tileLoadHook func(layer, t int) error
 // out-of-core: records stream in twice (a sizing pass, then a
 // bucketing pass), parts are bucketed into tiles of the union bounding
 // box — spilling buckets to a temporary file once MemBudget is
-// exceeded — and each tile runs the prepared-geometry dual-tree join
-// independently, in parallel across workers with per-worker clip
-// scratches. Peak memory is bounded by the budget plus the output
-// triplets, never by the layer size.
+// exceeded — and each tile is joined independently, in parallel across
+// workers with per-worker clip scratches: an R-tree over the tile's
+// target parts is probed with each source part's bounding box. Peak
+// memory is bounded by the budget plus the output triplets, never by
+// the layer size.
 //
 // Every bbox-intersecting part pair is evaluated exactly once, in the
 // unique tile containing the lower-left corner of the pair's bbox
 // intersection (the PBSM reference-point rule), by the same
 // PreparedIntersectionArea kernel the in-memory path uses — so each
-// pair contributes the identical IEEE-754 value. Per-tile results are
-// merged in tile order, making the output deterministic for a fixed
-// grid regardless of worker count or spilling; across different grids
-// only the summation order of multi-part duplicates changes, which is
-// why equivalence to MeasureDM is exact on the sparsity pattern and
-// ≤1e-9 on values.
+// pair contributes the identical IEEE-754 value. A tile emits source
+// parts in part order, each with its targets in the target tree's
+// depth-first order, and tiles merge in tile order, so the output is
+// deterministic for a fixed grid regardless of worker count or
+// spilling. On a 1×1 grid that is MeasureDM's summation order, and the
+// output equals MeasureDM's bit for bit on hole-free layers. On larger
+// grids the part pairs of a multi-part unit pair can sum in another
+// order (tile by tile, each tile in its own tree's order), so
+// equivalence is exact on the sparsity pattern and ≤1e-9 on values.
 func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledStats, error) {
 	var stats TiledStats
 	logf := opt.Logf
@@ -255,6 +264,7 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 	}
 
 	// Pass 1: sizes and the union bounding box.
+	start := time.Now()
 	srcInfo, err := scanInfo(src)
 	if err != nil {
 		return nil, stats, fmt.Errorf("partition: sizing source layer: %w", err)
@@ -268,6 +278,7 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 	}
 	stats.SourceRecords, stats.TargetRecords = srcInfo.records, tgtInfo.records
 	stats.SourceParts, stats.TargetParts = srcInfo.parts, tgtInfo.parts
+	stats.SizeTime = time.Since(start)
 
 	grid := chooseGrid(srcInfo, tgtInfo, opt, workers)
 	stats.TileCols, stats.TileRows = grid.cols, grid.rows
@@ -277,6 +288,7 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 		fmtMiB(srcInfo.rawBytes()+tgtInfo.rawBytes()), grid.cols, grid.rows, workers)
 
 	// Pass 2: bucket parts into tiles, spilling over budget.
+	start = time.Now()
 	chunkBudget := opt.MemBudget
 	if chunkBudget <= 0 {
 		chunkBudget = srcInfo.rawBytes() + tgtInfo.rawBytes()
@@ -298,6 +310,7 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 	if err := bk.flushSpill(); err != nil {
 		return nil, stats, err
 	}
+	stats.BucketTime = time.Since(start)
 	stats.SpilledBytes = bk.spilled
 	stats.PeakBucketBytes = bk.peak
 	stats.PeakHeldBytes = bk.peakHeld
@@ -309,6 +322,7 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 	// Pass 3: join each tile, in parallel, with per-worker scratches
 	// and triplet logs. The first failure stops every worker at its
 	// next tile claim.
+	start = time.Now()
 	spans := make([]tileSpan, nTiles)
 	logs := make([]tripletLog, workers)
 	errs := make([]error, workers)
@@ -351,10 +365,12 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 		}
 	}
 	stats.PairsEvaluated = pairs.Load()
+	stats.JoinTime = time.Since(start)
 
 	// Deterministic merge: tiles in index order, triplets in each
 	// tile's join order, read straight from the worker logs; the CSR
 	// assembly sums duplicates per row in that order.
+	start = time.Now()
 	dm := sparse.FromTriplets(srcInfo.records, tgtInfo.records, func(emit func(i, j int, v float64)) {
 		for _, sp := range spans {
 			for k := sp.lo; k < sp.hi; k++ {
@@ -363,7 +379,9 @@ func TiledMeasureDM(src, tgt TileStream, opt TiledOptions) (*sparse.CSR, TiledSt
 			}
 		}
 	})
-	logf("tiled build: %d part pairs evaluated, %d crosswalk entries", stats.PairsEvaluated, dm.NNZ())
+	stats.MergeTime = time.Since(start)
+	logf("tiled build: %d part pairs evaluated, %d crosswalk entries; pass wall times: size %v, bucket %v, join %v, merge %v",
+		stats.PairsEvaluated, dm.NNZ(), stats.SizeTime, stats.BucketTime, stats.JoinTime, stats.MergeTime)
 	return dm, stats, nil
 }
 
@@ -607,23 +625,25 @@ func (b *bucketer) flushSpill() error {
 
 // tileWorker is one join worker's state, reused from tile to tile: the
 // clip scratch (whose triangle arena holds the tile's triangulations),
-// the read buffer for spilled spans, and per layer the decoded points
-// (one array per tile), parts, prepared parts, R-tree entries and STR
-// packing scratch. Each buffer grows to the largest tile the worker has
-// joined, after which joining a tile allocates nothing.
+// the read buffer for spilled spans, per layer the decoded points (one
+// array per tile), parts and prepared parts, and the target tree's
+// entries, STR packing scratch and search hits. Each buffer grows to
+// the largest tile the worker has joined, after which joining a tile
+// allocates nothing.
 type tileWorker struct {
-	sc     geom.ClipScratch
-	raw    []byte
-	layers [2]tileArena
+	sc      geom.ClipScratch
+	raw     []byte
+	layers  [2]tileArena
+	entries []rtree.Entry
+	str     rtree.Builder
+	hits    []int
 }
 
 // tileArena holds one layer of the tile being joined.
 type tileArena struct {
-	pts     []geom.Point
-	parts   []tilePart
-	prep    []geom.PreparedPolygon
-	entries []rtree.Entry
-	str     rtree.Builder
+	pts   []geom.Point
+	parts []tilePart
+	prep  []geom.PreparedPolygon
 }
 
 // loadTile decodes one tile's bucket for one layer into the arena and
@@ -673,18 +693,14 @@ func (b *bucketer) loadTile(layer, t int, tw *tileWorker) ([]tilePart, error) {
 	return ar.parts, nil
 }
 
-// joinTile runs the dual-tree join of one tile's two part sets,
-// keeping only pairs the tile owns under the reference-point rule, and
-// appends the tile's triplets to log.
+// joinTile joins one tile: it indexes the tile's target parts in an
+// R-tree, probes it with each source part's bounding box in decode
+// order, keeps only the pairs the tile owns under the reference-point
+// rule, and appends the tile's triplets to log — source parts in order,
+// each with its targets in the tree's depth-first order. A tile without
+// target parts returns before its sources are decoded.
 func (b *bucketer) joinTile(t int, tw *tileWorker, log *tripletLog) (int64, error) {
 	tw.sc.ResetArena()
-	srcParts, err := b.loadTile(0, t, tw)
-	if err != nil {
-		return 0, err
-	}
-	if len(srcParts) == 0 {
-		return 0, nil
-	}
 	tgtParts, err := b.loadTile(1, t, tw)
 	if err != nil {
 		return 0, err
@@ -692,56 +708,45 @@ func (b *bucketer) joinTile(t int, tw *tileWorker, log *tripletLog) (int64, erro
 	if len(tgtParts) == 0 {
 		return 0, nil
 	}
+	srcParts, err := b.loadTile(0, t, tw)
+	if err != nil {
+		return 0, err
+	}
 	tx, ty := t%b.grid.cols, t/b.grid.cols
 	srcPrep, tgtPrep := tw.layers[0].prep, tw.layers[1].prep
+	tree := tw.tree(tgtParts)
 
 	var pairs int64
-	visit := func(a, b2 int) {
-		pa, pb := &srcParts[a], &tgtParts[b2]
-		// Reference point: the lower-left corner of the bbox
-		// intersection. Exactly one tile contains it, and both parts
-		// are bucketed there, so the pair is evaluated exactly once
-		// across all tiles.
-		rx, ry := pa.box.MinX, pa.box.MinY
-		if pb.box.MinX > rx {
-			rx = pb.box.MinX
-		}
-		if pb.box.MinY > ry {
-			ry = pb.box.MinY
-		}
-		if b.grid.ix(rx) != tx || b.grid.iy(ry) != ty {
-			return
-		}
-		pairs++
-		if v := tw.sc.PreparedIntersectionArea(&srcPrep[a], &tgtPrep[b2]); v > 0 {
-			log.add(triplet{i: pa.rec, j: pb.rec, v: v})
-		}
-	}
-	// Small tiles skip R-tree construction; the pair set is the same
-	// (all bbox-intersecting pairs), only enumeration order differs,
-	// and order within a tile is deterministic either way.
-	if len(srcParts)*len(tgtParts) <= 1024 {
-		for a := range srcParts {
-			for b2 := range tgtParts {
-				if srcParts[a].box.Intersects(tgtParts[b2].box) {
-					visit(a, b2)
-				}
+	for a := range srcParts {
+		pa := &srcParts[a]
+		tw.hits = tree.Search(pa.box, tw.hits[:0])
+		for _, b2 := range tw.hits {
+			pb := &tgtParts[b2]
+			// Reference point: the lower-left corner of the bbox
+			// intersection. Exactly one tile contains it, and both parts
+			// are bucketed there, so the pair is evaluated exactly once
+			// across all tiles.
+			rx, ry := max(pa.box.MinX, pb.box.MinX), max(pa.box.MinY, pb.box.MinY)
+			if b.grid.ix(rx) != tx || b.grid.iy(ry) != ty {
+				continue
+			}
+			pairs++
+			if v := tw.sc.PreparedIntersectionArea(&srcPrep[a], &tgtPrep[b2]); v > 0 {
+				log.add(triplet{i: pa.rec, j: pb.rec, v: v})
 			}
 		}
-	} else {
-		rtree.Join(tw.layers[0].tree(), tw.layers[1].tree(), visit)
 	}
 	return pairs, nil
 }
 
-// tree indexes the arena's parts by bounding box, in the arena's STR
-// scratch; the tree is valid until the arena's next tile.
-func (ar *tileArena) tree() *rtree.Tree {
-	ar.entries = ar.entries[:0]
-	for k, p := range ar.parts {
-		ar.entries = append(ar.entries, rtree.Entry{Box: p.box, ID: k})
+// tree indexes parts by bounding box in the worker's STR scratch; the
+// tree is valid until the worker's next tile.
+func (tw *tileWorker) tree(parts []tilePart) *rtree.Tree {
+	tw.entries = tw.entries[:0]
+	for k, p := range parts {
+		tw.entries = append(tw.entries, rtree.Entry{Box: p.box, ID: k})
 	}
-	return ar.str.Build(ar.entries)
+	return tw.str.Build(tw.entries)
 }
 
 // partHeader is the encoded size of a part's record header.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"geoalign/internal/geom"
 	"geoalign/internal/sparse"
@@ -42,7 +43,9 @@ func tiledTestLayers(t *testing.T, seed int64, gSrc, gTgt int) (src, tgt []geom.
 
 // TestTiledMeasureDMEquivalence checks the out-of-core build against the
 // in-memory MeasureDM across tile grids {1×1, 2×2, 8×8} and worker
-// counts {1, 4, 8}: identical sparsity pattern, values within 1e-9.
+// counts {1, 4, 8}: identical sparsity pattern, values within 1e-9, and
+// bit-identical values on the 1×1 grid, which visits the part pairs in
+// MeasureDM's order.
 func TestTiledMeasureDMEquivalence(t *testing.T) {
 	src, tgt, srcSys, tgtSys := tiledTestLayers(t, 41, 10, 5)
 	want, err := MeasureDM(srcSys, tgtSys)
@@ -62,7 +65,11 @@ func TestTiledMeasureDMEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				csrsEqual(t, got, want, name, 1e-9)
+				tol := 1e-9
+				if grid == 1 {
+					tol = 0
+				}
+				csrsEqual(t, got, want, name, tol)
 				if stats.SourceRecords != len(src) || stats.TargetRecords != len(tgt) {
 					t.Errorf("stats records %d/%d, want %d/%d",
 						stats.SourceRecords, stats.TargetRecords, len(src), len(tgt))
@@ -156,6 +163,39 @@ func TestTiledMeasureDMAutoGrid(t *testing.T) {
 		t.Error("Logf never called")
 	}
 	csrsEqual(t, got, want, "auto grid vs MeasureDM", 1e-9)
+}
+
+// TestTiledMeasureDMPassTimes checks the per-pass wall times: on a
+// build that spills and joins several tiles each pass takes time, and
+// the passes, run one after another inside the call, add up to no more
+// than the call's own wall time.
+func TestTiledMeasureDMPassTimes(t *testing.T) {
+	src, tgt, _, _ := tiledTestLayers(t, 61, 10, 5)
+	start := time.Now()
+	_, stats, err := TiledMeasureDM(SliceStream(src), SliceStream(tgt), TiledOptions{
+		TileCols: 3, TileRows: 3, Workers: 2, MemBudget: 16 << 10, SpillDir: t.TempDir(),
+	})
+	wall := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.SpilledBytes == 0 || stats.PairsEvaluated == 0 {
+		t.Fatalf("build spilled %d bytes and evaluated %d pairs; the fixture no longer exercises every pass", stats.SpilledBytes, stats.PairsEvaluated)
+	}
+	passes := []struct {
+		name string
+		d    time.Duration
+	}{{"size", stats.SizeTime}, {"bucket", stats.BucketTime}, {"join", stats.JoinTime}, {"merge", stats.MergeTime}}
+	var sum time.Duration
+	for _, p := range passes {
+		if p.d <= 0 {
+			t.Errorf("%s pass took %v", p.name, p.d)
+		}
+		sum += p.d
+	}
+	if sum > wall {
+		t.Errorf("passes add up to %v, the call took %v", sum, wall)
+	}
 }
 
 // TestTiledMeasureDMSingleParts checks plain single-part layers (the

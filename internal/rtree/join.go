@@ -5,20 +5,13 @@ import (
 	"sync/atomic"
 )
 
-// Join enumerates every pair of entries — one from a, one from b —
-// whose bounding boxes intersect, in a single simultaneous descent of
-// both trees, and calls visit(i, j) with the two entry IDs. This
-// replaces issuing one Search per entry of a: subtrees of b whose boxes
-// miss a whole subtree of a are pruned once for the entire subtree
-// instead of once per entry. The visit order is deterministic (a
-// depth-first interleaving of both trees).
-func Join(a, b *Tree, visit func(i, j int)) {
-	if a == nil || b == nil || a.root == nil || b.root == nil {
-		return
-	}
-	joinNodes(a.root, b.root, visit)
-}
-
+// joinNodes calls visit(i, j) for every pair of entries — one under x,
+// one under y — whose bounding boxes intersect, in a single
+// simultaneous descent of both subtrees: subtrees of y whose boxes miss
+// a whole subtree of x are pruned once for the entire subtree instead
+// of once per entry. The visit order is deterministic (a depth-first
+// interleaving of both trees); each entry of x meets its partners in
+// y's depth-first order.
 func joinNodes(x, y *node, visit func(i, j int)) {
 	if !x.box.Intersects(y.box) {
 		return
@@ -55,11 +48,14 @@ func joinNodes(x, y *node, visit func(i, j int)) {
 	}
 }
 
-// JoinParallel runs the dual-tree join with the top level of a split
-// across workers: a is decomposed into subtrees, each joined against
-// all of b by whichever worker claims it. visit(w, i, j) receives the
-// worker index 0 ≤ w < workers alongside the pair, so callers can keep
-// per-worker scratch state without locking.
+// JoinParallel enumerates every pair of entries — one from a, one from
+// b — whose bounding boxes intersect, in a dual-tree join (joinNodes)
+// with the top level of a split across workers: a is decomposed into
+// subtrees, each joined against all of b by whichever worker claims
+// it. visit(w, i, j) receives the worker index 0 ≤ w < workers
+// alongside the pair, so callers can keep per-worker scratch state
+// without locking. With one worker the whole join runs on the caller's
+// goroutine in joinNodes' deterministic order.
 //
 // Entry-exclusivity guarantee: all pairs (i, ·) for a given entry i of
 // a are visited by a single worker (entries of a leaf never split), so

@@ -55,9 +55,9 @@ func pairsEqual(t *testing.T, got, want [][2]int, context string) {
 	}
 }
 
-// TestJoinMatchesBruteForce checks the dual-tree join against the
-// quadratic enumeration across sizes and fanouts (exercising leaf×leaf,
-// leaf×internal and internal×internal descents).
+// TestJoinMatchesBruteForce checks the one-worker dual-tree join
+// against the quadratic enumeration across sizes and fanouts
+// (exercising leaf×leaf, leaf×internal and internal×internal descents).
 func TestJoinMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	cases := []struct{ na, nb, fanout int }{
@@ -73,7 +73,7 @@ func TestJoinMatchesBruteForce(t *testing.T) {
 		ta := NewWithFanout(ea, tc.fanout)
 		tb := NewWithFanout(eb, tc.fanout)
 		var got [][2]int
-		Join(ta, tb, func(i, j int) { got = append(got, [2]int{i, j}) })
+		JoinParallel(ta, tb, 1, func(_, i, j int) { got = append(got, [2]int{i, j}) })
 		pairsEqual(t, got, brutePairs(ea, eb), "join")
 	}
 }
@@ -114,9 +114,10 @@ func TestJoinEmptyTrees(t *testing.T) {
 	empty := New(nil)
 	full := New(randomJoinEntries(rand.New(rand.NewSource(1)), 10, 10, 2))
 	calls := 0
-	Join(empty, full, func(i, j int) { calls++ })
-	Join(full, empty, func(i, j int) { calls++ })
-	JoinParallel(empty, full, 4, func(w, i, j int) { calls++ })
+	for _, workers := range []int{1, 4} {
+		JoinParallel(empty, full, workers, func(w, i, j int) { calls++ })
+		JoinParallel(full, empty, workers, func(w, i, j int) { calls++ })
+	}
 	if calls != 0 {
 		t.Fatalf("join on empty tree visited %d pairs", calls)
 	}
