@@ -25,6 +25,7 @@ import (
 	"geoalign/internal/eval"
 	"geoalign/internal/geom"
 	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 	"geoalign/internal/partition"
 	"geoalign/internal/synth"
 	"geoalign/internal/table"
@@ -220,8 +221,9 @@ func BenchmarkAlignUS(b *testing.B) {
 //   - gram: the steady-state fast path — a prebuilt Engine's cached
 //     normal equations, per call only c = Aᵀb plus a k-space solve;
 //   - cold: the one-shot path, Gram precomputation included per call;
-//   - dense: the original solvers (tall augmented system, QR-based
-//     NNLS inner solves), kept as the escape-hatch baseline.
+//   - dense: the cold solve through the dense active-set oracle
+//     (package oracle: the tall augmented system and its NNLS), which
+//     no production path runs; it prices the Gram form's win.
 func BenchmarkWeightLearning(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	p := synth.ScalingProblem(rng, 30238, 3142, 7)
@@ -260,7 +262,7 @@ func BenchmarkWeightLearning(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := linalg.SimplexLeastSquares(a, maxNormalised(p.Objective)); err != nil {
+			if _, err := oracle.SimplexLeastSquares(a, maxNormalised(p.Objective)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -451,16 +453,11 @@ func measureDMLayers(b *testing.B) {
 // on zip→county-scale synthetic layers (3000 source / 300 target
 // units). The convex pair is the Voronoi geometry every experiment
 // uses; the nonconvex pair is the worst case the prepared-geometry
-// cache targets. The -brute variants run the pre-dual-tree path (per-
-// row R-tree queries, uncached kernels) for the speedup comparison the
-// benchdiff snapshot records.
+// cache targets.
 func BenchmarkMeasureDMUS(b *testing.B) {
 	measureDMLayers(b)
-	run := func(name string, src, tgt *partition.PolygonSystem, brute bool) {
+	run := func(name string, src, tgt *partition.PolygonSystem) {
 		b.Run(name, func(b *testing.B) {
-			partition.UseBruteJoin(brute)
-			defer partition.UseBruteJoin(false)
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				dm, err := partition.MeasureDM(src, tgt)
 				if err != nil {
@@ -472,10 +469,8 @@ func BenchmarkMeasureDMUS(b *testing.B) {
 			}
 		})
 	}
-	run("convex-voronoi", measureConvexSrc, measureConvexTgt, false)
-	run("convex-voronoi-brute", measureConvexSrc, measureConvexTgt, true)
-	run("nonconvex-jagged", measureJaggedSrc, measureJaggedTgt, false)
-	run("nonconvex-jagged-brute", measureJaggedSrc, measureJaggedTgt, true)
+	run("convex-voronoi", measureConvexSrc, measureConvexTgt)
+	run("nonconvex-jagged", measureJaggedSrc, measureJaggedTgt)
 }
 
 // BenchmarkPublicAlign times the public facade on a mid-size problem,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 )
 
 // tallProblem builds a problem tall enough (ns ≫ 8k) that the dense
@@ -18,8 +19,8 @@ func tallProblem(rng *rand.Rand, ns, k int) Problem {
 }
 
 // denseSystem builds the Eq. 15 design matrix and right-hand side that
-// the dense linalg solvers take, as oracles for the engine's Gram-form
-// solve.
+// the dense oracle solvers take, as references for the engine's
+// Gram-form solve.
 func denseSystem(t testing.TB, p Problem) (*linalg.Matrix, []float64) {
 	t.Helper()
 	cols := make([][]float64, len(p.References))
@@ -34,7 +35,7 @@ func denseSystem(t testing.TB, p Problem) (*linalg.Matrix, []float64) {
 }
 
 // TestEngineGramMatchesDenseSolver compares the engine's Gram-form
-// weights against the dense linalg.SimplexLeastSquares oracle over
+// weights against the dense oracle.SimplexLeastSquares over
 // randomized tall problems; the learned weights must agree to 1e-9
 // absolute (β lives on the simplex, so absolute and relative coincide
 // in scale), and so must the targets they induce.
@@ -54,7 +55,7 @@ func TestEngineGramMatchesDenseSolver(t *testing.T) {
 			t.Fatalf("trial %d: gram LearnWeights: %v", trial, err)
 		}
 		a, b := denseSystem(t, p)
-		bd, err := linalg.SimplexLeastSquares(a, b)
+		bd, err := oracle.SimplexLeastSquares(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: dense SimplexLeastSquares: %v", trial, err)
 		}
@@ -119,7 +120,7 @@ func TestEngineDenseSolverAlignAll(t *testing.T) {
 		}
 		resultsClose(t, fmt.Sprintf("objective %d", a), batch[a], want, 0)
 		m, b := denseSystem(t, Problem{Objective: obj, References: p.References})
-		bd, err := linalg.SimplexLeastSquares(m, b)
+		bd, err := oracle.SimplexLeastSquares(m, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -178,8 +179,8 @@ func TestEngineBatchWarmStartStress(t *testing.T) {
 }
 
 // TestEnginePGGramMatchesDensePG compares the engine's active-set
-// weights against the dense projected-gradient oracle: FISTA run to
-// its iteration budget lands within 1e-6 of the exact optimum.
+// weights against the dense active-set oracle on short, narrow
+// problems (100–199 source units, 2–4 references).
 func TestEnginePGGramMatchesDensePG(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	for trial := 0; trial < 10; trial++ {
@@ -194,13 +195,13 @@ func TestEnginePGGramMatchesDensePG(t *testing.T) {
 			t.Fatal(err)
 		}
 		a, b := denseSystem(t, p)
-		bd, err := linalg.SimplexLeastSquaresPG(a, b, 3000, 0)
+		bd, err := oracle.SimplexLeastSquares(a, b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for j := range bd {
-			if math.Abs(bf[j]-bd[j]) > 1e-6 {
-				t.Fatalf("trial %d: β differs: engine %v dense PG %v", trial, bf, bd)
+			if math.Abs(bf[j]-bd[j]) > 1e-9 {
+				t.Fatalf("trial %d: β differs: engine %v dense %v", trial, bf, bd)
 			}
 		}
 	}

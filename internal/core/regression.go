@@ -24,29 +24,40 @@ func NaiveRegression(objective []float64, refs []Reference) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	cols := make([][]float64, len(refs))
-	tcols := make([][]float64, len(refs))
+	beta, err := naiveWeights(objective, refs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]float64, nt)
 	for k, r := range refs {
-		src := referenceSource(r)
-		cols[k] = src
-		tcols[k] = r.DM.ColSums()
+		if beta[k] == 0 {
+			continue
+		}
+		tcol := r.DM.ColSums()
+		for j := 0; j < nt; j++ {
+			out[j] += beta[k] * tcol[j]
+		}
+	}
+	return out, nil
+}
+
+// naiveWeights fits the regression's coefficients: the non-negative
+// least-squares β minimising ‖A·β − objective‖₂, where column k of A is
+// reference k's source aggregates. It solves through the normal
+// equations (Lawson–Hanson in Gram space) with the dense solver's dual
+// tolerance 10·ε·k·‖A‖∞·(‖objective‖₂+1).
+func naiveWeights(objective []float64, refs []Reference) ([]float64, error) {
+	cols := make([][]float64, len(refs))
+	for k, r := range refs {
+		cols[k] = referenceSource(r)
 	}
 	a, err := linalg.MatrixFromColumns(cols)
 	if err != nil {
 		return nil, err
 	}
-	beta, err := linalg.NNLS(a, objective)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]float64, nt)
-	for k := range refs {
-		if beta[k] == 0 {
-			continue
-		}
-		for j := 0; j < nt; j++ {
-			out[j] += beta[k] * tcols[k][j]
-		}
-	}
-	return out, nil
+	gs := linalg.NewGramSystem(a)
+	c := make([]float64, len(refs))
+	gs.ApplyTInto(c, objective)
+	tol := linalg.GramTolerance(gs.AInf, linalg.Norm2(objective), len(refs))
+	return linalg.NNLSGramWarm(gs.Gram(), c, tol, nil)
 }

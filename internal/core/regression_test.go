@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 )
 
 func TestNaiveRegressionExactWhenObjectiveIsAReference(t *testing.T) {
@@ -72,5 +75,103 @@ func TestNaiveRegressionValidation(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	if _, err := NaiveRegression([]float64{1, 2}, []Reference{{DM: randomDM(rng, 3, 2)}}); err == nil {
 		t.Error("shape mismatch accepted")
+	}
+}
+
+// denseNaiveRegression is NaiveRegression through the dense oracle: β
+// from oracle.NNLS on the full design matrix, applied to the
+// references' target aggregates in the same order.
+func denseNaiveRegression(t *testing.T, objective []float64, refs []Reference) (beta, out []float64) {
+	t.Helper()
+	cols := make([][]float64, len(refs))
+	for k, r := range refs {
+		cols[k] = referenceSource(r)
+	}
+	a, err := linalg.MatrixFromColumns(cols)
+	if err != nil {
+		t.Fatal(err)
+	}
+	beta, err = oracle.NNLS(a, objective)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = make([]float64, refs[0].DM.Cols)
+	for k, r := range refs {
+		if beta[k] == 0 {
+			continue
+		}
+		for j, v := range r.DM.ColSums() {
+			out[j] += beta[k] * v
+		}
+	}
+	return beta, out
+}
+
+// TestNaiveRegressionMatchesDenseNNLS checks the Gram-form regression
+// against the dense NNLS oracle on random tall problems: β to 1e-9 of
+// its scale and every target to 1e-9 relative.
+func TestNaiveRegressionMatchesDenseNNLS(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 30; trial++ {
+		k := 2 + rng.Intn(6)
+		ns := 8*k + 10 + rng.Intn(300)
+		p := engineProblem(rng, ns, 3+rng.Intn(20), k)
+		for i := range p.Objective {
+			p.Objective[i] = rng.Float64() * 500
+		}
+		wantBeta, want := denseNaiveRegression(t, p.Objective, p.References)
+		beta, err := naiveWeights(p.Objective, p.References)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scale := 1 + linalg.MaxAbs(wantBeta)
+		for j := range wantBeta {
+			if math.Abs(beta[j]-wantBeta[j]) > 1e-9*scale {
+				t.Fatalf("trial %d (ns=%d k=%d): β differs: gram %v dense %v", trial, ns, k, beta, wantBeta)
+			}
+		}
+		got, err := NaiveRegression(p.Objective, p.References)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if math.Abs(got[j]-want[j]) > 1e-9*math.Abs(want[j]) {
+				t.Fatalf("trial %d: target %d: gram %.17g dense %.17g", trial, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestNaiveRegressionDuplicateReference feeds a reference set with one
+// reference repeated, so the design matrix has two equal columns and
+// every passive set holding both is singular: β must still be finite
+// and non-negative, and so must the targets.
+func TestNaiveRegressionDuplicateReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	p := engineProblem(rng, 200, 12, 3)
+	refs := append(p.References, p.References[1])
+	beta, err := naiveWeights(p.Objective, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(beta) != len(refs) {
+		t.Fatalf("β has %d entries for %d references", len(beta), len(refs))
+	}
+	for j, v := range beta {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("β[%d] = %v: %v", j, v, beta)
+		}
+	}
+	if beta[1]+beta[3] == 0 {
+		t.Fatalf("the repeated reference carries no weight (%v): the test does not reach the equal columns", beta)
+	}
+	got, err := NaiveRegression(p.Objective, refs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, v := range got {
+		if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("target %d = %v", j, v)
+		}
 	}
 }

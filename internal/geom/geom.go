@@ -130,37 +130,3 @@ func (b BBox) Area() float64 {
 
 // Center returns the box midpoint.
 func (b BBox) Center() Point { return Point{(b.MinX + b.MaxX) / 2, (b.MinY + b.MaxY) / 2} }
-
-// Margin returns the half-perimeter, used by R-tree split heuristics.
-func (b BBox) Margin() float64 {
-	if b.IsEmpty() {
-		return 0
-	}
-	return (b.MaxX - b.MinX) + (b.MaxY - b.MinY)
-}
-
-// Expand returns the box grown by d on every side.
-func (b BBox) Expand(d float64) BBox {
-	return BBox{b.MinX - d, b.MinY - d, b.MaxX + d, b.MaxY + d}
-}
-
-// SegmentIntersection computes the intersection of segments [a1,a2] and
-// [b1,b2]. ok is false for parallel (including collinear) or
-// non-crossing segments; proper crossings and endpoint touches with a
-// unique intersection point report ok with the point.
-func SegmentIntersection(a1, a2, b1, b2 Point) (Point, bool) {
-	d1 := a2.Sub(a1)
-	d2 := b2.Sub(b1)
-	denom := d1.Cross(d2)
-	if denom == 0 {
-		return Point{}, false
-	}
-	w := b1.Sub(a1)
-	t := w.Cross(d2) / denom
-	u := w.Cross(d1) / denom
-	const eps = 1e-12
-	if t < -eps || t > 1+eps || u < -eps || u > 1+eps {
-		return Point{}, false
-	}
-	return a1.Add(d1.Scale(t)), true
-}

@@ -96,30 +96,6 @@ func TestBBoxPointAreaCenterMargin(t *testing.T) {
 	if b.Center() != (Point{2, 1}) {
 		t.Errorf("Center = %v", b.Center())
 	}
-	if b.Margin() != 6 {
-		t.Errorf("Margin = %v", b.Margin())
-	}
-	if b.Expand(1) != (BBox{-1, -1, 5, 3}) {
-		t.Errorf("Expand = %v", b.Expand(1))
-	}
-}
-
-func TestSegmentIntersection(t *testing.T) {
-	p, ok := SegmentIntersection(Point{0, 0}, Point{2, 2}, Point{0, 2}, Point{2, 0})
-	if !ok || p.Dist(Point{1, 1}) > 1e-12 {
-		t.Errorf("crossing = %v %v", p, ok)
-	}
-	if _, ok := SegmentIntersection(Point{0, 0}, Point{1, 0}, Point{0, 1}, Point{1, 1}); ok {
-		t.Error("parallel segments intersect")
-	}
-	if _, ok := SegmentIntersection(Point{0, 0}, Point{1, 0}, Point{2, 1}, Point{2, -1}); ok {
-		t.Error("non-overlapping segments intersect")
-	}
-	// Endpoint touch.
-	p, ok = SegmentIntersection(Point{0, 0}, Point{1, 1}, Point{1, 1}, Point{2, 0})
-	if !ok || p.Dist(Point{1, 1}) > 1e-9 {
-		t.Errorf("endpoint touch = %v %v", p, ok)
-	}
 }
 
 var unitSquare = Polygon{{0, 0}, {1, 0}, {1, 1}, {0, 1}}
@@ -239,32 +215,5 @@ func TestRegularPolygon(t *testing.T) {
 	}
 	if !hex.IsConvex() {
 		t.Error("hexagon not convex")
-	}
-}
-
-func TestConvexHull(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 0}, {1, 1}, {0, 1}, {0.5, 0.5}, {0.2, 0.8}}
-	h := ConvexHull(pts)
-	if len(h) != 4 {
-		t.Fatalf("hull size = %d, want 4: %v", len(h), h)
-	}
-	if math.Abs(h.Area()-1) > 1e-12 {
-		t.Errorf("hull area = %v", h.Area())
-	}
-	if h.SignedArea() <= 0 {
-		t.Error("hull not CCW")
-	}
-	for _, p := range pts {
-		if !h.Contains(p) {
-			t.Errorf("hull does not contain input point %v", p)
-		}
-	}
-}
-
-func TestConvexHullCollinear(t *testing.T) {
-	pts := []Point{{0, 0}, {1, 1}, {2, 2}, {3, 3}}
-	h := ConvexHull(pts)
-	if h.Area() != 0 {
-		t.Errorf("collinear hull area = %v", h.Area())
 	}
 }

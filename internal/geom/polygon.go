@@ -221,72 +221,3 @@ func RegularPolygon(c Point, r float64, n int, phase float64) Polygon {
 	}
 	return pg
 }
-
-// ConvexHull returns the convex hull of pts in CCW order using Andrew's
-// monotone chain. Collinear points on the hull boundary are dropped.
-// The input slice is not modified.
-func ConvexHull(pts []Point) Polygon {
-	n := len(pts)
-	if n < 3 {
-		return append(Polygon(nil), pts...)
-	}
-	sorted := append([]Point(nil), pts...)
-	// Sort by (X, Y) with insertion into a small slice — use sort.Slice
-	// semantics without the import churn by a simple comparison sort.
-	sortPoints(sorted)
-	hull := make(Polygon, 0, 2*n)
-	// Lower hull.
-	for _, p := range sorted {
-		for len(hull) >= 2 && Orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	// Upper hull.
-	lower := len(hull) + 1
-	for i := n - 2; i >= 0; i-- {
-		p := sorted[i]
-		for len(hull) >= lower && Orient(hull[len(hull)-2], hull[len(hull)-1], p) <= 0 {
-			hull = hull[:len(hull)-1]
-		}
-		hull = append(hull, p)
-	}
-	return hull[:len(hull)-1]
-}
-
-func sortPoints(pts []Point) {
-	// Heapsort on (X, Y) lexicographic order; avoids importing sort for
-	// a custom comparator and is deterministic.
-	less := func(a, b Point) bool {
-		if a.X != b.X {
-			return a.X < b.X
-		}
-		return a.Y < b.Y
-	}
-	n := len(pts)
-	var siftDown func(start, end int)
-	siftDown = func(start, end int) {
-		root := start
-		for {
-			child := 2*root + 1
-			if child >= end {
-				return
-			}
-			if child+1 < end && less(pts[child], pts[child+1]) {
-				child++
-			}
-			if !less(pts[root], pts[child]) {
-				return
-			}
-			pts[root], pts[child] = pts[child], pts[root]
-			root = child
-		}
-	}
-	for i := n/2 - 1; i >= 0; i-- {
-		siftDown(i, n)
-	}
-	for end := n - 1; end > 0; end-- {
-		pts[0], pts[end] = pts[end], pts[0]
-		siftDown(0, end)
-	}
-}

@@ -75,22 +75,6 @@ func (p *PreparedPolygon) IsConvex() bool { return p.convex }
 // Area returns the polygon area.
 func (p *PreparedPolygon) Area() float64 { return p.ring.Area() }
 
-// Triangles returns the cached ear-clipping triangulation (computed on
-// first use), each triangle a 3-vertex view of the shared cache;
-// callers must not modify them.
-func (p *PreparedPolygon) Triangles() ([]Polygon, error) {
-	var sc ClipScratch
-	tris, _, err := p.triangulation(&sc)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Polygon, len(tris)/3)
-	for k := range out {
-		out[k] = Polygon(tris[3*k : 3*k+3 : 3*k+3])
-	}
-	return out, nil
-}
-
 // triangulation computes and caches, once, the triangles and their
 // bounding-box corners, with sc's work ring for the ear clipping. A
 // shared polygon takes one allocation sized for n−2 triangles; an

@@ -111,13 +111,14 @@ func TestPreparedPolygonCaches(t *testing.T) {
 	if pl.IsConvex() {
 		t.Fatal("L-shape classified convex")
 	}
-	tris, err := pl.Triangles()
+	var sc ClipScratch
+	tris, _, err := pl.triangulation(&sc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sum float64
-	for _, tr := range tris {
-		sum += tr.Area()
+	for k := 0; k < len(tris); k += 3 {
+		sum += Polygon(tris[k : k+3]).Area()
 	}
 	if math.Abs(sum-3) > 1e-12 {
 		t.Fatalf("triangulation area = %g, want 3", sum)

@@ -1,13 +1,16 @@
-package linalg
+package linalg_test
 
 import (
 	"math/rand"
 	"testing"
+
+	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 )
 
-func benchProblem(m, k int) (*Matrix, []float64) {
+func benchProblem(m, k int) (*linalg.Matrix, []float64) {
 	rng := rand.New(rand.NewSource(7))
-	a := NewMatrix(m, k)
+	a := linalg.NewMatrix(m, k)
 	for i := range a.Data {
 		a.Data[i] = rng.Float64()
 	}
@@ -18,28 +21,20 @@ func benchProblem(m, k int) (*Matrix, []float64) {
 	return a, b
 }
 
-// BenchmarkSimplexLSSolverAblation compares GeoAlign's two weight
-// solvers — the Lawson–Hanson active set (default) and the projected
-// gradient — at the paper's full US problem shape (30238 source units,
-// 7 references).
+// BenchmarkSimplexLSSolverAblation compares the engine's Gram-form
+// active-set solve with the dense active-set oracle it reproduces, at
+// the paper's full US problem shape (30238 source units, 7 references).
 func BenchmarkSimplexLSSolverAblation(b *testing.B) {
 	a, rhs := benchProblem(30238, 7)
 	b.Run("active-set", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := SimplexLeastSquares(a, rhs); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("projected-gradient", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := SimplexLeastSquaresPG(a, rhs, 500, 1e-10); err != nil {
+			if _, err := oracle.SimplexLeastSquares(a, rhs); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("gram-active-set", func(b *testing.B) {
-		gs := NewGramSystem(a)
+		gs := linalg.NewGramSystem(a)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := gs.SimplexLS(rhs, nil); err != nil {
@@ -53,7 +48,7 @@ func BenchmarkNNLS(b *testing.B) {
 	a, rhs := benchProblem(5000, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := NNLS(a, rhs); err != nil {
+		if _, err := oracle.NNLS(a, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -63,7 +58,7 @@ func BenchmarkQRFactorSolve(b *testing.B) {
 	a, rhs := benchProblem(2000, 8)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := LeastSquares(a, rhs); err != nil {
+		if _, err := oracle.LeastSquares(a, rhs); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -73,12 +68,12 @@ func BenchmarkGram(b *testing.B) {
 	a, _ := benchProblem(30238, 7)
 	b.Run("serial", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = a.Gram()
+			_ = oracle.Gram(a)
 		}
 	})
 	b.Run("blocked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			_ = NewGramSystem(a).Gram()
+			_ = linalg.NewGramSystem(a).Gram()
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -19,7 +20,8 @@ import (
 // same way and allocation-free — after which the active-set solver
 // runs entirely in k-dimensional space: each Lawson–Hanson
 // iteration costs one |P|³ Cholesky factorisation instead of the
-// O(ns·|P|²) tall factorisation of the dense path.
+// O(ns·|P|²) tall factorisation of the dense oracle (package oracle,
+// which only tests import).
 //
 // Both kernels run on the caller's goroutine: at the paper's US scale
 // c = Aᵀb is ~2·10⁵ multiply-adds, too little for a fork/join to pay,
@@ -107,6 +109,18 @@ func viewBlocks(a *Matrix) *GramSystem {
 		blocks[bi] = a.Data[lo*k : hi*k : hi*k]
 	}
 	return &GramSystem{rows: a.Rows, cols: k, blocks: blocks, flat: a.Data}
+}
+
+// matInfNorm returns ‖a‖∞, the largest row abs-sum, or 1 for an
+// all-zero matrix (see infNorm).
+func matInfNorm(a *Matrix) float64 {
+	var mx float64
+	for i := 0; i < a.Rows; i++ {
+		if s := absSum(a.Row(i)); s > mx {
+			mx = s
+		}
+	}
+	return infNorm(mx)
 }
 
 // infNorm applies matInfNorm's convention to a largest row abs-sum: an
@@ -221,6 +235,10 @@ func accumT(acc, blk, b []float64, k, j0 int) {
 	}
 }
 
+// ErrNoColumns is returned by the simplex solvers when A has no
+// columns: there is no β to learn.
+var ErrNoColumns = errors.New("linalg: simplex least squares needs at least one column")
+
 // SimplexLS solves the Eq. 15 simplex-constrained least-squares problem
 // for right-hand side b against the cached system, optionally seeding
 // the active-set solver from a previous solution (warm may be nil).
@@ -290,17 +308,20 @@ func gramOf(gs *GramSystem) *Matrix {
 	return g
 }
 
-// GramTolerance reproduces the dense NNLS dual tolerance
-// 10·ε·n·‖A‖∞·(‖b‖₂+1) for callers driving NNLSGramWarm directly.
+const machEps = 2.220446049250313e-16
+
+// GramTolerance is the Lawson–Hanson dual tolerance
+// 10·ε·n·‖A‖∞·(‖b‖₂+1), the same as the dense NNLS oracle's, for callers
+// driving NNLSGramWarm directly.
 func GramTolerance(ainf, bnorm float64, n int) float64 {
 	return 10 * machEps * float64(n) * ainf * (bnorm + 1)
 }
 
 // NNLSGramWarm solves min ‖A·x − b‖₂ s.t. x ≥ 0 given only the normal
 // equations: g = AᵀA and c = Aᵀb. It runs the same Lawson–Hanson
-// active-set iteration as NNLS, but the dual vector is c − G·x (O(k²))
-// and each passive-set solve is a |P|×|P| Cholesky factorisation —
-// no O(ns·…) work at all. tol is the dual tolerance (see
+// active-set iteration as the dense oracle.NNLS, but the dual vector
+// is c − G·x (O(k²)) and each passive-set solve is a |P|×|P| Cholesky
+// factorisation — no O(ns·…) work at all. tol is the dual tolerance (see
 // GramTolerance); tol <= 0 substitutes a scale-appropriate default.
 //
 // When a passive-set Gram block is not numerically positive definite
@@ -479,12 +500,13 @@ func solvePassiveGram(g *Matrix, c []float64, passive []bool, z []float64) bool 
 
 // SimplexLeastSquaresGramWarm solves GeoAlign's Eq. 15 weight-learning
 // problem given only the normal equations of the design matrix:
-// g = AᵀA, c = Aᵀb, ainf = ‖A‖∞ and bnorm = ‖b‖₂. It reproduces
-// SimplexLeastSquares exactly — the same μ-weighted equality
-// augmentation, here as a rank-one update G + μ²·11ᵀ and c + μ²·1, the
-// same NNLS iteration, the same renormalisation and degenerate-case
-// fallbacks — with per-solve cost independent of the row count. warm,
-// when non-nil, is a previous β seeding the active-set solver.
+// g = AᵀA, c = Aᵀb, ainf = ‖A‖∞ and bnorm = ‖b‖₂. It reproduces the
+// dense oracle.SimplexLeastSquares exactly — the same μ-weighted
+// equality augmentation, here as a rank-one update G + μ²·11ᵀ and
+// c + μ²·1, the same NNLS iteration, the same renormalisation and
+// degenerate-case fallbacks — with per-solve cost independent of the
+// row count. warm, when non-nil, is a previous β seeding the
+// active-set solver.
 func SimplexLeastSquaresGramWarm(g *Matrix, c []float64, ainf, bnorm float64, warm []float64) ([]float64, error) {
 	k := g.Rows
 	if k == 0 {

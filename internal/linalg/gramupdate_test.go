@@ -17,6 +17,30 @@ func maxAbsDiff(a, b *Matrix) float64 {
 	return mx
 }
 
+// lsObjective evaluates ½‖A·x − b‖² from the residual so it can be
+// computed for dense and Gram solutions on equal footing.
+func lsObjective(a *Matrix, b, x []float64) float64 {
+	r := make([]float64, a.Rows)
+	for i := range r {
+		var s float64
+		for j, v := range a.Row(i) {
+			s += v * x[j]
+		}
+		r[i] = s - b[i]
+	}
+	n := Norm2(r)
+	return 0.5 * n * n
+}
+
+func relDiff(a, b float64) float64 {
+	d := math.Abs(a - b)
+	scale := math.Max(math.Abs(a), math.Abs(b))
+	if scale == 0 {
+		return d
+	}
+	return d / scale
+}
+
 // applyRandomRowUpdates drives k random UpdateRow calls against a
 // mutable clone of gs, returning the clone and the patched dense
 // matrix. makeRow produces the replacement row for a given trial.

@@ -1,13 +1,14 @@
-// Package linalg provides the dense linear algebra needed by GeoAlign's
-// weight-learning step: column-major-free dense matrices, Householder QR,
-// Cholesky factorisation, triangular solves, Lawson–Hanson non-negative
-// least squares, and the simplex-constrained least-squares solver used to
-// fit Eq. (15) of the paper.
+// Package linalg provides the linear algebra of GeoAlign's
+// weight-learning step: dense row-major matrices, Cholesky
+// factorisation, and the Gram-form solvers (GramSystem, NNLSGramWarm,
+// SimplexLeastSquaresGramWarm) that fit Eq. (15) of the paper from the
+// normal equations of its design matrix.
 //
 // Everything is implemented on float64 slices with no external
-// dependencies. Matrices are small in GeoAlign (|U^s| rows × |A_r|
-// columns, with |A_r| typically below 16), so clarity is preferred over
-// blocked kernels; the hot loops are still written to be cache-friendly.
+// dependencies. The dense solvers the Gram form is checked against —
+// Lawson–Hanson NNLS on the full design matrix, Householder QR and the
+// dense simplex least squares — live in the oracle subpackage, which
+// only tests import.
 package linalg
 
 import (
@@ -29,23 +30,6 @@ func NewMatrix(rows, cols int) *Matrix {
 		panic(fmt.Sprintf("linalg: negative matrix dimension %dx%d", rows, cols))
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
-}
-
-// MatrixFromRows builds a matrix from row slices. All rows must share one
-// length.
-func MatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("linalg: ragged rows: row 0 has %d cols, row %d has %d", cols, i, len(r))
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
 }
 
 // MatrixFromColumns builds a matrix whose j-th column is cols[j]. All
@@ -93,137 +77,11 @@ func (m *Matrix) Row(r int) []float64 {
 	return m.Data[r*m.Cols : (r+1)*m.Cols]
 }
 
-// Col returns a copy of column c.
-func (m *Matrix) Col(c int) []float64 {
-	if c < 0 || c >= m.Cols {
-		panic(fmt.Sprintf("linalg: col %d out of bounds for %dx%d matrix", c, m.Rows, m.Cols))
-	}
-	out := make([]float64, m.Rows)
-	for i := range out {
-		out[i] = m.Data[i*m.Cols+c]
-	}
-	return out
-}
-
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
 	n := NewMatrix(m.Rows, m.Cols)
 	copy(n.Data, m.Data)
 	return n
-}
-
-// T returns the transpose of m as a new matrix.
-func (m *Matrix) T() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
-// MulVec computes y = m·x. x must have length m.Cols.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	y := make([]float64, m.Rows)
-	m.MulVecInto(y, x)
-	return y
-}
-
-// MulVecInto computes dst = m·x without allocating. dst must have
-// length m.Rows and x length m.Cols; dst is overwritten.
-func (m *Matrix) MulVecInto(dst, x []float64) {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVec dimension mismatch: %dx%d matrix, vector of length %d", m.Rows, m.Cols, len(x)))
-	}
-	if len(dst) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVecInto destination length %d != rows %d", len(dst), m.Rows))
-	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		var s float64
-		for j, v := range row {
-			s += v * x[j]
-		}
-		dst[i] = s
-	}
-}
-
-// MulVecT computes y = mᵀ·x. x must have length m.Rows.
-func (m *Matrix) MulVecT(x []float64) []float64 {
-	y := make([]float64, m.Cols)
-	m.MulVecTInto(y, x)
-	return y
-}
-
-// MulVecTInto computes dst = mᵀ·x without allocating. dst must have
-// length m.Cols and x length m.Rows; dst is overwritten.
-func (m *Matrix) MulVecTInto(dst, x []float64) {
-	if len(x) != m.Rows {
-		panic(fmt.Sprintf("linalg: MulVecT dimension mismatch: %dx%d matrix, vector of length %d", m.Rows, m.Cols, len(x)))
-	}
-	if len(dst) != m.Cols {
-		panic(fmt.Sprintf("linalg: MulVecTInto destination length %d != cols %d", len(dst), m.Cols))
-	}
-	for j := range dst {
-		dst[j] = 0
-	}
-	for i := 0; i < m.Rows; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		row := m.Row(i)
-		for j, v := range row {
-			dst[j] += v * xi
-		}
-	}
-}
-
-// Mul computes m·b as a new matrix.
-func (m *Matrix) Mul(b *Matrix) *Matrix {
-	if m.Cols != b.Rows {
-		panic(fmt.Sprintf("linalg: Mul dimension mismatch: %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(m.Rows, b.Cols)
-	for i := 0; i < m.Rows; i++ {
-		arow := m.Row(i)
-		orow := out.Row(i)
-		for k, aik := range arow {
-			if aik == 0 {
-				continue
-			}
-			brow := b.Row(k)
-			for j, bkj := range brow {
-				orow[j] += aik * bkj
-			}
-		}
-	}
-	return out
-}
-
-// Gram computes mᵀ·m (the Gram matrix), exploiting symmetry.
-func (m *Matrix) Gram() *Matrix {
-	g := NewMatrix(m.Cols, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for a, va := range row {
-			if va == 0 {
-				continue
-			}
-			grow := g.Row(a)
-			for b := a; b < m.Cols; b++ {
-				grow[b] += va * row[b]
-			}
-		}
-	}
-	for a := 0; a < m.Cols; a++ {
-		for b := a + 1; b < m.Cols; b++ {
-			g.Set(b, a, g.At(a, b))
-		}
-	}
-	return g
 }
 
 // String renders the matrix for debugging.
@@ -249,18 +107,6 @@ func (m *Matrix) String() string {
 // (numerically) singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
 
-// Dot returns the inner product of a and b.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
 // Norm2 returns the Euclidean norm of v, guarding against overflow.
 func Norm2(v []float64) float64 {
 	var scale, ssq float64
@@ -285,36 +131,11 @@ func Norm2(v []float64) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	if alpha == 0 {
-		return
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
 // Scale multiplies v by alpha in place.
 func Scale(alpha float64, v []float64) {
 	for i := range v {
 		v[i] *= alpha
 	}
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("linalg: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
 }
 
 // Sum returns the sum of the entries of v.

@@ -1,10 +1,13 @@
-package linalg
+package linalg_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -24,7 +27,7 @@ func vecAlmostEq(a, b []float64, tol float64) bool {
 }
 
 func TestNewMatrixZeroed(t *testing.T) {
-	m := NewMatrix(3, 4)
+	m := linalg.NewMatrix(3, 4)
 	if m.Rows != 3 || m.Cols != 4 {
 		t.Fatalf("dims = %dx%d, want 3x4", m.Rows, m.Cols)
 	}
@@ -38,7 +41,7 @@ func TestNewMatrixZeroed(t *testing.T) {
 }
 
 func TestMatrixSetAt(t *testing.T) {
-	m := NewMatrix(2, 3)
+	m := linalg.NewMatrix(2, 3)
 	m.Set(1, 2, 7.5)
 	m.Set(0, 0, -1)
 	if got := m.At(1, 2); got != 7.5 {
@@ -53,7 +56,7 @@ func TestMatrixSetAt(t *testing.T) {
 }
 
 func TestMatrixBoundsPanic(t *testing.T) {
-	m := NewMatrix(2, 2)
+	m := linalg.NewMatrix(2, 2)
 	for _, tc := range []struct{ r, c int }{{-1, 0}, {0, -1}, {2, 0}, {0, 2}} {
 		func() {
 			defer func() {
@@ -67,7 +70,7 @@ func TestMatrixBoundsPanic(t *testing.T) {
 }
 
 func TestMatrixFromRows(t *testing.T) {
-	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	m, err := oracle.MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,13 +83,13 @@ func TestMatrixFromRows(t *testing.T) {
 }
 
 func TestMatrixFromRowsRagged(t *testing.T) {
-	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := oracle.MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged rows accepted")
 	}
 }
 
 func TestMatrixFromColumns(t *testing.T) {
-	m, err := MatrixFromColumns([][]float64{{1, 2, 3}, {4, 5, 6}})
+	m, err := linalg.MatrixFromColumns([][]float64{{1, 2, 3}, {4, 5, 6}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,14 +107,14 @@ func TestMatrixFromColumns(t *testing.T) {
 }
 
 func TestMatrixFromColumnsRagged(t *testing.T) {
-	if _, err := MatrixFromColumns([][]float64{{1, 2}, {3}}); err == nil {
+	if _, err := linalg.MatrixFromColumns([][]float64{{1, 2}, {3}}); err == nil {
 		t.Fatal("ragged columns accepted")
 	}
 }
 
 func TestTranspose(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	mt := m.T()
+	m, _ := oracle.MatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	mt := oracle.T(m)
 	if mt.Rows != 3 || mt.Cols != 2 {
 		t.Fatalf("T dims = %dx%d, want 3x2", mt.Rows, mt.Cols)
 	}
@@ -125,25 +128,25 @@ func TestTranspose(t *testing.T) {
 }
 
 func TestMulVec(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	got := m.MulVec([]float64{5, 6})
+	m, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	got := oracle.MulVec(m, []float64{5, 6})
 	if !vecAlmostEq(got, []float64{17, 39}, 1e-12) {
 		t.Errorf("MulVec = %v, want [17 39]", got)
 	}
 }
 
 func TestMulVecT(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	got := m.MulVecT([]float64{1, 1, 1})
+	m, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
+	got := oracle.MulVecT(m, []float64{1, 1, 1})
 	if !vecAlmostEq(got, []float64{9, 12}, 1e-12) {
 		t.Errorf("MulVecT = %v, want [9 12]", got)
 	}
 }
 
 func TestMatMul(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	b, _ := MatrixFromRows([][]float64{{5, 6}, {7, 8}})
-	c := a.Mul(b)
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	b, _ := oracle.MatrixFromRows([][]float64{{5, 6}, {7, 8}})
+	c := oracle.Mul(a, b)
 	want := [][]float64{{19, 22}, {43, 50}}
 	for i := range want {
 		for j := range want[i] {
@@ -156,12 +159,12 @@ func TestMatMul(t *testing.T) {
 
 func TestGramMatchesExplicit(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	a := NewMatrix(7, 4)
+	a := linalg.NewMatrix(7, 4)
 	for i := range a.Data {
 		a.Data[i] = rng.NormFloat64()
 	}
-	g := a.Gram()
-	g2 := a.T().Mul(a)
+	g := oracle.Gram(a)
+	g2 := oracle.Mul(oracle.T(a), a)
 	for i := 0; i < 4; i++ {
 		for j := 0; j < 4; j++ {
 			if !almostEq(g.At(i, j), g2.At(i, j), 1e-12) {
@@ -172,7 +175,7 @@ func TestGramMatchesExplicit(t *testing.T) {
 }
 
 func TestCloneIndependence(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}})
+	m, _ := oracle.MatrixFromRows([][]float64{{1, 2}})
 	c := m.Clone()
 	c.Set(0, 0, 99)
 	if m.At(0, 0) != 1 {
@@ -181,20 +184,20 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestDotNorm(t *testing.T) {
-	if got := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
+	if got := oracle.Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); got != 32 {
 		t.Errorf("Dot = %v, want 32", got)
 	}
-	if got := Norm2([]float64{3, 4}); !almostEq(got, 5, 1e-12) {
+	if got := linalg.Norm2([]float64{3, 4}); !almostEq(got, 5, 1e-12) {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := Norm2(nil); got != 0 {
+	if got := linalg.Norm2(nil); got != 0 {
 		t.Errorf("Norm2(nil) = %v, want 0", got)
 	}
 }
 
 func TestNorm2Overflow(t *testing.T) {
 	big := 1e300
-	got := Norm2([]float64{big, big})
+	got := linalg.Norm2([]float64{big, big})
 	want := big * math.Sqrt2
 	if math.IsInf(got, 0) || !almostEq(got/want, 1, 1e-12) {
 		t.Errorf("Norm2 overflow-guard failed: got %v want %v", got, want)
@@ -203,29 +206,29 @@ func TestNorm2Overflow(t *testing.T) {
 
 func TestAxpyScaleSubSum(t *testing.T) {
 	y := []float64{1, 1}
-	Axpy(2, []float64{3, 4}, y)
+	oracle.Axpy(2, []float64{3, 4}, y)
 	if !vecAlmostEq(y, []float64{7, 9}, 0) {
 		t.Errorf("Axpy = %v", y)
 	}
-	Scale(0.5, y)
+	linalg.Scale(0.5, y)
 	if !vecAlmostEq(y, []float64{3.5, 4.5}, 0) {
 		t.Errorf("Scale = %v", y)
 	}
-	d := Sub([]float64{5, 5}, y)
+	d := oracle.Sub([]float64{5, 5}, y)
 	if !vecAlmostEq(d, []float64{1.5, 0.5}, 0) {
 		t.Errorf("Sub = %v", d)
 	}
-	if Sum(d) != 2 {
-		t.Errorf("Sum = %v, want 2", Sum(d))
+	if linalg.Sum(d) != 2 {
+		t.Errorf("Sum = %v, want 2", linalg.Sum(d))
 	}
-	if MaxAbs([]float64{-3, 2}) != 3 {
-		t.Errorf("MaxAbs = %v, want 3", MaxAbs([]float64{-3, 2}))
+	if linalg.MaxAbs([]float64{-3, 2}) != 3 {
+		t.Errorf("MaxAbs = %v, want 3", linalg.MaxAbs([]float64{-3, 2}))
 	}
 }
 
 func TestQRSolvesExactSystem(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{2, 1}, {1, 3}})
-	x, err := LeastSquares(a, []float64{5, 10})
+	a, _ := oracle.MatrixFromRows([][]float64{{2, 1}, {1, 3}})
+	x, err := oracle.LeastSquares(a, []float64{5, 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,8 +246,8 @@ func TestQROverdetermined(t *testing.T) {
 		rows[i] = []float64{1, ti}
 		b[i] = 2 + 3*ti
 	}
-	a, _ := MatrixFromRows(rows)
-	x, err := LeastSquares(a, b)
+	a, _ := oracle.MatrixFromRows(rows)
+	x, err := oracle.LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,15 +257,15 @@ func TestQROverdetermined(t *testing.T) {
 }
 
 func TestQRSingular(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
-	if _, err := LeastSquares(a, []float64{1, 2, 3}); err == nil {
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	if _, err := oracle.LeastSquares(a, []float64{1, 2, 3}); err == nil {
 		t.Fatal("singular system solved without error")
 	}
 }
 
 func TestQRUnderdeterminedRejected(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2, 3}})
-	if _, err := QRFactor(a); err == nil {
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 2, 3}})
+	if _, err := oracle.QRFactor(a); err == nil {
 		t.Fatal("QRFactor accepted rows < cols")
 	}
 }
@@ -270,7 +273,7 @@ func TestQRUnderdeterminedRejected(t *testing.T) {
 func TestQRResidualOrthogonality(t *testing.T) {
 	// For least squares, Aᵀ(Ax−b) must vanish.
 	rng := rand.New(rand.NewSource(7))
-	a := NewMatrix(20, 5)
+	a := linalg.NewMatrix(20, 5)
 	for i := range a.Data {
 		a.Data[i] = rng.NormFloat64()
 	}
@@ -278,43 +281,43 @@ func TestQRResidualOrthogonality(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	x, err := LeastSquares(a, b)
+	x, err := oracle.LeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Sub(a.MulVec(x), b)
-	g := a.MulVecT(r)
-	if MaxAbs(g) > 1e-9 {
+	r := oracle.Sub(oracle.MulVec(a, x), b)
+	g := oracle.MulVecT(a, r)
+	if linalg.MaxAbs(g) > 1e-9 {
 		t.Errorf("gradient not zero at LS solution: %v", g)
 	}
 }
 
 func TestCholeskySolve(t *testing.T) {
 	// A = LLᵀ with A symmetric positive definite.
-	a, _ := MatrixFromRows([][]float64{
+	a, _ := oracle.MatrixFromRows([][]float64{
 		{4, 2, 0},
 		{2, 5, 1},
 		{0, 1, 3},
 	})
-	x, err := SolveSPD(a, []float64{8, 13, 7})
+	x, err := oracle.SolveSPD(a, []float64{8, 13, 7})
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := a.MulVec(x)
+	back := oracle.MulVec(a, x)
 	if !vecAlmostEq(back, []float64{8, 13, 7}, 1e-10) {
 		t.Errorf("A·x = %v, want [8 13 7]", back)
 	}
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := Cholesky(a); err == nil {
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	if _, err := linalg.Cholesky(a); err == nil {
 		t.Fatal("Cholesky accepted an indefinite matrix")
 	}
 }
 
 func TestCholeskyRejectsNonSquare(t *testing.T) {
-	if _, err := Cholesky(NewMatrix(2, 3)); err == nil {
+	if _, err := linalg.Cholesky(linalg.NewMatrix(2, 3)); err == nil {
 		t.Fatal("Cholesky accepted a non-square matrix")
 	}
 }
@@ -326,7 +329,7 @@ func TestQRMatchesNormalEquationsQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := 8 + rng.Intn(20)
 		n := 2 + rng.Intn(5)
-		a := NewMatrix(m, n)
+		a := linalg.NewMatrix(m, n)
 		for i := range a.Data {
 			a.Data[i] = rng.NormFloat64()
 		}
@@ -338,11 +341,11 @@ func TestQRMatchesNormalEquationsQuick(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64()
 		}
-		x1, err := LeastSquares(a, b)
+		x1, err := oracle.LeastSquares(a, b)
 		if err != nil {
 			return false
 		}
-		x2, err := SolveSPD(a.Gram(), a.MulVecT(b))
+		x2, err := oracle.SolveSPD(oracle.Gram(a), oracle.MulVecT(a, b))
 		if err != nil {
 			return false
 		}
@@ -354,7 +357,7 @@ func TestQRMatchesNormalEquationsQuick(t *testing.T) {
 }
 
 func TestMatrixString(t *testing.T) {
-	m, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	m, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {3, 4}})
 	if got := m.String(); got != "2x2[1 2; 3 4]" {
 		t.Errorf("String() = %q", got)
 	}

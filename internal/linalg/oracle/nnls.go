@@ -1,8 +1,10 @@
-package linalg
+package oracle
 
 import (
 	"fmt"
 	"math"
+
+	"geoalign/internal/linalg"
 )
 
 // NNLS solves the non-negative least squares problem
@@ -13,10 +15,10 @@ import (
 // Problems, 1974, ch. 23). The returned x is a Karush–Kuhn–Tucker point:
 // x ≥ 0 and the gradient Aᵀ(Ax−b) is ≥ 0 on the active (zero) set and ≈ 0
 // on the passive set.
-func NNLS(a *Matrix, b []float64) ([]float64, error) {
+func NNLS(a *linalg.Matrix, b []float64) ([]float64, error) {
 	m, n := a.Rows, a.Cols
 	if len(b) != m {
-		return nil, fmt.Errorf("linalg: NNLS vector length %d != rows %d", len(b), m)
+		return nil, fmt.Errorf("oracle: NNLS vector length %d != rows %d", len(b), m)
 	}
 	if n == 0 {
 		return nil, nil
@@ -29,7 +31,7 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 
 	// Tolerance scaled to the problem: entries of w below tol count as
 	// non-positive.
-	tol := 10 * machEps * float64(n) * matInfNorm(a) * (Norm2(b) + 1)
+	tol := linalg.GramTolerance(InfNorm(a), linalg.Norm2(b), n)
 
 	maxOuter := 3 * n
 	if maxOuter < 30 {
@@ -37,7 +39,7 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 	}
 	for outer := 0; outer < maxOuter; outer++ {
 		// Dual vector w = Aᵀ·resid.
-		w := a.MulVecT(resid)
+		w := MulVecT(a, resid)
 		// Pick the most positive w among active variables.
 		t, wmax := -1, tol
 		for j := 0; j < n; j++ {
@@ -97,7 +99,7 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 			}
 		}
 		// Refresh the residual.
-		ax := a.MulVec(x)
+		ax := MulVec(a, x)
 		for i := range resid {
 			resid[i] = b[i] - ax[i]
 		}
@@ -105,23 +107,29 @@ func NNLS(a *Matrix, b []float64) ([]float64, error) {
 	return x, nil
 }
 
-const machEps = 2.220446049250313e-16
-
-// matInfNorm returns ‖a‖∞, the largest row abs-sum, or 1 for an
-// all-zero matrix (see infNorm).
-func matInfNorm(a *Matrix) float64 {
+// InfNorm returns ‖a‖∞, the largest row abs-sum summed in column
+// order, or 1 for an all-zero matrix: the norm linalg.GramSystem keeps
+// as AInf.
+func InfNorm(a *linalg.Matrix) float64 {
 	var mx float64
 	for i := 0; i < a.Rows; i++ {
-		if s := absSum(a.Row(i)); s > mx {
+		var s float64
+		for _, v := range a.Row(i) {
+			s += math.Abs(v)
+		}
+		if s > mx {
 			mx = s
 		}
 	}
-	return infNorm(mx)
+	if mx == 0 {
+		return 1
+	}
+	return mx
 }
 
 // solvePassive solves the unconstrained least squares restricted to the
 // passive columns, returning a full-length vector with zeros elsewhere.
-func solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, error) {
+func solvePassive(a *linalg.Matrix, b []float64, passive []bool) ([]float64, error) {
 	n := a.Cols
 	idx := make([]int, 0, n)
 	for j := 0; j < n; j++ {
@@ -132,7 +140,7 @@ func solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, error) {
 	if len(idx) == 0 {
 		return make([]float64, n), nil
 	}
-	sub := NewMatrix(a.Rows, len(idx))
+	sub := linalg.NewMatrix(a.Rows, len(idx))
 	for i := 0; i < a.Rows; i++ {
 		row := a.Row(i)
 		srow := sub.Row(i)
@@ -146,7 +154,7 @@ func solvePassive(a *Matrix, b []float64, passive []bool) ([]float64, error) {
 	var zs []float64
 	var err error
 	if sub.Rows > 8*sub.Cols {
-		zs, err = SolveSPD(sub.Gram(), sub.MulVecT(b))
+		zs, err = SolveSPD(Gram(sub), MulVecT(sub, b))
 	}
 	if zs == nil || err != nil {
 		zs, err = LeastSquares(sub, b)

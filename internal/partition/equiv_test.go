@@ -55,26 +55,46 @@ func csrsEqual(t *testing.T, a, b *sparse.CSR, context string, tol float64) {
 	}
 }
 
-// measureBoth runs MeasureDM on the dual-tree path and the test-only
-// brute path and returns both results.
-func measureBoth(t *testing.T, src, tgt System) (join, brute *sparse.CSR) {
+// bruteMeasureDM is the reference pairing MeasureDM's dual-tree join is
+// checked against: serially, one R-tree Search per source part, each
+// candidate pair measured by the uncached hole-aware kernel
+// geom.HoledIntersectionArea.
+func bruteMeasureDM(src, tgt *PolygonSystem) *sparse.CSR {
+	coo := sparse.NewCOO(src.Len(), tgt.Len())
+	for pi := range src.parts {
+		a := holedPart(src, pi)
+		for _, qj := range tgt.tree.Search(a.BBox(), nil) {
+			if v := geom.HoledIntersectionArea(a, holedPart(tgt, qj)); v > 0 {
+				coo.Add(src.partUnit[pi], tgt.partUnit[qj], v)
+			}
+		}
+	}
+	return coo.ToCSR()
+}
+
+// holedPart returns part k of s as a HoledPolygon of its CCW rings.
+func holedPart(s *PolygonSystem, k int) geom.HoledPolygon {
+	p := &s.parts[k]
+	hp := geom.HoledPolygon{Outer: p.Outer.Ring()}
+	for i := range p.Holes {
+		hp.Holes = append(hp.Holes, p.Holes[i].Ring())
+	}
+	return hp
+}
+
+// measureBoth runs MeasureDM and the brute reference pairing and
+// returns both results.
+func measureBoth(t *testing.T, src, tgt *PolygonSystem) (join, brute *sparse.CSR) {
 	t.Helper()
-	UseBruteJoin(false)
 	join, err := MeasureDM(src, tgt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	UseBruteJoin(true)
-	defer UseBruteJoin(false)
-	brute, err = MeasureDM(src, tgt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return join, brute
+	return join, bruteMeasureDM(src, tgt)
 }
 
 // TestPolygonMeasureDMJoinEquivalence compares the dual-tree +
-// prepared-kernel path against the brute path on non-convex layers, and
+// prepared-kernel path against the brute pairing on non-convex layers, and
 // checks that repeated runs are bit-identical (determinism under the
 // parallel join).
 func TestPolygonMeasureDMJoinEquivalence(t *testing.T) {

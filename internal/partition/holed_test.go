@@ -163,7 +163,7 @@ func TestMixedHoledMultiMeasureDM(t *testing.T) {
 	relEq := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
 	for _, dir := range []struct {
 		name     string
-		src, tgt System
+		src, tgt *PolygonSystem
 	}{{"holed→multi", holed, multi}, {"multi→holed", multi, holed}} {
 		join, brute := measureBoth(t, dir.src, dir.tgt)
 		csrsEqual(t, join, brute, dir.name+" join vs brute", 1e-9)

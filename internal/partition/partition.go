@@ -25,20 +25,11 @@ import (
 	"geoalign/internal/sparse"
 )
 
-// preprocWorkers returns the preprocessing worker count (MeasureDM row
-// fills, the dual-tree join, PointDM sharding): runtime.GOMAXPROCS(0).
+// preprocWorkers returns the preprocessing worker count (the MeasureDM
+// dual-tree join, PointDM sharding): runtime.GOMAXPROCS(0).
 func preprocWorkers() int {
 	return runtime.GOMAXPROCS(0)
 }
-
-// bruteJoin forces MeasureDM back onto the pre-dual-tree pairing (one
-// R-tree Search per source row, uncached geometry kernels). Test-only:
-// it exists so equivalence tests and benchmarks can compare the two
-// paths; it is not part of the supported API surface.
-var bruteJoin atomic.Bool
-
-// UseBruteJoin toggles the test-only brute pairing path. See bruteJoin.
-func UseBruteJoin(on bool) { bruteJoin.Store(on) }
 
 // System is a unit system: a finite set of disjoint units partitioning
 // a universe, with just enough behaviour for crosswalk preprocessing.
@@ -329,44 +320,19 @@ func (s *PolygonSystem) LocatePoint(p geom.Point) int {
 	return best
 }
 
-// part returns part k's CCW rings as a HoledPolygon, for the uncached
-// kernels of the brute path.
-func (s *PolygonSystem) part(k int) geom.HoledPolygon {
-	p := &s.parts[k]
-	hp := geom.HoledPolygon{Outer: p.Outer.Ring()}
-	for i := range p.Holes {
-		hp.Holes = append(hp.Holes, p.Holes[i].Ring())
-	}
-	return hp
-}
-
 // areaMeasureDM computes pairwise intersection areas at the part level
 // and accumulates them per unit pair. Candidate part pairs come from a
 // parallel dual-tree join of the two R-trees; each pair's area is
 // computed by the prepared hole-aware kernel with a per-worker scratch
 // arena; target parts are folded to their units and rows merged in
-// part order, so the result is deterministic. The test-only brute path
-// issues one R-tree query per source part with the uncached kernel
-// instead.
+// part order, so the result is deterministic.
 func areaMeasureDM(src, tgt *PolygonSystem) *sparse.CSR {
-	var rows []rowEntries
-	if bruteJoin.Load() {
-		rows = parallelRows(len(src.parts), func(pi int, add func(j int, v float64)) {
-			a := src.part(pi)
-			for _, qj := range tgt.tree.Search(a.BBox(), nil) {
-				if v := geom.HoledIntersectionArea(a, tgt.part(qj)); v > 0 {
-					add(tgt.partUnit[qj], v)
-				}
-			}
-		})
-	} else {
-		rows = joinRows(src.tree, tgt.tree, len(src.parts), func(sc *geom.ClipScratch, pi, qj int) float64 {
-			return sc.PreparedHoledIntersectionArea(&src.parts[pi], &tgt.parts[qj])
-		})
-		for pi := range rows {
-			for k, qj := range rows[pi].cols {
-				rows[pi].cols[k] = tgt.partUnit[qj]
-			}
+	rows := joinRows(src.tree, tgt.tree, len(src.parts), func(sc *geom.ClipScratch, pi, qj int) float64 {
+		return sc.PreparedHoledIntersectionArea(&src.parts[pi], &tgt.parts[qj])
+	})
+	for pi := range rows {
+		for k, qj := range rows[pi].cols {
+			rows[pi].cols[k] = tgt.partUnit[qj]
 		}
 	}
 	coo := sparse.NewCOO(src.Len(), tgt.Len())
@@ -390,7 +356,7 @@ type rowEntries struct {
 // worker owns all pairs of a given source row, so the per-row appends
 // are race-free without locks, and the caller merges rows in order —
 // the result is deterministic regardless of worker count or schedule.
-// Pairs with non-positive measure are dropped, matching the brute path.
+// Pairs with non-positive measure are dropped.
 func joinRows(a, b *rtree.Tree, nRows int, pair func(sc *geom.ClipScratch, i, j int) float64) []rowEntries {
 	rows := make([]rowEntries, nRows)
 	workers := preprocWorkers()
@@ -401,40 +367,6 @@ func joinRows(a, b *rtree.Tree, nRows int, pair func(sc *geom.ClipScratch, i, j 
 			rows[i].vals = append(rows[i].vals, v)
 		}
 	})
-	return rows
-}
-
-// parallelRows fans the per-row computation out over the preprocessing
-// workers. fill must only touch row i through the provided add
-// callback.
-func parallelRows(n int, fill func(i int, add func(j int, v float64))) []rowEntries {
-	rows := make([]rowEntries, n)
-	workers := preprocWorkers()
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var next int64 = -1
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				fill(i, func(j int, v float64) {
-					rows[i].cols = append(rows[i].cols, j)
-					rows[i].vals = append(rows[i].vals, v)
-				})
-			}
-		}()
-	}
-	wg.Wait()
 	return rows
 }
 

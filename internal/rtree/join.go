@@ -5,14 +5,15 @@ import (
 	"sync/atomic"
 )
 
-// joinNodes calls visit(i, j) for every pair of entries — one under x,
+// joinNodes calls visit(w, i, j) for every pair of entries — one under x,
 // one under y — whose bounding boxes intersect, in a single
 // simultaneous descent of both subtrees: subtrees of y whose boxes miss
 // a whole subtree of x are pruned once for the entire subtree instead
 // of once per entry. The visit order is deterministic (a depth-first
 // interleaving of both trees); each entry of x meets its partners in
-// y's depth-first order.
-func joinNodes(x, y *node, visit func(i, j int)) {
+// y's depth-first order. w, the index of the worker running the
+// descent, is passed through to visit unchanged.
+func joinNodes(x, y *node, w int, visit func(w, i, j int)) {
 	if !x.box.Intersects(y.box) {
 		return
 	}
@@ -24,17 +25,17 @@ func joinNodes(x, y *node, visit func(i, j int)) {
 			}
 			for _, eb := range y.entries {
 				if ea.Box.Intersects(eb.Box) {
-					visit(ea.ID, eb.ID)
+					visit(w, ea.ID, eb.ID)
 				}
 			}
 		}
 	case x.children == nil:
 		for _, c := range y.children {
-			joinNodes(x, c, visit)
+			joinNodes(x, c, w, visit)
 		}
 	case y.children == nil:
 		for _, c := range x.children {
-			joinNodes(c, y, visit)
+			joinNodes(c, y, w, visit)
 		}
 	default:
 		for _, cx := range x.children {
@@ -42,7 +43,7 @@ func joinNodes(x, y *node, visit func(i, j int)) {
 				continue
 			}
 			for _, cy := range y.children {
-				joinNodes(cx, cy, visit)
+				joinNodes(cx, cy, w, visit)
 			}
 		}
 	}
@@ -67,17 +68,20 @@ func JoinParallel(a, b *Tree, workers int, visit func(w, i, j int)) {
 	if a == nil || b == nil || a.root == nil || b.root == nil {
 		return
 	}
-	if workers < 1 {
-		workers = 1
+	if workers > 1 {
+		if tasks := a.topSubtrees(4 * workers); len(tasks) > 1 {
+			joinTasks(tasks, b.root, min(workers, len(tasks)), visit)
+			return
+		}
 	}
-	tasks := a.topSubtrees(4 * workers)
-	if workers > len(tasks) {
-		workers = len(tasks)
-	}
-	if workers <= 1 {
-		joinNodes(a.root, b.root, func(i, j int) { visit(0, i, j) })
-		return
-	}
+	// One worker descends from the roots without splitting a, so the
+	// sequential join allocates nothing.
+	joinNodes(a.root, b.root, 0, visit)
+}
+
+// joinTasks joins each subtree in tasks against y on whichever of the
+// workers goroutines claims it next.
+func joinTasks(tasks []*node, y *node, workers int, visit func(w, i, j int)) {
 	var next int64 = -1
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -89,7 +93,7 @@ func JoinParallel(a, b *Tree, workers int, visit func(w, i, j int)) {
 				if t >= len(tasks) {
 					return
 				}
-				joinNodes(tasks[t], b.root, func(i, j int) { visit(w, i, j) })
+				joinNodes(tasks[t], y, w, visit)
 			}
 		}(w)
 	}

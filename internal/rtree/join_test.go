@@ -122,3 +122,18 @@ func TestJoinEmptyTrees(t *testing.T) {
 		t.Fatalf("join on empty tree visited %d pairs", calls)
 	}
 }
+
+// TestJoinParallelOneWorkerAllocationFree pins the one-worker join at
+// zero allocations over prebuilt trees of one tiled-build tile's shape:
+// it neither splits the left tree into subtrees nor wraps visit.
+func TestJoinParallelOneWorkerAllocationFree(t *testing.T) {
+	ta, tb := New(tileEntries(1500, 3)), New(tileEntries(76, 4))
+	pairs := 0
+	visit := func(_, i, j int) { pairs++ }
+	if allocs := testing.AllocsPerRun(20, func() { JoinParallel(ta, tb, 1, visit) }); allocs != 0 {
+		t.Errorf("JoinParallel with one worker made %.1f allocs/op, want 0", allocs)
+	}
+	if pairs == 0 {
+		t.Fatal("no pairs: the trees do not overlap")
+	}
+}

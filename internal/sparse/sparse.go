@@ -309,35 +309,6 @@ func (m *CSR) Prune(eps float64) *CSR {
 	return out
 }
 
-// Transpose returns Mᵀ as a new CSR matrix.
-func (m *CSR) Transpose() *CSR {
-	counts := make([]int, m.Cols+1)
-	for _, c := range m.ColIdx {
-		counts[c+1]++
-	}
-	for j := 0; j < m.Cols; j++ {
-		counts[j+1] += counts[j]
-	}
-	t := &CSR{
-		Rows: m.Cols, Cols: m.Rows,
-		IndPtr: counts,
-		ColIdx: make([]int, m.NNZ()),
-		Val:    make([]float64, m.NNZ()),
-	}
-	next := make([]int, m.Cols)
-	copy(next, t.IndPtr[:m.Cols])
-	for i := 0; i < m.Rows; i++ {
-		for k := m.IndPtr[i]; k < m.IndPtr[i+1]; k++ {
-			c := m.ColIdx[k]
-			p := next[c]
-			t.ColIdx[p] = i
-			t.Val[p] = m.Val[k]
-			next[c]++
-		}
-	}
-	return t
-}
-
 // WeightedSum computes Σ_k w[k]·mats[k] over CSR matrices with identical
 // shapes. This is the core of GeoAlign's disaggregation step: the
 // numerator of Eq. (14) is the weighted sum of the reference

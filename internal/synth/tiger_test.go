@@ -27,7 +27,7 @@ func TestTigerLayerPartition(t *testing.T) {
 		if a <= 0 {
 			t.Fatalf("unit %d area %v", i, a)
 		}
-		if _, err := geom.NewPreparedPolygon(pg).Triangles(); err != nil {
+		if _, err := geom.Triangulate(pg); err != nil {
 			t.Fatalf("unit %d not simple: %v", i, err)
 		}
 		total += a
